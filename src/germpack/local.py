@@ -105,7 +105,8 @@ def _entry_greater(a, b) -> bool:
     order = poly_germ_compare(
         IntPolynomial.from_bits(a[0]), IntPolynomial.from_bits(b[0])
     )
-    assert order != EQUAL or a[0] == b[0], "distinct strings never tie"
+    if order == EQUAL and a[0] != b[0]:
+        raise AssertionError("distinct strings never tie")
     return order == GREATER
 
 

@@ -1,7 +1,8 @@
 """Brute-force ground truth for small instances.
 
 Exhaustively enumerates avoiding strings and periodic avoiding sets and picks
-germ-maxima by direct comparison.  Deliberately shares nothing with the
+germ-maxima by direct comparison; pairs every two blocks in the search for a
+two-block challenger.  Deliberately shares nothing with the
 dynamic programs in `search` except the polynomial comparator, so the two
 routes stay independent checks of each other.  Desk-scale only; the caps can
 be overridden at the cost of a warning.
@@ -58,6 +59,31 @@ def brute_best(distances: DistanceSet, length: int, force: bool = False) -> str:
         if best is None or poly_germ_compare(poly, best_poly) == GREATER:
             best, best_poly = candidate, poly
     return best
+
+
+def brute_two_block(distances: DistanceSet, block_b: str, force: bool = False):
+    """A challenger to the two-block bound, by enumerating every pair.
+
+    Returns the first avoiding (Q, R) with |Q| = |R| = |block_b|, R germ-greater
+    than block_b and QR germ-greater than block_b doubled, or None when no
+    such pair exists.  Every R is tried against every Q.
+    """
+    size = len(block_b)
+    b_poly = IntPolynomial.from_bits(block_b)
+    bb_poly = IntPolynomial.from_bits(block_b + block_b)
+    firsts = None
+    for second in enumerate_avoiding(distances, size, force):
+        if poly_germ_compare(IntPolynomial.from_bits(second), b_poly) != GREATER:
+            continue
+        if firsts is None:
+            firsts = list(enumerate_avoiding(distances, size, force))
+        for first in firsts:
+            if not is_avoiding(first + second, distances):
+                continue
+            joined = IntPolynomial.from_bits(first + second)
+            if poly_germ_compare(joined, bb_poly) == GREATER:
+                return first, second
+    return None
 
 
 def brute_best_periodic(

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .germs import EQUAL, GREATER, IntPolynomial, poly_germ_compare
-from .oracle import enumerate_avoiding
+from .local import PatchContext, best_patch
+from .oracle import brute_two_block
 from .sets import DistanceSet, RationalSet, _check_bits, is_avoiding
 
 REPEATABLE_WINDOW = "RepeatableWindow"
@@ -58,8 +59,14 @@ def _entry_greater(a, b) -> bool:
     order = poly_germ_compare(
         IntPolynomial.from_bits(a[0]), IntPolynomial.from_bits(b[0])
     )
-    assert order != EQUAL or a[0] == b[0], "distinct strings never tie"
+    if order == EQUAL and a[0] != b[0]:
+        raise AssertionError("distinct strings never tie")
     return order == GREATER
+
+
+def _entry(bits: str) -> tuple[str, int, int]:
+    """The (bits, ones, position-sum) entry `_entry_greater` compares."""
+    return bits, bits.count("1"), sum(i for i, bit in enumerate(bits) if bit == "1")
 
 
 class _LineDp:
@@ -221,21 +228,31 @@ class Certificate:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
 
     def verify(self) -> bool:
+        """Replay the checks; False for failed checks and malformed evidence."""
         if self.kind == REPEATABLE_WINDOW:
             return self._verify_window(check_offset=None)
         if self.kind == SYMMETRIC_OFFSET:
             offset = self.evidence.get("offset")
+            if not _is_int(offset):
+                return False
             return self._verify_window(check_offset=offset)
-        cert = certify_two_block(
-            self.distances, self.evidence["block_a"], self.evidence["block_b"]
-        )
+        block_a = self.evidence.get("block_a")
+        block_b = self.evidence.get("block_b")
+        if not isinstance(block_a, str) or not isinstance(block_b, str):
+            return False
+        try:
+            cert = certify_two_block(self.distances, block_a, block_b)
+        except ValueError:  # blocks that are not equal-length avoiding bit strings
+            return False
         return cert is not None and cert.winner == self.winner
 
     def _verify_window(self, check_offset):
         window = self.evidence.get("window", "")
+        if not isinstance(window, str):
+            return False
         length = self.evidence.get("window_length", len(window))
         d = self.distances
-        if not window or len(window) != length or length <= d.norm:
+        if not _is_int(length) or not window or len(window) != length or length <= d.norm:
             return False
         if check_offset is not None:
             if check_offset != length or not _is_symmetry_offset(d, check_offset):
@@ -269,6 +286,10 @@ class Certificate:
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed certificate: {exc}") from None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def is_repeatable(window: str, distances: DistanceSet) -> bool:
@@ -369,13 +390,13 @@ def certify_two_block(
 ) -> Certificate | None:
     """Try to certify block_a followed by block_b forever as the winner.
 
-    Checks, all exhaustive and exact:
+    Checks, all exact:
 
     * the candidate set itself avoids the distances;
     * block_a and block_a+block_b are the germ-maximal avoiding strings of
       their lengths;
     * every avoiding QR split into halves has R at most block_b, or the
-      whole QR at most block_b doubled.
+      whole QR at most block_b doubled (`_two_block_challenger`).
 
     Splitting an arbitrary challenger into blocks, those facts yield a
     partition of its positions into one- and two-block spans on which the
@@ -398,27 +419,99 @@ def certify_two_block(
         return None
     if block_a + block_b != best_string(distances, 2 * size):
         return None
-
-    b_poly = IntPolynomial.from_bits(block_b)
-    bb_poly = IntPolynomial.from_bits(block_b + block_b)
-    firsts = None
-    for second in enumerate_avoiding(distances, size, force=True):
-        if poly_germ_compare(IntPolynomial.from_bits(second), b_poly) != GREATER:
-            continue
-        if firsts is None:
-            firsts = list(enumerate_avoiding(distances, size, force=True))
-        for first in firsts:
-            if not is_avoiding(first + second, distances):
-                continue
-            joined = IntPolynomial.from_bits(first + second)
-            if poly_germ_compare(joined, bb_poly) == GREATER:
-                return None
+    if _two_block_challenger(distances, block_b) is not None:
+        return None
     return Certificate(
         TWO_BLOCK_INDUCTION,
         distances,
         winner,
         {"block_a": block_a, "block_b": block_b},
     )
+
+
+def _two_block_challenger(distances: DistanceSet, block_b: str):
+    """An avoiding QR with R germ-greater than B and QR than BB, or None.
+
+    Branch and bound over R.  For a fixed R, QR - Q'R = Q - Q' as
+    polynomials, so only the germ-best Q that fits before R can beat BB; with
+    blocks at least norm long, Q meets R only through R's first norm bits,
+    and that Q is the best patch between an all-zero left context and
+    R[:norm].  R > B needs at least as many 1s as B (the count is the
+    leading t-coefficient), so a prefix of R is cut once even the fullest
+    avoiding tail cannot reach that count.  Blocks shorter than norm are
+    left to the oracle's exhaustive pairing.
+    """
+    size = len(block_b)
+    norm = distances.norm
+    if size < norm:
+        return brute_two_block(distances, block_b, force=True)
+    b_entry = _entry(block_b)
+    bb_entry = _entry(block_b + block_b)
+    fillings: dict[str, str] = {}
+    for second in _avoiding_with_ones(distances, size, b_entry[1]):
+        if not _entry_greater(_entry(second), b_entry):
+            continue
+        head = second[:norm]
+        first = fillings.get(head)
+        if first is None:
+            context = PatchContext("0" * norm, head, size)
+            first = fillings[head] = best_patch(context, distances)
+        if _entry_greater(_entry(first + second), bb_entry):
+            return first, second
+    return None
+
+
+def _max_ones(distances: DistanceSet, length: int) -> list[int]:
+    """The most 1s an avoiding string of each length 0..length can hold.
+
+    The line DP over trailing windows (int masks, bit k is the bit k+1 back)
+    keeping only the count, so it needs no germ comparison.
+    """
+    full = (1 << distances.norm) - 1
+    clash = sum(1 << (d - 1) for d in distances)
+    states = {0: 0}
+    out = [0]
+    for _ in range(length):
+        new: dict[int, int] = {}
+        for window, ones in states.items():
+            zero = (window << 1) & full
+            if new.get(zero, -1) < ones:
+                new[zero] = ones
+            if not window & clash:
+                one = ((window << 1) | 1) & full
+                if new.get(one, -1) < ones + 1:
+                    new[one] = ones + 1
+        states = new
+        out.append(max(states.values()))
+    return out
+
+
+def _avoiding_with_ones(distances: DistanceSet, length: int, need: int):
+    """Every avoiding string of the given length with at least `need` 1s.
+
+    Depth first, 1 before 0; a prefix is cut as soon as even the fullest
+    avoiding tail of the remaining length cannot bring it up to `need`.
+    """
+    dists = tuple(distances)
+    room = _max_ones(distances, length)
+    prefix: list[str] = []
+
+    def extend(ones):
+        pos = len(prefix)
+        if ones + room[length - pos] < need:
+            return
+        if pos == length:
+            yield "".join(prefix)
+            return
+        if all(d > pos or prefix[pos - d] == "0" for d in dists):
+            prefix.append("1")
+            yield from extend(ones + 1)
+            prefix.pop()
+        prefix.append("0")
+        yield from extend(ones)
+        prefix.pop()
+
+    yield from extend(0)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,30 @@ class TestCertifyCommand:
         code, verdict = run_json(capsys, "certify", "--file", str(path), "--json")
         assert code == 1 and not verdict["valid"]
 
+    @pytest.mark.parametrize(
+        "dists,kind,evidence",
+        [
+            ("2,4,7", "TwoBlockInduction", {}),
+            ("2,4,7", "TwoBlockInduction", {"block_a": 110000, "block_b": "100100"}),
+            ("2,4,7", "TwoBlockInduction", {"block_a": "110000", "block_b": "1001"}),
+            ("3,5", "RepeatableWindow", {"window": 5}),
+            ("3,5", "RepeatableWindow", {"window": "10101010", "window_length": "8"}),
+            ("3,5", "RepeatableWindow", {"window": "1", "window_length": True}),
+            ("3,5", "SymmetricOffset", {"window": "10101010"}),
+            ("3,5", "SymmetricOffset", {"offset": [8], "window": "10101010"}),
+        ],
+    )
+    def test_malformed_evidence_is_invalid_not_a_crash(
+        self, capsys, tmp_path, dists, kind, evidence
+    ):
+        code, data = run_json(capsys, "winner", "--d", dists)
+        assert code == 0
+        data.update(kind=kind, evidence=evidence)
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        code, verdict = run_json(capsys, "certify", "--file", str(path), "--json")
+        assert code == 1 and not verdict["valid"]
+
     def test_missing_file_is_invalid_input(self, capsys):
         code = main(["certify", "--file", "/nonexistent/cert.json"])
         assert code == 1

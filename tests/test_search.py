@@ -2,6 +2,7 @@
 
 import json
 import random
+import warnings
 
 import pytest
 
@@ -19,17 +20,21 @@ from germpack import (
     best_string,
     brute_best,
     brute_best_periodic,
+    brute_two_block,
     certify_two_block,
     dp_start,
     dp_step,
+    enumerate_avoiding,
     find_repeatable_winner,
     find_winner,
+    is_avoiding,
     is_repeatable,
     poly_germ_compare,
     set_compare,
     symmetric_winner,
     symmetry_offset,
 )
+from germpack.search import _avoiding_with_ones, _max_ones, _two_block_challenger
 from helpers import all_distance_sets, random_bits
 
 D35 = DistanceSet.of(3, 5)
@@ -217,6 +222,140 @@ class TestTwoBlock:
             certify_two_block(D35, "", "")
         with pytest.raises(ValueError):
             certify_two_block(D35, "10010000", "10101010")  # left block clashes
+
+
+def _germ_greater(a, b):
+    return poly_germ_compare(IntPolynomial.from_bits(a), IntPolynomial.from_bits(b)) == GREATER
+
+
+def _is_challenger(distances, block_b, pair):
+    first, second = pair
+    return (
+        len(first) == len(second) == len(block_b)
+        and is_avoiding(first + second, distances)
+        and _germ_greater(second, block_b)
+        and _germ_greater(first + second, block_b + block_b)
+    )
+
+
+# The benchmark's two-block cases: every TwoBlockInduction winner with at
+# most four distances and norm <= 12 under the default budget, plus {2,4,5}
+# at block 21 and {2,4,6,7} at block 32.
+TWO_BLOCK_POOL = (
+    ((2, 4, 7), None), ((3, 6, 11), None), ((3, 7, 12), None),
+    ((4, 6, 11), None), ((1, 5, 8, 11), None), ((2, 4, 6, 9), None),
+    ((2, 4, 7, 10), None), ((3, 4, 6, 10), None), ((4, 5, 8, 11), None),
+    ((2, 4, 5), 21), ((2, 4, 6, 7), 32),
+)
+
+
+def _challenger_free(distances, block_b):
+    """The branch and bound and the oracle's exhaustive pairing agree."""
+    fast = _two_block_challenger(distances, block_b)
+    slow = brute_two_block(distances, block_b)
+    assert (fast is None) == (slow is None), (distances, block_b)
+    if fast is not None:
+        assert _is_challenger(distances, block_b, fast)
+    return fast is None
+
+
+def _agree_with_oracle(distances, block_a, block_b):
+    """certify_two_block's verdict matches the oracle's; True if certified.
+
+    The challenger searches are compared whenever the candidate set avoids
+    the distances, the only case in which certify_two_block runs one.
+    """
+    certified = certify_two_block(distances, block_a, block_b) is not None
+    if not is_avoiding(RationalSet(block_a, block_b), distances):
+        assert not certified
+        return False
+    assert certified == _challenger_free(distances, block_b), (distances, block_b)
+    return certified
+
+
+class TestTwoBlockBranchAndBound:
+    def test_max_ones_matches_enumeration(self):
+        for distances in all_distance_sets(5):
+            room = _max_ones(distances, 10)
+            for length in range(11):
+                want = max(s.count("1") for s in enumerate_avoiding(distances, length))
+                assert room[length] == want
+
+    def test_rich_strings_match_enumeration(self):
+        rng = random.Random(17)
+        for distances in all_distance_sets(5):
+            length = rng.randrange(1, 12)
+            need = rng.randrange(0, length + 1)
+            got = list(_avoiding_with_ones(distances, length, need))
+            want = {s for s in enumerate_avoiding(distances, length) if s.count("1") >= need}
+            assert len(got) == len(want) and set(got) == want
+
+    def test_agrees_with_oracle_on_small_distance_sets(self):
+        # every D inside {1..6}, every block from norm to min(2 norm, 12)
+        # whose doubled best string extends the single one
+        cases = certified = 0
+        for distances in all_distance_sets(6):
+            norm = distances.norm
+            for size in range(norm, min(2 * norm, 12) + 1):
+                block_a = best_string(distances, size)
+                doubled = best_string(distances, 2 * size)
+                if doubled[:size] != block_a:
+                    continue
+                cases += 1
+                _challenger_free(distances, doubled[size:])
+                certified += _agree_with_oracle(distances, block_a, doubled[size:])
+        assert (cases, certified) == (378, 71)
+
+    @pytest.mark.parametrize("dset,max_block", TWO_BLOCK_POOL)
+    def test_agrees_with_oracle_on_the_pairs_search_tries(self, dset, max_block):
+        # the block pairs find_winner tries, in its order, up to the one it certifies
+        distances = DistanceSet.of(*dset)
+        result = find_winner(distances, SearchBudget(max_block=max_block))
+        assert result.certificate.kind == TWO_BLOCK_INDUCTION
+        certified_size = len(result.certificate.evidence["block_a"])
+        for size in range(1, certified_size + 1):
+            block_a = best_string(distances, size)
+            doubled = best_string(distances, 2 * size)
+            if doubled[:size] == block_a:
+                certified = _agree_with_oracle(distances, block_a, doubled[size:])
+                assert certified == (size == certified_size)
+
+    def test_agrees_with_oracle_below_norm(self):
+        for dset in [(2, 4, 7), (3, 6, 11), (4, 7, 11), (1, 5, 6)]:
+            distances = DistanceSet.of(*dset)
+            for size in range(1, distances.norm):
+                block_a = best_string(distances, size)
+                doubled = best_string(distances, 2 * size)
+                if doubled[:size] == block_a:
+                    _agree_with_oracle(distances, block_a, doubled[size:])
+
+    def test_finds_a_challenger_for_a_weak_second_block(self):
+        # any R holding a 1 beats an all-zero B, and so does QR beat BB
+        distances = DistanceSet.of(2, 4, 7)
+        pair = _two_block_challenger(distances, "000000")
+        assert pair is not None and _is_challenger(distances, "000000", pair)
+
+
+class TestHardTwoBlockCases:
+    # {4,7,11} and {4,7,10,11} share the winner (1101001001000)(001)...; their
+    # blocks are longer than the oracle's enumeration cap
+    @pytest.mark.parametrize(
+        "dset,budget,size",
+        [
+            ((4, 7, 11), SearchBudget(max_window=132, max_block=44), 36),
+            ((4, 7, 10, 11), SearchBudget(max_block=33), 33),
+        ],
+    )
+    def test_certifies_and_verifies_without_warnings(self, dset, budget, size):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = find_winner(DistanceSet.of(*dset), budget)
+            cert = result.certificate
+            assert cert is not None and cert.kind == TWO_BLOCK_INDUCTION
+            assert cert.winner == RationalSet("1101001001000", "001")
+            assert len(cert.evidence["block_a"]) == len(cert.evidence["block_b"]) == size
+            again = Certificate.from_json_dict(json.loads(json.dumps(cert.to_json_dict())))
+            assert again.verify()
 
 
 class TestFindWinner:
