@@ -11,6 +11,10 @@ many strings) in a string no single patch rewrite can improve.
 Fixpoints of the sweep are not known to be winners, but certified winners
 are fixpoints: every interior window of a winner must already contain the
 best filling for its contexts, which `winner_windows_consistent` checks.
+
+The best filling comes from `LineKernel`, the one germ-best-string dynamic
+program in the library: `search` reads its germ-best strings of every
+length and its two-block challengers off the same kernel.
 """
 
 from __future__ import annotations
@@ -18,7 +22,97 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .germs import EQUAL, GREATER, IntPolynomial, poly_germ_compare
-from .sets import DistanceSet, RationalSet, _check_bits, is_avoiding
+from .sets import DistanceSet, RationalSet, _check_bits, _to_bits, _to_mask, is_avoiding
+
+# The most trailing-window states a line DP may hold.  Norms up to 12 need
+# at most 2**12; a distance set that would need more (a lone large distance
+# forbids almost nothing) is refused rather than left to exhaust memory.
+MAX_STATES = 1 << 16
+
+
+def germ_greater(a, b) -> bool:
+    """Germ order on equal-length (mask, ones, position-sum) entries.
+
+    Bit i of the mask is position i.  The first two t-coefficients of the
+    difference are the count gap and the negated position-sum gap, so those
+    decide almost every comparison; full polynomial comparison settles the
+    rest.
+    """
+    if a[1] != b[1]:
+        return a[1] > b[1]
+    if a[2] != b[2]:
+        return a[2] < b[2]
+    order = poly_germ_compare(
+        IntPolynomial.from_bits(bin(a[0])[:1:-1]), IntPolynomial.from_bits(bin(b[0])[:1:-1])
+    )
+    if order == EQUAL and a[0] != b[0]:
+        raise AssertionError("distinct strings never tie")
+    return order == GREATER
+
+
+class LineKernel:
+    """The germ-best avoiding filling of every trailing window, grown bit by bit.
+
+    The state is the window of the last norm bits (bit i is the bit norm - i
+    back, so the newest bit is the top one): a new 1 can only clash inside
+    it, and whichever of two equal-length fillings is germ-greater stays so
+    under any common extension, so one entry (mask, ones, position-sum) per
+    window suffices.  `left` is the context before position 0, bit i being
+    the bit norm - i back; violations inside it are not the filling's
+    business.
+    """
+
+    def __init__(self, distances: DistanceSet, left: int = 0):
+        self.distances = distances
+        self.length = 0
+        self.states = {left: (0, 0, 0)}
+
+    def advance(self, steps: int) -> LineKernel:
+        """Append `steps` positions; raises ValueError past MAX_STATES states."""
+        norm = self.distances.norm
+        top = 1 << (norm - 1) if norm else 0  # where the new bit lands
+        clash = sum(1 << (norm - d) for d in self.distances)  # what a new 1 must not meet
+        for _ in range(steps):
+            pos = self.length
+            new: dict[int, tuple[int, int, int]] = {}
+
+            def offer(window, entry):
+                cur = new.get(window)
+                if cur is None or germ_greater(entry, cur):
+                    new[window] = entry
+
+            for window, entry in self.states.items():
+                offer(window >> 1, entry)
+                if not window & clash:
+                    mask, ones, possum = entry
+                    offer((window >> 1) | top, (mask | 1 << pos, ones + 1, possum + pos))
+            if len(new) > MAX_STATES:
+                raise ValueError(
+                    f"distances {{{self.distances.to_text()}}} need {len(new)} line-DP "
+                    f"states at length {pos + 1}, over the cap of {MAX_STATES}"
+                )
+            self.states = new
+            self.length += 1
+        return self
+
+    def best(self, right: int = 0) -> tuple[int, int, int]:
+        """The germ-best entry whose last window fits before `right`.
+
+        Bit j of `right` is position length + j; the all-zero filling always
+        fits when the window holds no context bits.
+        """
+        norm = self.distances.norm
+        blocked = 0
+        for d in self.distances:
+            blocked |= (right << norm) >> d
+        blocked &= (1 << norm) - 1
+        best = None
+        for window, entry in self.states.items():
+            if not window & blocked and (best is None or germ_greater(entry, best)):
+                best = entry
+        if best is None:
+            raise AssertionError("no feasible filling, yet all-zero is always feasible")
+        return best
 
 
 @dataclass(frozen=True)
@@ -41,11 +135,11 @@ class PatchContext:
 def best_patch(context: PatchContext, distances: DistanceSet) -> str:
     """The unique germ-maximal filling of the gap that keeps it avoiding.
 
-    Dynamic program over the patch positions with the trailing norm bits as
-    state; the right context prunes final states that would clash across the
-    gap.  Violations wholly inside a fixed context are not the patch's
-    business and are ignored, so the all-zero filling is always feasible and
-    a best filling always exists.
+    The line kernel run across the patch from the left context, keeping
+    only final windows that do not clash with the right context.
+    Violations wholly inside a fixed context are not the patch's business
+    and are ignored, so the all-zero filling is always feasible and a best
+    filling always exists.
     """
     norm = distances.norm
     if len(context.left) != norm:
@@ -53,61 +147,8 @@ def best_patch(context: PatchContext, distances: DistanceSet) -> str:
     length = context.patch_length
     if length < norm:
         raise ValueError("patch length must be at least the largest distance")
-    dists = tuple(distances)
-
-    states: dict[str, tuple[str, int, int]] = {context.left: ("", 0, 0)}
-    for pos in range(length):
-        new: dict[str, tuple[str, int, int]] = {}
-
-        def offer(state, entry):
-            cur = new.get(state)
-            if cur is None or _entry_greater(entry, cur):
-                new[state] = entry
-
-        for window, (bits, ones, possum) in states.items():
-            offer((window + "0")[-norm:] if norm else "", (bits + "0", ones, possum))
-            if all(d > len(window) or window[-d] == "0" for d in dists):
-                offer(
-                    (window + "1")[-norm:] if norm else "",
-                    (bits + "1", ones + 1, possum + pos),
-                )
-        states = new
-
-    best = None
-    for window, entry in states.items():
-        if _cross_clash(window, context.right, dists):
-            continue
-        if best is None or _entry_greater(entry, best):
-            best = entry
-    if best is None:
-        raise AssertionError("no feasible filling, yet all-zero is always feasible")
-    return best[0]
-
-
-def _cross_clash(left_bits: str, right_bits: str, dists) -> bool:
-    """Any forbidden distance between a 1 on the left and a 1 on the right?"""
-    width = len(left_bits)
-    for i, bit in enumerate(left_bits):
-        if bit != "1":
-            continue
-        for d in dists:
-            j = i + d - width
-            if 0 <= j < len(right_bits) and right_bits[j] == "1":
-                return True
-    return False
-
-
-def _entry_greater(a, b) -> bool:
-    if a[1] != b[1]:
-        return a[1] > b[1]
-    if a[2] != b[2]:
-        return a[2] < b[2]
-    order = poly_germ_compare(
-        IntPolynomial.from_bits(a[0]), IntPolynomial.from_bits(b[0])
-    )
-    if order == EQUAL and a[0] != b[0]:
-        raise AssertionError("distinct strings never tie")
-    return order == GREATER
+    kernel = LineKernel(distances, _to_mask(context.left)).advance(length)
+    return _to_bits(kernel.best(_to_mask(context.right))[0], length)
 
 
 def improve_at(
@@ -125,8 +166,7 @@ def improve_at(
     under norm use the short left context padded with zeros (padding adds no
     constraints, so this matches simply having less string to the left).
     """
-    _check_bits(bits, "indicator string")
-    if not is_avoiding(bits, distances):
+    if not is_avoiding(bits, distances):  # also rejects non-bit strings
         raise ValueError("input string must avoid the distances")
     norm = distances.norm
     lo = 0 if allow_edge else norm
@@ -157,8 +197,7 @@ def sweep_to_fixpoint(
     result is patch-maximal: no single rewrite at any scheduled position can
     improve it, and its germ dominates the input's.
     """
-    _check_bits(bits, "indicator string")
-    if not is_avoiding(bits, distances):
+    if not is_avoiding(bits, distances):  # also rejects non-bit strings
         raise ValueError("input string must avoid the distances")
     norm = distances.norm
     if positions is None:

@@ -2,10 +2,11 @@
 
 Exhaustively enumerates avoiding strings and periodic avoiding sets and picks
 germ-maxima by direct comparison; pairs every two blocks in the search for a
-two-block challenger.  Deliberately shares nothing with the
-dynamic programs in `search` except the polynomial comparator, so the two
-routes stay independent checks of each other.  Desk-scale only; the caps can
-be overridden at the cost of a warning.
+two-block challenger.  A reference for the test suite and the `germpack
+oracle` command: the search and certificate checks never call it, and it
+shares nothing with the line kernel in `local` except the polynomial
+comparator, so the two routes stay independent checks of each other.
+Desk-scale only; the caps can be overridden at the cost of a warning.
 """
 
 from __future__ import annotations

@@ -17,22 +17,26 @@ Three certification strategies, in the order a search tries them:
 All certificates re-verify from their recorded evidence alone, without
 trusting the search that produced them.
 
-The germ-maximal avoiding string of a given length is computed by a dynamic
-program along the line whose state is the trailing window of bits under the
-largest distance: a new 1 can only clash inside that window, and whichever
-prefix is germ-greater stays germ-greater under any common extension.  A
-staged variant over whole blocks (DpTable / dp_step) is also provided.
+The germ-maximal avoiding strings of every length are read off one growing
+run of the line kernel (`local.LineKernel`) per distance set.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .germs import EQUAL, GREATER, IntPolynomial, poly_germ_compare
-from .local import PatchContext, best_patch
-from .oracle import brute_two_block
-from .sets import DistanceSet, RationalSet, _check_bits, is_avoiding
+from .local import LineKernel, germ_greater
+from .sets import (
+    DistanceSet,
+    RationalSet,
+    _check_bits,
+    _mask_avoids,
+    _to_bits,
+    _to_mask,
+    is_avoiding,
+)
 
 REPEATABLE_WINDOW = "RepeatableWindow"
 SYMMETRIC_OFFSET = "SymmetricOffset"
@@ -45,73 +49,40 @@ CERTIFICATE_KINDS = (REPEATABLE_WINDOW, SYMMETRIC_OFFSET, TWO_BLOCK_INDUCTION)
 # germ-maximal strings
 
 
-def _entry_greater(a, b) -> bool:
-    """Germ order on equal-length (bits, ones, position-sum) entries.
-
-    The first two t-coefficients of the difference are the count gap and the
-    negated position-sum gap, so those decide almost every comparison; full
-    polynomial comparison settles the rest.
-    """
-    if a[1] != b[1]:
-        return a[1] > b[1]
-    if a[2] != b[2]:
-        return a[2] < b[2]
-    order = poly_germ_compare(
-        IntPolynomial.from_bits(a[0]), IntPolynomial.from_bits(b[0])
-    )
-    if order == EQUAL and a[0] != b[0]:
-        raise AssertionError("distinct strings never tie")
-    return order == GREATER
+# Germ-best entries keep their masks up to this length and, past it, only at
+# the lengths asked for: keeping every mask costs memory quadratic in the
+# length, and a certificate may name any length it likes.
+_KEPT_MASKS = 1 << 12
 
 
-def _entry(bits: str) -> tuple[str, int, int]:
-    """The (bits, ones, position-sum) entry `_entry_greater` compares."""
-    return bits, bits.count("1"), sum(i for i, bit in enumerate(bits) if bit == "1")
+@lru_cache(maxsize=16)
+def _line_run(distances: DistanceSet):
+    """One growing kernel run from an all-zero start, with its bests so far."""
+    return LineKernel(distances), [(0, 0, 0)], threading.Lock()
 
 
-class _LineDp:
-    """Incremental best-avoiding-prefix table keyed by the trailing window."""
-
-    def __init__(self, distances: DistanceSet):
-        self.distances = tuple(distances)
-        self.norm = distances.norm
-        self.length = 0
-        self.states: dict[str, tuple[str, int, int]] = {"": ("", 0, 0)}
-
-    def step(self) -> None:
-        pos = self.length
-        norm = self.norm
-        new: dict[str, tuple[str, int, int]] = {}
-
-        def offer(state, entry):
-            cur = new.get(state)
-            if cur is None or _entry_greater(entry, cur):
-                new[state] = entry
-
-        for suffix, (bits, ones, possum) in self.states.items():
-            grown = suffix + "0"
-            offer(grown[-norm:] if norm else "", (bits + "0", ones, possum))
-            if all(d > len(suffix) or suffix[-d] == "0" for d in self.distances):
-                grown = suffix + "1"
-                offer(grown[-norm:] if norm else "", (bits + "1", ones + 1, possum + pos))
-        self.states = new
-        self.length += 1
-
-    def best(self) -> str:
-        entries = iter(self.states.values())
-        best = next(entries)
-        for entry in entries:
-            if _entry_greater(entry, best):
-                best = entry
-        return best[0]
+def _best_entries(distances: DistanceSet, length: int) -> list[tuple]:
+    """The germ-best (mask, ones, position-sum) of each length 0..length, or longer."""
+    kernel, entries, lock = _line_run(distances)
+    with lock:
+        while len(entries) <= length:
+            mask, ones, possum = kernel.advance(1).best()
+            kept = kernel.length <= _KEPT_MASKS or kernel.length == length
+            entries.append((mask if kept else None, ones, possum))
+    return entries
 
 
-@lru_cache(maxsize=None)
-def _best_string_cached(distances: DistanceSet, length: int) -> str:
-    runner = _LineDp(distances)
-    for _ in range(length):
-        runner.step()
-    return runner.best()
+def _best_mask(distances: DistanceSet, length: int) -> int:
+    mask = _best_entries(distances, length)[length][0]
+    if mask is None:  # passed without being asked for
+        mask = LineKernel(distances).advance(length).best()[0]
+    return mask
+
+
+def _entry(mask: int) -> tuple[int, int, int]:
+    """The (mask, ones, position-sum) entry `germ_greater` compares."""
+    ones = [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    return mask, len(ones), sum(ones)
 
 
 def best_string(distances: DistanceSet, length: int) -> str:
@@ -122,88 +93,7 @@ def best_string(distances: DistanceSet, length: int) -> str:
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    return _best_string_cached(distances, length)
-
-
-@dataclass(frozen=True, eq=False)
-class DpTable:
-    """Stage k of the block dynamic program.
-
-    For every avoiding block of the chosen length, `entries` holds the
-    germ-maximal avoiding string of length stage*block_length that ends in
-    that block; blocks that no string can reach are absent.
-    """
-
-    distances: DistanceSet
-    block_length: int
-    stage: int
-    entries: dict[str, str]
-
-    def best(self) -> str:
-        """Germ-maximal string over all tracked suffixes."""
-        best = None
-        best_poly = None
-        for candidate in self.entries.values():
-            poly = IntPolynomial.from_bits(candidate)
-            if best is None or poly_germ_compare(poly, best_poly) == GREATER:
-                best, best_poly = candidate, poly
-        if best is None:
-            raise ValueError("empty table")
-        return best
-
-
-def _avoiding_blocks(distances: DistanceSet, length: int) -> list[str]:
-    """All avoiding strings of the given length (iterative backtracking)."""
-    dists = tuple(distances)
-    out = []
-    stack = [""]
-    while stack:
-        s = stack.pop()
-        if len(s) == length:
-            out.append(s)
-            continue
-        pos = len(s)
-        if all(d > pos or s[pos - d] == "0" for d in dists):
-            stack.append(s + "1")
-        stack.append(s + "0")
-    return out
-
-
-def dp_start(distances: DistanceSet, block_length: int) -> DpTable:
-    """Stage 1: every avoiding block is its own best string."""
-    if block_length <= distances.norm:
-        raise ValueError("block length must exceed the largest distance")
-    return DpTable(
-        distances,
-        block_length,
-        1,
-        {block: block for block in _avoiding_blocks(distances, block_length)},
-    )
-
-
-def dp_step(table: DpTable) -> DpTable:
-    """Advance one stage: extend every tracked string by every fitting block.
-
-    A concatenation is accepted when its final two blocks are avoiding,
-    which is where any new violation must sit since the block length exceeds
-    every forbidden distance.
-    """
-    distances = table.distances
-    m = table.block_length
-    new: dict[str, str] = {}
-    for suffix in table.entries:
-        best = None
-        best_poly = None
-        for prev, bits in table.entries.items():
-            if not is_avoiding(prev + suffix, distances):
-                continue
-            candidate = bits + suffix
-            poly = IntPolynomial.from_bits(candidate)
-            if best is None or poly_germ_compare(poly, best_poly) == GREATER:
-                best, best_poly = candidate, poly
-        if best is not None:
-            new[suffix] = best
-    return DpTable(distances, m, table.stage + 1, new)
+    return _to_bits(_best_mask(distances, length), length)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +131,10 @@ class Certificate:
         if not isinstance(block_a, str) or not isinstance(block_b, str):
             return False
         try:
-            cert = certify_two_block(self.distances, block_a, block_b)
-        except ValueError:  # blocks that are not equal-length avoiding bit strings
+            _check_blocks(self.distances, block_a, block_b)
+        except ValueError:
             return False
+        cert = certify_two_block(self.distances, block_a, block_b)
         return cert is not None and cert.winner == self.winner
 
     def _verify_window(self, check_offset):
@@ -301,7 +192,8 @@ def is_repeatable(window: str, distances: DistanceSet) -> bool:
     """
     if len(window) <= distances.norm:
         raise ValueError("window must be longer than the largest distance")
-    return is_avoiding(window + window, distances)
+    mask = _to_mask(_check_bits(window, "window"))
+    return _mask_avoids(mask | mask << len(window), distances)
 
 
 def _pair_sums(distances: DistanceSet) -> set[int]:
@@ -323,19 +215,13 @@ def find_repeatable_winner(
     if max_window <= norm:
         raise ValueError("max window must exceed the largest distance")
 
-    runner = _LineDp(distances)
-    bests: dict[int, str] = {}
-    for m in range(1, max_window + 1):
-        runner.step()
-        if m > norm:
-            bests[m] = runner.best()
-
     preferred = sorted(s for s in _pair_sums(distances) if norm < s <= max_window)
     skip = set(preferred)
     rest = [m for m in range(norm + 1, max_window + 1) if m not in skip]
     for m in preferred + rest:
-        window = bests[m]
-        if is_repeatable(window, distances):
+        mask = _best_mask(distances, m)
+        if _mask_avoids(mask | mask << m, distances):
+            window = _to_bits(mask, m)
             return Certificate(
                 REPEATABLE_WINDOW,
                 distances,
@@ -404,13 +290,7 @@ def certify_two_block(
     a neighborhood of 1 where none is negative.  Returns None when any check
     fails; raises only on malformed inputs.
     """
-    _check_bits(block_a, "block_a")
-    _check_bits(block_b, "block_b")
-    if not block_a or len(block_a) != len(block_b):
-        raise ValueError("blocks must be nonempty and of equal length")
-    if not is_avoiding(block_a, distances) or not is_avoiding(block_b, distances):
-        raise ValueError("blocks must themselves avoid the distances")
-
+    _check_blocks(distances, block_a, block_b)
     winner = RationalSet(block_a, block_b)
     if not is_avoiding(winner, distances):
         return None
@@ -429,89 +309,70 @@ def certify_two_block(
     )
 
 
+def _check_blocks(distances: DistanceSet, block_a: str, block_b: str) -> None:
+    """Raise ValueError unless the blocks are equal-length avoiding bit strings."""
+    _check_bits(block_a, "block_a")
+    _check_bits(block_b, "block_b")
+    if not block_a or len(block_a) != len(block_b):
+        raise ValueError("blocks must be nonempty and of equal length")
+    if not is_avoiding(block_a, distances) or not is_avoiding(block_b, distances):
+        raise ValueError("blocks must themselves avoid the distances")
+
+
 def _two_block_challenger(distances: DistanceSet, block_b: str):
     """An avoiding QR with R germ-greater than B and QR than BB, or None.
 
     Branch and bound over R.  For a fixed R, QR - Q'R = Q - Q' as
-    polynomials, so only the germ-best Q that fits before R can beat BB; with
-    blocks at least norm long, Q meets R only through R's first norm bits,
-    and that Q is the best patch between an all-zero left context and
-    R[:norm].  R > B needs at least as many 1s as B (the count is the
-    leading t-coefficient), so a prefix of R is cut once even the fullest
-    avoiding tail cannot reach that count.  Blocks shorter than norm are
-    left to the oracle's exhaustive pairing.
+    polynomials, so only the germ-best Q that fits before R can beat BB.  Q
+    meets R only through its last norm bits and R[:norm] (all of R when the
+    blocks are shorter than norm, Q's window then being padded with zeros),
+    so one kernel run over |B| positions from an all-zero context serves
+    every R: the best Q is its best final entry that fits before R[:norm].
+    R > B needs at least as many 1s as B (the count is the leading
+    t-coefficient), so a prefix of R is cut once even the fullest avoiding
+    tail cannot reach that count.
     """
     size = len(block_b)
-    norm = distances.norm
-    if size < norm:
-        return brute_two_block(distances, block_b, force=True)
-    b_entry = _entry(block_b)
-    bb_entry = _entry(block_b + block_b)
-    fillings: dict[str, str] = {}
+    b_entry = _entry(_to_mask(block_b))
+    bb_entry = _entry(b_entry[0] | b_entry[0] << size)
+    kernel = None
+    firsts: dict[int, tuple[int, int, int]] = {}
     for second in _avoiding_with_ones(distances, size, b_entry[1]):
-        if not _entry_greater(_entry(second), b_entry):
+        if not germ_greater(second, b_entry):
             continue
-        head = second[:norm]
-        first = fillings.get(head)
+        head = second[0] & ((1 << distances.norm) - 1)
+        first = firsts.get(head)
         if first is None:
-            context = PatchContext("0" * norm, head, size)
-            first = fillings[head] = best_patch(context, distances)
-        if _entry_greater(_entry(first + second), bb_entry):
-            return first, second
+            kernel = kernel or LineKernel(distances).advance(size)
+            first = firsts[head] = kernel.best(head)
+        mask, ones, possum = second
+        joined = (first[0] | mask << size, first[1] + ones, first[2] + possum + size * ones)
+        if germ_greater(joined, bb_entry):
+            return _to_bits(first[0], size), _to_bits(mask, size)
     return None
 
 
-def _max_ones(distances: DistanceSet, length: int) -> list[int]:
-    """The most 1s an avoiding string of each length 0..length can hold.
-
-    The line DP over trailing windows (int masks, bit k is the bit k+1 back)
-    keeping only the count, so it needs no germ comparison.
-    """
-    full = (1 << distances.norm) - 1
-    clash = sum(1 << (d - 1) for d in distances)
-    states = {0: 0}
-    out = [0]
-    for _ in range(length):
-        new: dict[int, int] = {}
-        for window, ones in states.items():
-            zero = (window << 1) & full
-            if new.get(zero, -1) < ones:
-                new[zero] = ones
-            if not window & clash:
-                one = ((window << 1) | 1) & full
-                if new.get(one, -1) < ones + 1:
-                    new[one] = ones + 1
-        states = new
-        out.append(max(states.values()))
-    return out
-
-
 def _avoiding_with_ones(distances: DistanceSet, length: int, need: int):
-    """Every avoiding string of the given length with at least `need` 1s.
+    """The entry of every avoiding string of the given length with >= `need` 1s.
 
     Depth first, 1 before 0; a prefix is cut as soon as even the fullest
     avoiding tail of the remaining length cannot bring it up to `need`.
     """
-    dists = tuple(distances)
-    room = _max_ones(distances, length)
-    prefix: list[str] = []
+    # the germ-best string of each length has the most 1s: the count is the
+    # leading t-coefficient
+    bests = _best_entries(distances, length)
 
-    def extend(ones):
-        pos = len(prefix)
-        if ones + room[length - pos] < need:
+    def extend(pos, mask, ones, possum):
+        if ones + bests[length - pos][1] < need:
             return
         if pos == length:
-            yield "".join(prefix)
+            yield mask, ones, possum
             return
-        if all(d > pos or prefix[pos - d] == "0" for d in dists):
-            prefix.append("1")
-            yield from extend(ones + 1)
-            prefix.pop()
-        prefix.append("0")
-        yield from extend(ones)
-        prefix.pop()
+        if _mask_avoids(mask | 1 << pos, distances):
+            yield from extend(pos + 1, mask | 1 << pos, ones + 1, possum + pos)
+        yield from extend(pos + 1, mask, ones, possum)
 
-    yield from extend(0)
+    yield from extend(0, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,21 @@ def _check_bits(bits: str, what: str) -> str:
     return bits
 
 
+def _to_mask(bits: str) -> int:
+    """The int whose bit i is position i of a checked bit string."""
+    return int(bits[::-1], 2) if bits else 0
+
+
+def _to_bits(mask: int, length: int) -> str:
+    """The bit string of the given length whose position i is bit i of mask."""
+    return format(mask, f"0{length}b")[::-1] if length else ""
+
+
+def _mask_avoids(mask: int, distances: DistanceSet) -> bool:
+    """No two 1s of the mask lie a forbidden distance apart."""
+    return not any(mask & (mask >> d) for d in distances)
+
+
 @dataclass(frozen=True)
 class DistanceSet:
     """A finite set of forbidden distances (positive integers).
@@ -216,20 +231,10 @@ def is_avoiding(subject, distances: DistanceSet) -> bool:
     already exhibits it.
     """
     if isinstance(subject, RationalSet):
-        if not distances:
-            return True
         reps = -(-distances.norm // len(subject.repetend)) + 2
         window = subject.preperiod + subject.repetend * reps
-        return is_avoiding(window, distances)
-    bits = _check_bits(subject, "indicator string")
-    n = len(bits)
-    for p, bit in enumerate(bits):
-        if bit != "1":
-            continue
-        for d in distances:
-            if p + d < n and bits[p + d] == "1":
-                return False
-    return True
+        return _mask_avoids(_to_mask(window), distances)
+    return _mask_avoids(_to_mask(_check_bits(subject, "indicator string")), distances)
 
 
 def greedy_avoiding(distances: DistanceSet, horizon: int):

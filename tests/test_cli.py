@@ -205,3 +205,32 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "kind,evidence,winner",
+        [
+            ("RepeatableWindow", {"window": "1" + "0" * 40}, ("", "1" + "0" * 40)),
+            (
+                "TwoBlockInduction",
+                {"block_a": "1" + "0" * 34, "block_b": "1" + "0" * 34},
+                ("", "1" + "0" * 34),
+            ),
+        ],
+    )
+    def test_certificate_over_the_state_cap_is_an_error(
+        self, capsys, tmp_path, kind, evidence, winner
+    ):
+        # nothing is forbidden below distance 40, so the line DP would hold
+        # 2**k windows after k steps; it stops at the cap instead
+        document = {
+            "kind": kind,
+            "distances": [40],
+            "winner": {"preperiod": winner[0], "repetend": winner[1]},
+            "evidence": evidence,
+        }
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(document))
+        assert main(["certify", "--file", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: distances {40} need ")
+        assert "over the cap" in err and "Traceback" not in err

@@ -2,6 +2,8 @@
 
 import json
 import random
+import sys
+import threading
 import warnings
 
 import pytest
@@ -22,8 +24,6 @@ from germpack import (
     brute_best_periodic,
     brute_two_block,
     certify_two_block,
-    dp_start,
-    dp_step,
     enumerate_avoiding,
     find_repeatable_winner,
     find_winner,
@@ -34,7 +34,15 @@ from germpack import (
     symmetric_winner,
     symmetry_offset,
 )
-from germpack.search import _avoiding_with_ones, _max_ones, _two_block_challenger
+from germpack import search
+from germpack.search import (
+    _avoiding_with_ones,
+    _best_entries,
+    _entry,
+    _line_run,
+    _two_block_challenger,
+)
+from germpack.sets import _to_bits
 from helpers import all_distance_sets, random_bits
 
 D35 = DistanceSet.of(3, 5)
@@ -78,6 +86,51 @@ class TestBestString:
         with pytest.raises(ValueError):
             best_string(D35, 0)
 
+    def test_lengths_past_the_kept_masks(self, monkeypatch):
+        # past _KEPT_MASKS the run keeps masks only at the lengths asked for;
+        # a length it passed unasked is recomputed on its own
+        monkeypatch.setattr(search, "_KEPT_MASKS", 4)
+        _line_run.cache_clear()
+        distances = DistanceSet.of(2, 4, 7)
+        try:
+            for length in (12, 3, 9, 15, 11, 1, 14):
+                assert best_string(distances, length) == brute_best(distances, length)
+            entries = _best_entries(distances, 15)
+            assert entries[12][0] is not None and entries[10][0] is None
+        finally:
+            _line_run.cache_clear()
+
+    def test_threads_share_one_growing_run(self):
+        # every thread extends the same cached run; a lost or doubled step
+        # would hand some length the best string of another
+        distances = DistanceSet.of(3, 7, 12)
+        lengths = range(1, 61)
+        want = {n: best_string(distances, n) for n in lengths}
+        _line_run.cache_clear()
+        start = threading.Barrier(6)
+        got, errors = [], []
+
+        def ask(stride):
+            try:
+                start.wait(timeout=60)
+                got.extend((n, best_string(distances, n)) for n in lengths[::stride])
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(k % 3 + 1,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(got) == 2 * (60 + 30 + 20) and all(want[n] == bits for n, bits in got)
+
 
 class TestPrefixExtension:
     def test_greater_prefix_stays_greater(self):
@@ -92,42 +145,6 @@ class TestPrefixExtension:
                 IntPolynomial.from_bits(a + x), IntPolynomial.from_bits(b + x)
             )
             assert before == after
-
-
-class TestDpTable:
-    def test_stage_one_bests(self):
-        assert dp_start(D35, 6).best() == "111000"
-        assert dp_start(D35, 8).best() == "10101010"
-
-    def test_step_grows_by_block_length(self):
-        table = dp_start(D35, 6)
-        stepped = dp_step(table)
-        assert stepped.stage == 2
-        assert all(len(s) == 12 and s.endswith(k) for k, s in stepped.entries.items())
-        assert stepped.best() == best_string(D35, 12)
-
-    def test_empty_distances(self):
-        table = dp_step(dp_step(dp_start(DistanceSet(), 1)))
-        assert table.best() == "111"
-
-    def test_entries_stay_avoiding_and_optimal(self):
-        from germpack import enumerate_avoiding, is_avoiding
-
-        d = DistanceSet.of(1, 3)
-        table = dp_step(dp_step(dp_start(d, 4)))
-        assert table.stage == 3
-        for suffix, bits in table.entries.items():
-            assert is_avoiding(bits, d)
-            assert bits.endswith(suffix)
-            # no avoiding string of the same length with the same suffix beats it
-            poly = IntPolynomial.from_bits(bits)
-            for rival in enumerate_avoiding(d, 12):
-                if rival.endswith(suffix):
-                    assert poly_germ_compare(IntPolynomial.from_bits(rival), poly) != GREATER
-
-    def test_block_length_must_exceed_norm(self):
-        with pytest.raises(ValueError):
-            dp_start(D35, 5)
 
 
 class TestRepeatable:
@@ -276,19 +293,21 @@ def _agree_with_oracle(distances, block_a, block_b):
 class TestTwoBlockBranchAndBound:
     def test_max_ones_matches_enumeration(self):
         for distances in all_distance_sets(5):
-            room = _max_ones(distances, 10)
+            entries = _best_entries(distances, 10)
             for length in range(11):
                 want = max(s.count("1") for s in enumerate_avoiding(distances, length))
-                assert room[length] == want
+                assert entries[length][1] == want
 
     def test_rich_strings_match_enumeration(self):
         rng = random.Random(17)
         for distances in all_distance_sets(5):
             length = rng.randrange(1, 12)
             need = rng.randrange(0, length + 1)
-            got = list(_avoiding_with_ones(distances, length, need))
+            entries = list(_avoiding_with_ones(distances, length, need))
+            assert all(entry == _entry(entry[0]) for entry in entries)
+            got = {_to_bits(mask, length) for mask, _, _ in entries}
             want = {s for s in enumerate_avoiding(distances, length) if s.count("1") >= need}
-            assert len(got) == len(want) and set(got) == want
+            assert len(entries) == len(want) and got == want
 
     def test_agrees_with_oracle_on_small_distance_sets(self):
         # every D inside {1..6}, every block from norm to min(2 norm, 12)
@@ -321,13 +340,19 @@ class TestTwoBlockBranchAndBound:
                 assert certified == (size == certified_size)
 
     def test_agrees_with_oracle_below_norm(self):
-        for dset in [(2, 4, 7), (3, 6, 11), (4, 7, 11), (1, 5, 6)]:
-            distances = DistanceSet.of(*dset)
+        # every D inside {1..7}, every block shorter than norm: the challenger
+        # search for the second half of the doubled best string, and the
+        # verdict wherever the first half is the single best string
+        cases = certified = 0
+        for distances in all_distance_sets(7):
             for size in range(1, distances.norm):
                 block_a = best_string(distances, size)
                 doubled = best_string(distances, 2 * size)
+                _challenger_free(distances, doubled[size:])
                 if doubled[:size] == block_a:
-                    _agree_with_oracle(distances, block_a, doubled[size:])
+                    cases += 1
+                    certified += _agree_with_oracle(distances, block_a, doubled[size:])
+        assert (cases, certified) == (617, 43)
 
     def test_finds_a_challenger_for_a_weak_second_block(self):
         # any R holding a 1 beats an all-zero B, and so does QR beat BB

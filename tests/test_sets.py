@@ -23,7 +23,7 @@ from germpack import (
     shift,
     valuation,
 )
-from helpers import pairs_clash, random_rational_set
+from helpers import pairs_clash, random_bits, random_rational_set
 
 D35 = DistanceSet.of(3, 5)
 
@@ -129,6 +129,11 @@ class TestIsAvoiding:
     def test_empty_distances_forbid_nothing(self):
         assert is_avoiding(RationalSet.naturals(), DistanceSet())
 
+    def test_rejects_non_bit_strings(self):
+        for bits in ("10x", "1_0", " 10"):
+            with pytest.raises(ValueError):
+                is_avoiding(bits, D35)
+
     def test_rational_window_matches_pair_checking(self):
         rng = random.Random(5)
         for _ in range(300):
@@ -136,6 +141,8 @@ class TestIsAvoiding:
             d = DistanceSet(tuple(rng.sample(range(1, 9), rng.randrange(1, 4))))
             span = 4 * (len(s.preperiod) + len(s.repetend) + d.norm)
             assert is_avoiding(s, d) == (not pairs_clash(s.bits(span), d))
+            bits = random_bits(rng, rng.randrange(0, 24), rng.choice((0.2, 0.5)))
+            assert is_avoiding(bits, d) == (not pairs_clash(bits, d))
 
 
 class TestGreedy:
