@@ -7,6 +7,10 @@ functions are rational, of the form P(q)/(1-q^d), and the germ order is total
 and computable exactly: substitute t = 1-q and look at the sign of the lowest
 nonzero coefficient of the t-expansion.
 
+One routine, `_t_series`, computes t-coefficients, by repeated exact
+division by (q - 1).  Every sign near 1, every comparison, every leading
+gap and every Laurent coefficient here is read off it.
+
 Everything here is integer/rational arithmetic; no floating point is used
 anywhere (the binomial coefficients that appear in the t-expansion overflow
 fixed-width types almost immediately).
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import accumulate, islice, zip_longest
 
 LESS = -1
 EQUAL = 0
@@ -28,36 +32,40 @@ GREATER = 1
 ORDER_NAMES = {LESS: "Less", EQUAL: "Equal", GREATER: "Greater"}
 
 
-def _strip(coeffs):
-    """Drop trailing zero coefficients from a mutable list, in place."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+def _t_series(coeffs):
+    """Yield the coefficients of sum(coeffs[i] * q**i) in powers of t = 1 - q.
+
+    Repeatedly divides by (q - 1): the value at q = 1 before each division
+    is the next t-coefficient up to sign, and since q - 1 = -t each division
+    flips the sign.  Lazy, so callers that need only the lowest terms pay
+    only for those; every coefficient past the last one yielded is 0.
+    """
+    work = list(coeffs)
+    while work and not work[-1]:
+        work.pop()
+    flip = 1
+    while work:
+        yield flip * sum(work)
+        # the quotient by (q - 1): b[i] = c[i+1] + c[i+2] + ...
+        work = list(accumulate(reversed(work[1:])))[::-1]
+        flip = -flip
+
+
+def _lowest_t_term(coeffs):
+    """(j, coefficient) of the lowest nonzero t-coefficient; None for zero."""
+    for j, c in enumerate(_t_series(coeffs)):
+        if c:
+            return j, c
+    return None
 
 
 def _sign_near_one(coeffs) -> int:
     """Sign of sum(coeffs[i] * q**i) on some interval (1-eps, 1), exactly.
 
-    Repeatedly divides by (q - 1): the remainder of each division is the value
-    at q = 1, and the first nonzero remainder is the lowest t-coefficient of
-    the polynomial rewritten in t = 1 - q.  Since (q - 1) is negative just
-    left of 1, each exact division flips the sign.
+    t = 1 - q is small and positive there, so the lowest t-term decides.
     """
-    work = _strip(list(coeffs))
-    flip = 1
-    while work:
-        total = sum(work)
-        if total:
-            return flip if total > 0 else -flip
-        # Exact quotient by (q - 1): b[i-1] = c[i] + b[i], seeded b[n] = 0.
-        quot = [0] * (len(work) - 1)
-        acc = 0
-        for i in range(len(work) - 1, 0, -1):
-            acc += work[i]
-            quot[i - 1] = acc
-        work = _strip(quot)
-        flip = -flip
-    return 0
+    term = _lowest_t_term(coeffs)
+    return EQUAL if term is None else (GREATER if term[1] > 0 else LESS)
 
 
 @dataclass(frozen=True)
@@ -153,12 +161,7 @@ def poly_sign_near_one(p: IntPolynomial) -> int:
 
 def poly_germ_compare(p: IntPolynomial, r: IntPolynomial) -> int:
     """Total order on polynomials by germ at 1-: the sign of p - r there."""
-    return _sign_near_one([a - b for a, b in _padded(p.coeffs, r.coeffs)])
-
-
-def _padded(a, b):
-    n = max(len(a), len(b))
-    return zip(tuple(a) + (0,) * (n - len(a)), tuple(b) + (0,) * (n - len(b)))
+    return _sign_near_one([a - b for a, b in zip_longest(p.coeffs, r.coeffs, fillvalue=0)])
 
 
 @dataclass(frozen=True)
@@ -176,40 +179,19 @@ class RationalGF:
         if self.period < 1:
             raise ValueError("period must be >= 1")
 
-    def with_period(self, period: int) -> RationalGF:
-        """Rewrite over denominator 1 - q**period (period a multiple of ours)."""
-        if period == self.period:
-            return self
-        if period % self.period:
-            raise ValueError("new period must be a multiple of the old")
-        reps = period // self.period
-        geom = IntPolynomial(
-            tuple((1 if i % self.period == 0 else 0) for i in range(self.period * (reps - 1) + 1))
-        )
-        return RationalGF(self.numerator * geom, period)
 
-    def __sub__(self, other: RationalGF) -> RationalGF:
-        d = _lcm(self.period, other.period)
-        return RationalGF(
-            self.with_period(d).numerator - other.with_period(d).numerator, d
-        )
-
-
-def _lcm(a, b):
-    g, x = a, b
-    while x:
-        g, x = x, g % x
-    return a * b // g
+def _cross_numerator(f: RationalGF, g: RationalGF) -> IntPolynomial:
+    """num(f)*(1-q^{dg}) - num(g)*(1-q^{df}): f - g over (1-q^{df})(1-q^{dg})."""
+    return f.numerator * one_minus_power(g.period) - g.numerator * one_minus_power(f.period)
 
 
 def germ_compare(f: RationalGF, g: RationalGF) -> int:
     """Total order on rational generating functions by germ at 1-.
 
     Cross-multiplies: both denominators 1 - q**d are positive on (0, 1), so
-    f - g has the sign of num(f)*(1-q^{dg}) - num(g)*(1-q^{df}) near 1.
+    f - g has the sign of its cross numerator near 1.
     """
-    cross = f.numerator * one_minus_power(g.period) - g.numerator * one_minus_power(f.period)
-    return poly_sign_near_one(cross)
+    return poly_sign_near_one(_cross_numerator(f, g))
 
 
 @dataclass(frozen=True)
@@ -235,34 +217,24 @@ class LaurentPrefix:
         return self.coefficients[order + 1]
 
 
-def _t_coefficients(p: IntPolynomial) -> list:
-    """Integer coefficients of p rewritten in powers of t = 1 - q."""
-    n = len(p.coeffs)
-    out = []
-    for j in range(n):
-        s = sum(c * comb(i, j) for i, c in enumerate(p.coeffs) if c)
-        out.append(-s if j % 2 else s)
-    return out
-
-
 def laurent_prefix(f: RationalGF, count: int = 4) -> LaurentPrefix:
     """First `count` Laurent coefficients of f at t = 1 - q, exactly.
 
     Substituting q = 1 - t turns the denominator 1 - (1-t)**d into t*u(t)
     with u(0) = d, so f = (N(t)/u(t)) / t and the series N/u (computed by
     truncated power-series division over the rationals) gives the
-    coefficients of orders -1, 0, 1, ...
+    coefficients of orders -1, 0, 1, ...  Only the first `count`
+    t-coefficients of N and of u are expanded.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    num_t = _t_coefficients(f.numerator)
-    d = f.period
-    # u[i] = coeff of t**i in (1 - (1-t)**d) / t
-    u = [(-comb(d, i + 1) if i % 2 else comb(d, i + 1)) for i in range(d)]
+    num_t = list(islice(_t_series(f.numerator.coeffs), count))
+    # u[i] = coeff of t**i in (1 - (1-t)**d) / t, so u(0) = d
+    u = list(islice(_t_series(one_minus_power(f.period).coeffs), 1, count + 1))
     out = []
     for n in range(count):
         acc = Fraction(num_t[n] if n < len(num_t) else 0)
-        for i in range(1, min(n, d - 1) + 1):
+        for i in range(1, min(n + 1, len(u))):
             acc -= u[i] * out[n - i]
         out.append(acc / u[0])
     return LaurentPrefix(tuple(out))
@@ -274,12 +246,13 @@ def germ_gap(f: RationalGF, g: RationalGF):
     Returns (order, value) for the first nonzero coefficient (order >= -1),
     or None when the germs are identical.  Equal densities show up as a gap
     at order 0, the constant-term level.
+
+    f - g is the cross numerator over (1-q^{df})(1-q^{dg}) = t**2 u_f u_g
+    with u_f(0) u_g(0) = df*dg, so a lowest cross term c*t**j gives
+    c/(df*dg) at order j - 2; the cross numerator vanishes at q = 1, so j >= 1.
     """
-    diff = f - g
-    if diff.numerator.is_zero:
+    term = _lowest_t_term(_cross_numerator(f, g).coeffs)
+    if term is None:
         return None
-    prefix = laurent_prefix(diff, diff.numerator.degree + 2)
-    for order_plus_one, value in enumerate(prefix.coefficients):
-        if value:
-            return order_plus_one - 1, value
-    raise AssertionError("nonzero rational function with all-zero expansion")
+    j, c = term
+    return j - 2, Fraction(c, f.period * g.period)

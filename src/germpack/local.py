@@ -6,7 +6,8 @@ least norm; rewriting a patch to that filling never decreases the germ of
 the whole string and keeps it avoiding, because bits further than norm from
 the patch cannot clash with it.  Sweeping the rewrite over all positions
 terminates (every change is a strict, exact germ increase over finitely
-many strings) in a string no single patch rewrite can improve.
+many strings, which the sweep checks at each change) in a string no single
+patch rewrite can improve.
 
 Fixpoints of the sweep are not known to be winners, but certified winners
 are fixpoints: every interior window of a winner must already contain the
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .germs import EQUAL, GREATER, IntPolynomial, poly_germ_compare
+from .germs import EQUAL, GREATER, _sign_near_one
 from .sets import DistanceSet, RationalSet, _check_bits, _to_bits, _to_mask, is_avoiding
 
 # The most trailing-window states a line DP may hold.  Norms up to 12 need
@@ -42,10 +43,11 @@ def germ_greater(a, b) -> bool:
         return a[1] > b[1]
     if a[2] != b[2]:
         return a[2] < b[2]
-    order = poly_germ_compare(
-        IntPolynomial.from_bits(bin(a[0])[:1:-1]), IntPolynomial.from_bits(bin(b[0])[:1:-1])
+    x, y = a[0], b[0]
+    order = _sign_near_one(
+        [(x >> i & 1) - (y >> i & 1) for i in range(max(x.bit_length(), y.bit_length()))]
     )
-    if order == EQUAL and a[0] != b[0]:
+    if order == EQUAL and x != y:
         raise AssertionError("distinct strings never tie")
     return order == GREATER
 
@@ -211,9 +213,24 @@ def sweep_to_fixpoint(
         for position in schedule:
             replaced = _improve_unchecked(current, position, patch_length, distances)
             if replaced != current:
+                _check_rewrite(current, replaced, position, patch_length, distances)
                 current = replaced
                 changed = True
     return current
+
+
+def _check_rewrite(old, new, position, patch_length, distances):
+    """Raise unless the rewrite raised the germ and kept the string avoiding.
+
+    The strict rise is what ends the sweep.  Only pairs within norm of the
+    patch can clash, so the patch and its contexts suffice.
+    """
+    end, norm = position + patch_length, distances.norm
+    rise = [int(b) - int(a) for a, b in zip(old[position:end], new[position:end])]
+    if _sign_near_one(rise) != GREATER:
+        raise AssertionError(f"patch rewrite at {position} did not raise the germ")
+    if not is_avoiding(new[max(0, position - norm): end + norm], distances):
+        raise AssertionError(f"patch rewrite at {position} broke avoidance")
 
 
 def winner_windows_consistent(

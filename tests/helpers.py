@@ -55,6 +55,23 @@ def t_expansion(coeffs):
     return out
 
 
+def laurent_by_binomials(f, count):
+    """First `count` Laurent coefficients of f, from binomial t-expansions.
+
+    f = N/(1 - q^d) = (N(t)/u(t))/t with t*u(t) = 1 - (1-t)^d; the series N/u
+    comes from truncated power-series division over the rationals.
+    """
+    num = t_expansion(f.numerator.coeffs)
+    u = t_expansion((1,) + (0,) * (f.period - 1) + (-1,))[1:]
+    out = []
+    for n in range(count):
+        acc = Fraction(num[n] if n < len(num) else 0)
+        for i in range(1, min(n, len(u) - 1) + 1):
+            acc -= u[i] * out[n - i]
+        out.append(acc / u[0])
+    return tuple(out)
+
+
 def sign_by_evaluation(coeffs):
     """Sign near 1- by exact evaluation at a provably safe rational point.
 

@@ -18,7 +18,7 @@ from germpack import (
     poly_germ_compare,
     poly_sign_near_one,
 )
-from helpers import random_gf, sign_by_evaluation
+from helpers import laurent_by_binomials, random_gf, sign_by_evaluation
 
 
 def gf(coeffs, period):
@@ -127,6 +127,14 @@ class TestLaurentPrefix:
         prefix = laurent_prefix(gf((1,), 1), 4)
         assert prefix.coefficients == (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
 
+    def test_matches_division_of_binomial_expansions(self):
+        rng = random.Random(10)
+        for _ in range(300):
+            f = random_gf(rng, max_degree=8, max_period=9)
+            count = f.numerator.degree + rng.randrange(2, 6)
+            prefix = laurent_prefix(f, count)
+            assert prefix.coefficients == laurent_by_binomials(f, count)
+
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
             laurent_prefix(gf((1,), 1), 0)
@@ -144,6 +152,31 @@ class TestGermGap:
 
     def test_no_gap_for_equal_germs(self):
         assert germ_gap(gf((1,), 1), gf((1, 1), 2)) is None
+
+    def test_is_the_first_difference_of_the_laurent_prefixes(self):
+        rng = random.Random(11)
+        cubes = IntPolynomial.from_bits("1001001001")  # 1 + q^3 + q^6 + q^9
+        for trial in range(400):
+            f = random_gf(rng)
+            if trial % 2 == 0:
+                # the same germ over a period four times as long, plus a term
+                # c*q^a*(1-q)^k that moves it only from order k - 1 on
+                f = gf(f.numerator.coeffs, 3)
+                nudge = IntPolynomial.monomial(rng.randrange(12), rng.randint(-1, 1))
+                for _ in range(rng.randrange(4)):
+                    nudge = nudge * one_minus_power(1)
+                g = RationalGF(f.numerator * cubes + nudge, 12)
+            else:
+                g = random_gf(rng)
+            # the gap's order is at most the cross numerator's degree minus 2
+            count = max(f.numerator.degree + g.period, g.numerator.degree + f.period) + 2
+            pf, pg = laurent_prefix(f, count), laurent_prefix(g, count)
+            first = next(
+                ((j - 1, a - b) for j, (a, b) in enumerate(zip(pf.coefficients, pg.coefficients))
+                 if a != b),
+                None,
+            )
+            assert germ_gap(f, g) == first
 
 
 class TestIntPolynomial:
@@ -181,7 +214,8 @@ class TestRationalGF:
             RationalGF(IntPolynomial((1,)), 0)
 
     def test_rewriting_the_denominator_preserves_the_germ(self):
+        # (1 + q^2)/(1 - q^3) times (1 + q^3 + q^6 + q^9)/(1 + q^3 + q^6 + q^9)
         f = gf((1, 0, 1), 3)
-        assert germ_compare(f, f.with_period(12)) == EQUAL
-        with pytest.raises(ValueError):
-            f.with_period(7)
+        g = RationalGF(f.numerator * IntPolynomial.from_bits("1001001001"), 12)
+        assert germ_compare(f, g) == EQUAL
+        assert germ_gap(f, g) is None

@@ -20,6 +20,8 @@ from germpack import (
     sweep_to_fixpoint,
     winner_windows_consistent,
 )
+from germpack import local
+from germpack.local import germ_greater
 from helpers import brute_patch, random_avoiding, random_bits
 
 D35 = DistanceSet.of(3, 5)
@@ -27,6 +29,32 @@ D35 = DistanceSet.of(3, 5)
 
 def germ_cmp(a, b):
     return poly_germ_compare(IntPolynomial.from_bits(a), IntPolynomial.from_bits(b))
+
+
+class TestGermGreater:
+    def test_tie_break_matches_polynomial_comparison(self):
+        # only entries equal on count and position sum reach the polynomial path
+        rng = random.Random(40)
+        checked = 0
+        for length in range(4, 17):
+            groups = {}
+            for _ in range(400):
+                mask = rng.getrandbits(length)
+                ones = bin(mask).count("1")
+                possum = sum(i for i in range(length) if mask >> i & 1)
+                groups.setdefault((ones, possum), set()).add(mask)
+            for (ones, possum), masks in groups.items():
+                masks = sorted(masks)
+                for x in masks:
+                    for y in masks[:8]:
+                        order = poly_germ_compare(
+                            IntPolynomial.from_bits(format(x, f"0{length}b")[::-1]),
+                            IntPolynomial.from_bits(format(y, f"0{length}b")[::-1]),
+                        )
+                        got = germ_greater((x, ones, possum), (y, ones, possum))
+                        assert got == (order == GREATER)
+                        checked += x != y
+        assert checked > 1000
 
 
 class TestPatchContext:
@@ -161,6 +189,26 @@ class TestSweep:
                     changed = True
         assert current == sweep_to_fixpoint(w, d.norm, d)
         assert changes <= 3 * len(w)
+
+    def test_a_rewrite_that_lowers_the_germ_is_refused(self, monkeypatch):
+        calls = []
+
+        def alternating(context, distances):
+            calls.append(context)
+            if len(calls) > 10_000:
+                raise RuntimeError("sweep never stopped")
+            return "10000" if len(calls) % 2 else "01000"
+
+        monkeypatch.setattr(local, "best_patch", alternating)
+        with pytest.raises(AssertionError, match="did not raise the germ"):
+            sweep_to_fixpoint("0" * 20, 5, D35, positions=[6])
+        assert len(calls) == 2
+
+    def test_a_rewrite_that_clashes_with_its_context_is_refused(self, monkeypatch):
+        # a 1 at position 7 sits 3 before the right context's 1 at position 10
+        monkeypatch.setattr(local, "best_patch", lambda context, distances: "00100")
+        with pytest.raises(AssertionError, match="broke avoidance"):
+            sweep_to_fixpoint("0" * 10 + "1" + "0" * 9, 5, D35, positions=[5])
 
     def test_custom_schedule(self):
         out = sweep_to_fixpoint("0" * 20, 5, D35, positions=[6])
