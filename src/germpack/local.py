@@ -7,7 +7,8 @@ the whole string and keeps it avoiding, because bits further than norm from
 the patch cannot clash with it.  Sweeping the rewrite over all positions
 terminates (every change is a strict, exact germ increase over finitely
 many strings, which the sweep checks at each change) in a string no single
-patch rewrite can improve.
+patch rewrite can improve.  One sweep computes the best filling of each
+distinct pair of contexts once and reuses it for the rest of the call.
 
 Fixpoints of the sweep are not known to be winners, but certified winners
 are fixpoints: every interior window of a winner must already contain the
@@ -76,18 +77,20 @@ class LineKernel:
         clash = sum(1 << (norm - d) for d in self.distances)  # what a new 1 must not meet
         for _ in range(steps):
             pos = self.length
+            bit = 1 << pos
             new: dict[int, tuple[int, int, int]] = {}
-
-            def offer(window, entry):
-                cur = new.get(window)
-                if cur is None or germ_greater(entry, cur):
-                    new[window] = entry
-
             for window, entry in self.states.items():
-                offer(window >> 1, entry)
+                shifted = window >> 1
+                cur = new.get(shifted)
+                if cur is None or germ_greater(entry, cur):
+                    new[shifted] = entry
                 if not window & clash:
                     mask, ones, possum = entry
-                    offer((window >> 1) | top, (mask | 1 << pos, ones + 1, possum + pos))
+                    grown = (mask | bit, ones + 1, possum + pos)
+                    shifted |= top
+                    cur = new.get(shifted)
+                    if cur is None or germ_greater(grown, cur):
+                        new[shifted] = grown
             if len(new) > MAX_STATES:
                 raise ValueError(
                     f"distances {{{self.distances.to_text()}}} need {len(new)} line-DP "
@@ -153,6 +156,41 @@ def best_patch(context: PatchContext, distances: DistanceSet) -> str:
     return _to_bits(kernel.best(_to_mask(context.right))[0], length)
 
 
+def _patch_filler(distances: DistanceSet, patch_length: int):
+    """The best filling as a function of (left, right) contexts, each computed once.
+
+    Checks the patch length up front.  The memo lives only as long as the
+    returned function, which serves one call of the functions below.
+    """
+    if patch_length < 1:
+        raise ValueError("patch length must be >= 1")
+    if patch_length < distances.norm:
+        raise ValueError("patch length must be at least the largest distance")
+    fillings: dict[tuple[str, str], str] = {}
+
+    def fill(left: str, right: str) -> str:
+        patch = fillings.get((left, right))
+        if patch is None:
+            patch = best_patch(PatchContext(left, right, patch_length), distances)
+            fillings[left, right] = patch
+        return patch
+
+    return fill
+
+
+def _check_position(bits, position, patch_length, norm, allow_edge):
+    lo = 0 if allow_edge else norm
+    if position < lo or position + patch_length + norm > len(bits):
+        raise ValueError(f"position {position} out of range for patch rewriting")
+
+
+def _refill(bits, position, patch_length, norm, fill):
+    """`bits` with the patch at `position` replaced by the best filling for its contexts."""
+    end = position + patch_length
+    left = bits[max(0, position - norm): position].rjust(norm, "0")
+    return bits[:position] + fill(left, bits[end: end + norm]) + bits[end:]
+
+
 def improve_at(
     bits: str,
     position: int,
@@ -171,18 +209,8 @@ def improve_at(
     if not is_avoiding(bits, distances):  # also rejects non-bit strings
         raise ValueError("input string must avoid the distances")
     norm = distances.norm
-    lo = 0 if allow_edge else norm
-    if position < lo or position + patch_length + norm > len(bits):
-        raise ValueError(f"position {position} out of range for patch rewriting")
-    return _improve_unchecked(bits, position, patch_length, distances)
-
-
-def _improve_unchecked(bits, position, patch_length, distances):
-    norm = distances.norm
-    left = bits[max(0, position - norm): position].rjust(norm, "0")
-    right = bits[position + patch_length: position + patch_length + norm]
-    patch = best_patch(PatchContext(left, right, patch_length), distances)
-    return bits[:position] + patch + bits[position + patch_length:]
+    _check_position(bits, position, patch_length, norm, allow_edge)
+    return _refill(bits, position, patch_length, norm, _patch_filler(distances, patch_length))
 
 
 def sweep_to_fixpoint(
@@ -195,23 +223,27 @@ def sweep_to_fixpoint(
     """Apply patch rewrites until a full pass changes nothing.
 
     The default schedule is a round-robin over every position with full
-    contexts (plus the zero-padded early positions with allow_edge).  The
-    result is patch-maximal: no single rewrite at any scheduled position can
-    improve it, and its germ dominates the input's.
+    contexts (plus the zero-padded early positions with allow_edge); a given
+    schedule must keep to those positions.  The result is patch-maximal: no
+    single rewrite at any scheduled position can improve it, and its germ
+    dominates the input's.  Each context's best filling is computed once.
     """
     if not is_avoiding(bits, distances):  # also rejects non-bit strings
         raise ValueError("input string must avoid the distances")
     norm = distances.norm
+    fill = _patch_filler(distances, patch_length)
     if positions is None:
         lo = 0 if allow_edge else norm
         positions = range(lo, len(bits) - patch_length - norm + 1)
     schedule = list(positions)
+    for position in schedule:
+        _check_position(bits, position, patch_length, norm, allow_edge)
     current = bits
     changed = True
     while changed:
         changed = False
         for position in schedule:
-            replaced = _improve_unchecked(current, position, patch_length, distances)
+            replaced = _refill(current, position, patch_length, norm, fill)
             if replaced != current:
                 _check_rewrite(current, replaced, position, patch_length, distances)
                 current = replaced
@@ -245,8 +277,8 @@ def winner_windows_consistent(
     pre, rep = len(winner.preperiod), len(winner.repetend)
     span = pre + 2 * rep + patch_length + 2 * norm
     window = winner.bits(span)
-    for position in range(norm, pre + rep + norm + 1):
-        patched = _improve_unchecked(window, position, patch_length, distances)
-        if patched != window:
-            return False
-    return True
+    fill = _patch_filler(distances, patch_length)
+    return all(
+        _refill(window, position, patch_length, norm, fill) == window
+        for position in range(norm, pre + rep + norm + 1)
+    )

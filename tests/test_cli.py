@@ -1,9 +1,12 @@
 """Command-line surface: output schemas, golden catalog values, exit codes."""
 
+import copy
 import json
+import random
 
 import pytest
 
+from germpack import DistanceSet, find_winner
 from germpack.cli import main
 
 # golden outputs for the catalog of known best avoiding strings
@@ -126,6 +129,14 @@ class TestImproveCommand:
         assert code == 0
         assert not data["changed"] and data["delta"] == "Equal"
 
+    @pytest.mark.parametrize("ell", ["0", "-2", "2"])
+    def test_bad_patch_length_is_an_error_on_a_short_string(self, capsys, ell):
+        # no position fits a patch in four bits, yet the length is still checked
+        code = main(["improve", "--d", "3,5", "--w", "0000", "--ell", ell])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: patch length must") and "Traceback" not in err
+
 
 class TestCertifyCommand:
     def test_round_trip_every_emitted_certificate(self, capsys, tmp_path):
@@ -172,6 +183,74 @@ class TestCertifyCommand:
     def test_missing_file_is_invalid_input(self, capsys):
         code = main(["certify", "--file", "/nonexistent/cert.json"])
         assert code == 1
+
+
+# junk a mutation may put in place of any value
+JUNK = (None, True, 0, 7, -1, 2.5, "", "x", "101", [], {}, [3, 5], ["1", "0"], {"a": 1})
+
+
+def mutate(rng, document):
+    """One random edit somewhere in the document: drop, retype, flip or resize."""
+    containers = [document] if isinstance(document, (dict, list)) else []
+    slots = []
+    while containers:
+        node = containers.pop()
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                containers.append(node[key])
+    if not slots:
+        return copy.deepcopy(rng.choice(JUNK))
+    node, key = rng.choice(slots)
+    value = node[key]
+    action = rng.randrange(4)
+    if action == 0:
+        del node[key]
+    elif action == 1 or isinstance(value, (type(None), bool, float, dict)):
+        node[key] = copy.deepcopy(rng.choice(JUNK))
+    elif isinstance(value, str) and value and action == 2:
+        i = rng.randrange(len(value))
+        node[key] = value[:i] + ("1" if value[i] == "0" else "0") + value[i + 1:]
+    elif isinstance(value, str):
+        cut = rng.randrange(len(value) + 1)
+        grown = "".join(rng.choice("01") for _ in range(rng.randrange(1, 6)))
+        node[key] = value[:cut] if rng.random() < 0.5 else value + grown
+    elif isinstance(value, int):
+        node[key] = rng.choice([value + 1, value - 1, 2 * value, 41, 10**6])
+    else:  # a list
+        value.append(rng.choice([1, 2, 9, 40, "3"]))
+    return document
+
+
+class TestCertifyFuzz:
+    @pytest.mark.parametrize("dists", ["3,5", "2,4,7", "1,2", "1,2,4"])
+    def test_mutated_certificates_never_crash(self, capsys, tmp_path, dists):
+        code, valid = run_json(capsys, "winner", "--d", dists)
+        assert code == 0
+        rng = random.Random(dists)
+        path = tmp_path / "cert.json"
+        verified = 0
+        for _ in range(120):
+            document = copy.deepcopy(valid)
+            for _ in range(rng.randrange(1, 4)):
+                document = mutate(rng, document)
+            path.write_text(json.dumps(document))
+            code = main(["certify", "--file", str(path), "--json"])
+            out, err = capsys.readouterr()
+            assert code in (0, 1), document
+            assert "Traceback" not in err
+            if code == 0:
+                verified += 1
+                distances = DistanceSet(tuple(document["distances"]))
+                found = find_winner(distances).certificate
+                assert found is not None, document
+                winner = json.loads(out)["winner"]
+                assert winner == {
+                    "preperiod": found.winner.preperiod,
+                    "repetend": found.winner.repetend,
+                }, document
+        assert verified < 120
 
 
 class TestOracleCommand:

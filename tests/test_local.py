@@ -191,18 +191,19 @@ class TestSweep:
         assert changes <= 3 * len(w)
 
     def test_a_rewrite_that_lowers_the_germ_is_refused(self, monkeypatch):
+        # the patch at 6 holds 10000; a filling of 01000 moves its 1 later
         calls = []
 
-        def alternating(context, distances):
+        def lowering(context, distances):
             calls.append(context)
             if len(calls) > 10_000:
                 raise RuntimeError("sweep never stopped")
-            return "10000" if len(calls) % 2 else "01000"
+            return "01000"
 
-        monkeypatch.setattr(local, "best_patch", alternating)
+        monkeypatch.setattr(local, "best_patch", lowering)
         with pytest.raises(AssertionError, match="did not raise the germ"):
-            sweep_to_fixpoint("0" * 20, 5, D35, positions=[6])
-        assert len(calls) == 2
+            sweep_to_fixpoint("000000" + "10000" + "0" * 9, 5, D35, positions=[6])
+        assert len(calls) == 1
 
     def test_a_rewrite_that_clashes_with_its_context_is_refused(self, monkeypatch):
         # a 1 at position 7 sits 3 before the right context's 1 at position 10
@@ -213,6 +214,103 @@ class TestSweep:
     def test_custom_schedule(self):
         out = sweep_to_fixpoint("0" * 20, 5, D35, positions=[6])
         assert out == improve_at("0" * 20, 6, 5, D35)
+
+
+    def test_patch_length_checked_before_any_rewrite(self):
+        # a string too short for any rewrite still gets its patch length checked
+        for bits in ("0000", "0" * 20):
+            for ell in (0, -2, 2):
+                with pytest.raises(ValueError, match="patch length must"):
+                    sweep_to_fixpoint(bits, ell, D35)
+
+    def test_scheduled_positions_are_range_checked(self):
+        zeros = "0" * 20
+        for position in (2, 30, -3):
+            with pytest.raises(ValueError, match=f"position {position} out of range"):
+                sweep_to_fixpoint(zeros, 5, D35, positions=[position])
+
+    def test_scheduled_edge_positions_need_allow_edge(self):
+        zeros = "0" * 20
+        out = sweep_to_fixpoint(zeros, 5, D35, positions=[2], allow_edge=True)
+        assert out == improve_at(zeros, 2, 5, D35, allow_edge=True)
+        with pytest.raises(ValueError, match="out of range"):
+            sweep_to_fixpoint(zeros, 5, D35, positions=[-3], allow_edge=True)
+
+
+# perfbench's LOCAL_SWEEP_SETS with norm <= 8
+SWEEP_SHAPES = (
+    (1,), (1, 2), (1, 2, 3), (1, 2, 4), (1, 3), (1, 3, 5), (2,), (2, 4), (2, 4, 6),
+    (2, 4, 7), (2, 5), (2, 5, 8), (3,), (3, 6), (3, 7), (4,), (4, 8), (5,), (6,),
+    (7,), (8,),
+)
+
+
+def reference_sweep(bits, patch_length, distances):
+    """Round-robin improve_at at every position until a pass changes nothing.
+
+    Returns the fixpoint and the (left, right) contexts of every visit.
+    """
+    norm = distances.norm
+    contexts = set()
+    changed = True
+    while changed:
+        changed = False
+        for t in range(norm, len(bits) - patch_length - norm + 1):
+            end = t + patch_length
+            contexts.add((bits[t - norm: t], bits[end: end + norm]))
+            out = improve_at(bits, t, patch_length, distances)
+            changed |= out != bits
+            bits = out
+    return bits, contexts
+
+
+class TestSweepMemo:
+    def test_matches_the_reference_sweep(self):
+        rng = random.Random(45)
+        changed = 0
+        for shape in SWEEP_SHAPES:
+            d = DistanceSet(shape)
+            for _ in range(4):
+                w = random_avoiding(rng, d, rng.randrange(60, 121))
+                length = d.norm + rng.randrange(3)
+                expected = reference_sweep(w, length, d)[0]
+                assert sweep_to_fixpoint(w, length, d) == expected
+                changed += expected != w
+        assert changed > 2 * len(SWEEP_SHAPES)
+
+    def test_each_context_reaches_best_patch_once(self, monkeypatch):
+        rng = random.Random(46)
+        original = local.best_patch
+        calls = []
+
+        def counted(context, distances):
+            calls.append((context.left, context.right))
+            return original(context, distances)
+
+        for shape in SWEEP_SHAPES:
+            d = DistanceSet(shape)
+            w = random_avoiding(rng, d, rng.randrange(60, 121))
+            expected, contexts = reference_sweep(w, d.norm, d)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(local, "best_patch", counted)
+                assert sweep_to_fixpoint(w, d.norm, d) == expected
+            assert len(calls) == len(set(calls)) == len(contexts)
+            assert set(calls) == contexts
+
+    def test_winner_check_computes_each_context_once(self, monkeypatch):
+        original = local.best_patch
+        calls = []
+
+        def counted(context, distances):
+            calls.append((context.left, context.right))
+            return original(context, distances)
+
+        monkeypatch.setattr(local, "best_patch", counted)
+        d = DistanceSet.of(3, 5)
+        assert winner_windows_consistent(RationalSet("", "10"), d, d.norm)
+        # the period-2 winner shows only two context pairs
+        assert sorted(calls) == [("01010", "01010"), ("10101", "10101")]
 
 
 class TestWinnerConsistency:
