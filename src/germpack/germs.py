@@ -102,9 +102,6 @@ class IntPolynomial:
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def coefficient(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     def __add__(self, other: IntPolynomial) -> IntPolynomial:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -212,9 +209,6 @@ class LaurentPrefix:
     @property
     def a0(self) -> Fraction:
         return self.coefficients[1]
-
-    def coefficient(self, order: int) -> Fraction:
-        return self.coefficients[order + 1]
 
 
 def laurent_prefix(f: RationalGF, count: int = 4) -> LaurentPrefix:

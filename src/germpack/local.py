@@ -26,10 +26,11 @@ from dataclasses import dataclass
 from .germs import EQUAL, GREATER, _sign_near_one
 from .sets import DistanceSet, RationalSet, _check_bits, _to_bits, _to_mask, is_avoiding
 
-# The most trailing-window states a line DP may hold.  Norms up to 12 need
-# at most 2**12; a distance set that would need more (a lone large distance
-# forbids almost nothing) is refused rather than left to exhaust memory.
-MAX_STATES = 1 << 16
+# The most window bits a line DP may hold: 2**16 windows of 16 bits, so every
+# norm up to 16 fits whole (a DP holds at most 2**norm windows).  A distance
+# set that could pass it (a lone large distance forbids almost nothing, and
+# each window is a norm-bit int) is refused before the step that might.
+MAX_WINDOW_BITS = 16 << 16
 
 
 def germ_greater(a, b) -> bool:
@@ -71,12 +72,21 @@ class LineKernel:
         self.states = {left: (0, 0, 0)}
 
     def advance(self, steps: int) -> LineKernel:
-        """Append `steps` positions; raises ValueError past MAX_STATES states."""
+        """Append `steps` positions; raises ValueError before passing MAX_WINDOW_BITS."""
         norm = self.distances.norm
-        top = 1 << (norm - 1) if norm else 0  # where the new bit lands
-        clash = sum(1 << (norm - d) for d in self.distances)  # what a new 1 must not meet
+        top = clash = 0
+        if norm <= MAX_WINDOW_BITS:  # past it the first step refuses, so skip the big ints
+            top = 1 << (norm - 1) if norm else 0  # where the new bit lands
+            clash = sum(1 << (norm - d) for d in self.distances)  # what a new 1 must not meet
         for _ in range(steps):
             pos = self.length
+            # a step at most doubles the windows
+            if norm > 16 and 2 * len(self.states) * norm > MAX_WINDOW_BITS:
+                raise ValueError(
+                    f"distances {{{self.distances.to_text()}}} need up to {2 * len(self.states)} "
+                    f"line-DP windows of {norm} bits at length {pos + 1}, over the cap of "
+                    f"{MAX_WINDOW_BITS} window bits"
+                )
             bit = 1 << pos
             new: dict[int, tuple[int, int, int]] = {}
             for window, entry in self.states.items():
@@ -91,11 +101,6 @@ class LineKernel:
                     cur = new.get(shifted)
                     if cur is None or germ_greater(grown, cur):
                         new[shifted] = grown
-            if len(new) > MAX_STATES:
-                raise ValueError(
-                    f"distances {{{self.distances.to_text()}}} need {len(new)} line-DP "
-                    f"states at length {pos + 1}, over the cap of {MAX_STATES}"
-                )
             self.states = new
             self.length += 1
         return self
@@ -178,71 +183,46 @@ def _patch_filler(distances: DistanceSet, patch_length: int):
     return fill
 
 
-def _check_position(bits, position, patch_length, norm, allow_edge):
-    lo = 0 if allow_edge else norm
-    if position < lo or position + patch_length + norm > len(bits):
-        raise ValueError(f"position {position} out of range for patch rewriting")
-
-
 def _refill(bits, position, patch_length, norm, fill):
     """`bits` with the patch at `position` replaced by the best filling for its contexts."""
     end = position + patch_length
-    left = bits[max(0, position - norm): position].rjust(norm, "0")
-    return bits[:position] + fill(left, bits[end: end + norm]) + bits[end:]
+    left, right = bits[position - norm: position], bits[end: end + norm]
+    return bits[:position] + fill(left, right) + bits[end:]
 
 
-def improve_at(
-    bits: str,
-    position: int,
-    patch_length: int,
-    distances: DistanceSet,
-    allow_edge: bool = False,
-) -> str:
+def improve_at(bits: str, position: int, patch_length: int, distances: DistanceSet) -> str:
     """Rewrite the patch at `position` to the best filling for its contexts.
 
     The result's germ is at least the input's, strictly greater when the
     patch changes, and the result is still avoiding.  Positions too close to
-    the ends to carry full contexts are rejected; with allow_edge, positions
-    under norm use the short left context padded with zeros (padding adds no
-    constraints, so this matches simply having less string to the left).
+    the ends to carry full contexts are rejected.
     """
     if not is_avoiding(bits, distances):  # also rejects non-bit strings
         raise ValueError("input string must avoid the distances")
     norm = distances.norm
-    _check_position(bits, position, patch_length, norm, allow_edge)
+    if position < norm or position + patch_length + norm > len(bits):
+        raise ValueError(f"position {position} out of range for patch rewriting")
     return _refill(bits, position, patch_length, norm, _patch_filler(distances, patch_length))
 
 
-def sweep_to_fixpoint(
-    bits: str,
-    patch_length: int,
-    distances: DistanceSet,
-    positions=None,
-    allow_edge: bool = False,
-) -> str:
+def sweep_to_fixpoint(bits: str, patch_length: int, distances: DistanceSet) -> str:
     """Apply patch rewrites until a full pass changes nothing.
 
-    The default schedule is a round-robin over every position with full
-    contexts (plus the zero-padded early positions with allow_edge); a given
-    schedule must keep to those positions.  The result is patch-maximal: no
-    single rewrite at any scheduled position can improve it, and its germ
-    dominates the input's.  Each context's best filling is computed once.
+    Round-robin over every position with full contexts.  The result is
+    patch-maximal: no single rewrite at any such position can improve it,
+    and its germ dominates the input's.  Each context's best filling is
+    computed once.
     """
     if not is_avoiding(bits, distances):  # also rejects non-bit strings
         raise ValueError("input string must avoid the distances")
     norm = distances.norm
     fill = _patch_filler(distances, patch_length)
-    if positions is None:
-        lo = 0 if allow_edge else norm
-        positions = range(lo, len(bits) - patch_length - norm + 1)
-    schedule = list(positions)
-    for position in schedule:
-        _check_position(bits, position, patch_length, norm, allow_edge)
+    positions = range(norm, len(bits) - patch_length - norm + 1)
     current = bits
     changed = True
     while changed:
         changed = False
-        for position in schedule:
+        for position in positions:
             replaced = _refill(current, position, patch_length, norm, fill)
             if replaced != current:
                 _check_rewrite(current, replaced, position, patch_length, distances)
@@ -261,7 +241,7 @@ def _check_rewrite(old, new, position, patch_length, distances):
     rise = [int(b) - int(a) for a, b in zip(old[position:end], new[position:end])]
     if _sign_near_one(rise) != GREATER:
         raise AssertionError(f"patch rewrite at {position} did not raise the germ")
-    if not is_avoiding(new[max(0, position - norm): end + norm], distances):
+    if not is_avoiding(new[position - norm: end + norm], distances):
         raise AssertionError(f"patch rewrite at {position} broke avoidance")
 
 

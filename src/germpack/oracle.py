@@ -6,12 +6,11 @@ two-block challenger.  A reference for the test suite and the `germpack
 oracle` command: the search and certificate checks never call it, and it
 shares nothing with the line kernel in `local` except the polynomial
 comparator, so the two routes stay independent checks of each other.
-Desk-scale only; the caps can be overridden at the cost of a warning.
+Desk-scale only: lengths past MAX_LENGTH and periods past MAX_PERIOD are
+refused.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from .germs import GREATER, IntPolynomial, poly_germ_compare
 from .sets import DistanceSet, RationalSet, is_avoiding, set_compare
@@ -20,7 +19,7 @@ MAX_LENGTH = 32
 MAX_PERIOD = 24
 
 
-def enumerate_avoiding(distances: DistanceSet, length: int, force: bool = False):
+def enumerate_avoiding(distances: DistanceSet, length: int):
     """Yield every avoiding string of the given length, lexicographically.
 
     Backtracking over positions; appending a 1 is checked against the last
@@ -29,9 +28,7 @@ def enumerate_avoiding(distances: DistanceSet, length: int, force: bool = False)
     if length < 0:
         raise ValueError("length must be >= 0")
     if length > MAX_LENGTH:
-        if not force:
-            raise ValueError(f"length {length} over the enumeration cap; pass force=True")
-        warnings.warn(f"enumerating avoiding strings of length {length} > {MAX_LENGTH}")
+        raise ValueError(f"length {length} over the enumeration cap of {MAX_LENGTH}")
     dists = tuple(distances)
     prefix: list[str] = []
 
@@ -51,18 +48,18 @@ def enumerate_avoiding(distances: DistanceSet, length: int, force: bool = False)
     yield from extend()
 
 
-def brute_best(distances: DistanceSet, length: int, force: bool = False) -> str:
+def brute_best(distances: DistanceSet, length: int) -> str:
     """Germ-maximal avoiding string of the given length, by full enumeration."""
     best = None
     best_poly = None
-    for candidate in enumerate_avoiding(distances, length, force):
+    for candidate in enumerate_avoiding(distances, length):
         poly = IntPolynomial.from_bits(candidate)
         if best is None or poly_germ_compare(poly, best_poly) == GREATER:
             best, best_poly = candidate, poly
     return best
 
 
-def brute_two_block(distances: DistanceSet, block_b: str, force: bool = False):
+def brute_two_block(distances: DistanceSet, block_b: str):
     """A challenger to the two-block bound, by enumerating every pair.
 
     Returns the first avoiding (Q, R) with |Q| = |R| = |block_b|, R germ-greater
@@ -73,11 +70,11 @@ def brute_two_block(distances: DistanceSet, block_b: str, force: bool = False):
     b_poly = IntPolynomial.from_bits(block_b)
     bb_poly = IntPolynomial.from_bits(block_b + block_b)
     firsts = None
-    for second in enumerate_avoiding(distances, size, force):
+    for second in enumerate_avoiding(distances, size):
         if poly_germ_compare(IntPolynomial.from_bits(second), b_poly) != GREATER:
             continue
         if firsts is None:
-            firsts = list(enumerate_avoiding(distances, size, force))
+            firsts = list(enumerate_avoiding(distances, size))
         for first in firsts:
             if not is_avoiding(first + second, distances):
                 continue
@@ -87,9 +84,7 @@ def brute_two_block(distances: DistanceSet, block_b: str, force: bool = False):
     return None
 
 
-def brute_best_periodic(
-    distances: DistanceSet, max_period: int, force: bool = False
-) -> RationalSet:
+def brute_best_periodic(distances: DistanceSet, max_period: int) -> RationalSet:
     """Germ-maximal purely periodic avoiding set with repetend up to max_period.
 
     Tries every repetend whose infinite repetition avoids the distances.  The
@@ -99,12 +94,10 @@ def brute_best_periodic(
     if max_period < 1:
         raise ValueError("max period must be >= 1")
     if max_period > MAX_PERIOD:
-        if not force:
-            raise ValueError(f"period {max_period} over the enumeration cap; pass force=True")
-        warnings.warn(f"enumerating repetends of length {max_period} > {MAX_PERIOD}")
+        raise ValueError(f"period {max_period} over the enumeration cap of {MAX_PERIOD}")
     best = RationalSet.empty()
     for period in range(1, max_period + 1):
-        for repetend in enumerate_avoiding(distances, period, force):
+        for repetend in enumerate_avoiding(distances, period):
             candidate = RationalSet("", repetend)
             if not is_avoiding(candidate, distances):
                 continue

@@ -200,9 +200,7 @@ def _pair_sums(distances: DistanceSet) -> set[int]:
     return {a + b for a in distances for b in distances}
 
 
-def find_repeatable_winner(
-    distances: DistanceSet, max_window: int | None = None
-) -> Certificate | None:
+def find_repeatable_winner(distances: DistanceSet, max_window: int) -> Certificate | None:
     """Scan window lengths for a repeatable germ-maximal window.
 
     Pairwise sums of distances are tried first (they cover every worked
@@ -210,8 +208,6 @@ def find_repeatable_winner(
     certifies the winner outright.
     """
     norm = distances.norm
-    if max_window is None:
-        max_window = max(4 * norm, 1)
     if max_window <= norm:
         raise ValueError("max window must exceed the largest distance")
 
@@ -278,9 +274,10 @@ def certify_two_block(
 
     Checks, all exact:
 
-    * the candidate set itself avoids the distances;
     * block_a and block_a+block_b are the germ-maximal avoiding strings of
-      their lengths;
+      their lengths (first: the line kernel refuses a norm over its cap
+      before the next check builds a window of norm bits);
+    * the candidate set itself avoids the distances;
     * every avoiding QR split into halves has R at most block_b, or the
       whole QR at most block_b doubled (`_two_block_challenger`).
 
@@ -288,16 +285,16 @@ def certify_two_block(
     partition of its positions into one- and two-block spans on which the
     candidate never loses, and the finitely many per-span differences share
     a neighborhood of 1 where none is negative.  Returns None when any check
-    fails; raises only on malformed inputs.
+    fails; raises on malformed inputs and distance sets over the cap.
     """
     _check_blocks(distances, block_a, block_b)
-    winner = RationalSet(block_a, block_b)
-    if not is_avoiding(winner, distances):
-        return None
     size = len(block_a)
     if block_a != best_string(distances, size):
         return None
     if block_a + block_b != best_string(distances, 2 * size):
+        return None
+    winner = RationalSet(block_a, block_b)
+    if not is_avoiding(winner, distances):
         return None
     if _two_block_challenger(distances, block_b) is not None:
         return None
@@ -381,16 +378,22 @@ def _avoiding_with_ones(distances: DistanceSet, length: int, need: int):
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Bounds for the winner search; None picks defaults from the distances."""
+    """Bounds for the winner search, positive ints; None picks defaults from the distances."""
 
     max_window: int | None = None
     max_block: int | None = None
 
+    def __post_init__(self):
+        for name in ("max_window", "max_block"):
+            value = getattr(self, name)
+            if value is not None and not (_is_int(value) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
     def window_bound(self, distances: DistanceSet) -> int:
-        return self.max_window if self.max_window else max(4 * distances.norm, 1)
+        return self.max_window if self.max_window is not None else max(4 * distances.norm, 1)
 
     def block_bound(self, distances: DistanceSet) -> int:
-        return self.max_block if self.max_block else max(2 * distances.norm, 1)
+        return self.max_block if self.max_block is not None else max(2 * distances.norm, 1)
 
 
 @dataclass(frozen=True)
@@ -406,9 +409,10 @@ class SearchResult:
 def find_winner(distances: DistanceSet, budget: SearchBudget | None = None) -> SearchResult:
     """Run the certification strategies in order and report the outcome.
 
-    An empty result is only ever "nothing certified within budget": whether
-    a winner exists at all for every distance set is open, so absence of a
-    certificate is not evidence of absence of a winner.
+    Every finite D has a unique, eventually periodic germ-maximum (by
+    Blackwell's 1962 theorem on the decision process over windows, not by
+    the paper), so an empty result means only that the bounded strategies
+    did not certify it.
     """
     budget = budget or SearchBudget()
     attempts: list[str] = []

@@ -188,10 +188,6 @@ class RationalSet:
         return (pre + rep * reps)[:count]
 
     @property
-    def is_finite(self) -> bool:
-        return self.repetend == "0"
-
-    @property
     def is_empty(self) -> bool:
         return self.repetend == "0" and "1" not in self.preperiod
 
@@ -200,11 +196,6 @@ class RationalSet:
         for n, bit in enumerate(self.bits(limit)):
             if bit == "1":
                 yield n
-
-
-def normalize(preperiod: str, repetend: str) -> RationalSet:
-    """Canonical form of the set with the given indicator pieces; idempotent."""
-    return RationalSet(preperiod, repetend)
 
 
 def generating_function(s: RationalSet) -> RationalGF:

@@ -155,10 +155,6 @@ class CircularWord:
         return RationalGF(IntPolynomial(self.consonant_pattern()), self.length)
 
 
-def circular_concat(c: CircularWord, d: CircularWord) -> CircularWord:
-    return c.concat(d)
-
-
 def circular_compare(c: CircularWord, d: CircularWord) -> int:
     """Germ order on circular words via their repeated-forever germs."""
     return germ_compare(c.germ(), d.germ())

@@ -2,12 +2,19 @@
 
 import copy
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from germpack import DistanceSet, find_winner
 from germpack.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # golden outputs for the catalog of known best avoiding strings
 BEST_GOLDEN = {
@@ -62,6 +69,18 @@ class TestWinnerCommand:
         code, data = run_json(capsys, "winner", "--d", "")
         assert code == 0
         assert data["winner"] == {"preperiod": "", "repetend": "1"}
+
+    @pytest.mark.parametrize(
+        "bound", [("--m-max", "0"), ("--block-max", "0"), ("--block-max", "-3")]
+    )
+    def test_bounds_must_be_positive(self, capsys, bound):
+        # a zero bound used to fall back to the default, a negative one to an
+        # empty block range reported as inconclusive
+        code = main(["winner", "--d", "7,9,12", *bound])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "positive integer" in err
+        assert "Traceback" not in err
 
 
 class TestBestCommand:
@@ -231,10 +250,15 @@ class TestCertifyFuzz:
         rng = random.Random(dists)
         path = tmp_path / "cert.json"
         verified = 0
+        documents = []
         for _ in range(120):
             document = copy.deepcopy(valid)
             for _ in range(rng.randrange(1, 4)):
                 document = mutate(rng, document)
+            documents.append(document)
+        for huge in (10**6, 3 * 10**8):  # every line-DP window becomes a huge int
+            documents.append({**valid, "distances": valid["distances"] + [huge]})
+        for document in documents:
             path.write_text(json.dumps(document))
             code = main(["certify", "--file", str(path), "--json"])
             out, err = capsys.readouterr()
@@ -250,7 +274,7 @@ class TestCertifyFuzz:
                     "preperiod": found.winner.preperiod,
                     "repetend": found.winner.repetend,
                 }, document
-        assert verified < 120
+        assert verified < len(documents)
 
 
 class TestOracleCommand:
@@ -313,3 +337,30 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: distances {40} need ")
         assert "over the cap" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("norm,block", [(300_000_000, 10), (1_000_000_000, 1)])
+    def test_a_huge_norm_is_refused_before_it_exhausts_memory(self, tmp_path, norm, block):
+        # each window of the line DP, and the window is_avoiding checks a
+        # periodic set on, is a norm-bit int; under a 1.5 GB address-space
+        # limit both used to end in a MemoryError traceback
+        block_a, block_b = "1" + "0" * (block - 1), "0" * block
+        document = {
+            "kind": "TwoBlockInduction",
+            "distances": [norm],
+            "winner": {"preperiod": block_a, "repetend": "0"},
+            "evidence": {"block_a": block_a, "block_b": block_b},
+        }
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(document))
+        limit = 1536 << 20
+        proc = subprocess.run(
+            [sys.executable, "-m", "germpack.cli", "certify", "--file", str(path)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: distances {{{norm}}} need ")
+        assert "over the cap" in proc.stderr and "Traceback" not in proc.stderr

@@ -136,14 +136,6 @@ class TestImproveAt:
         with pytest.raises(ValueError):
             improve_at("1100100000000000", 6, 5, D35)
 
-    def test_edge_variant_reaches_early_bits(self):
-        zeros = "0" * 16
-        out = improve_at(zeros, 0, 5, D35, allow_edge=True)
-        assert out.startswith("11100")
-        assert is_avoiding(out, D35)
-        # zero-padding the missing context is exactly "nothing to the left"
-        assert germ_cmp(out, zeros) == GREATER
-
 
 class TestSweep:
     def test_greedy_seed_never_loses(self):
@@ -191,7 +183,9 @@ class TestSweep:
         assert changes <= 3 * len(w)
 
     def test_a_rewrite_that_lowers_the_germ_is_refused(self, monkeypatch):
-        # the patch at 6 holds 10000; a filling of 01000 moves its 1 later
+        # positions 5 and 6 share the all-zero contexts; the filling 01000 is
+        # what the patch at 5 already holds, and moves the 1 of the patch at
+        # 6 (10000) later
         calls = []
 
         def lowering(context, distances):
@@ -202,19 +196,15 @@ class TestSweep:
 
         monkeypatch.setattr(local, "best_patch", lowering)
         with pytest.raises(AssertionError, match="did not raise the germ"):
-            sweep_to_fixpoint("000000" + "10000" + "0" * 9, 5, D35, positions=[6])
+            sweep_to_fixpoint("000000" + "10000" + "0" * 9, 5, D35)
         assert len(calls) == 1
 
     def test_a_rewrite_that_clashes_with_its_context_is_refused(self, monkeypatch):
-        # a 1 at position 7 sits 3 before the right context's 1 at position 10
+        # at position 5, the first the sweep visits, a 1 at position 7 sits 3
+        # before the right context's 1 at position 10
         monkeypatch.setattr(local, "best_patch", lambda context, distances: "00100")
         with pytest.raises(AssertionError, match="broke avoidance"):
-            sweep_to_fixpoint("0" * 10 + "1" + "0" * 9, 5, D35, positions=[5])
-
-    def test_custom_schedule(self):
-        out = sweep_to_fixpoint("0" * 20, 5, D35, positions=[6])
-        assert out == improve_at("0" * 20, 6, 5, D35)
-
+            sweep_to_fixpoint("0" * 10 + "1" + "0" * 9, 5, D35)
 
     def test_patch_length_checked_before_any_rewrite(self):
         # a string too short for any rewrite still gets its patch length checked
@@ -222,19 +212,6 @@ class TestSweep:
             for ell in (0, -2, 2):
                 with pytest.raises(ValueError, match="patch length must"):
                     sweep_to_fixpoint(bits, ell, D35)
-
-    def test_scheduled_positions_are_range_checked(self):
-        zeros = "0" * 20
-        for position in (2, 30, -3):
-            with pytest.raises(ValueError, match=f"position {position} out of range"):
-                sweep_to_fixpoint(zeros, 5, D35, positions=[position])
-
-    def test_scheduled_edge_positions_need_allow_edge(self):
-        zeros = "0" * 20
-        out = sweep_to_fixpoint(zeros, 5, D35, positions=[2], allow_edge=True)
-        assert out == improve_at(zeros, 2, 5, D35, allow_edge=True)
-        with pytest.raises(ValueError, match="out of range"):
-            sweep_to_fixpoint(zeros, 5, D35, positions=[-3], allow_edge=True)
 
 
 # perfbench's LOCAL_SWEEP_SETS with norm <= 8

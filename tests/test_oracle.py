@@ -63,9 +63,6 @@ class TestEnumerate:
     def test_cap_and_override(self):
         with pytest.raises(ValueError):
             list(enumerate_avoiding(DistanceSet.of(1, 2, 3), 33))
-        with pytest.warns(UserWarning):
-            strings = enumerate_avoiding(DistanceSet.of(*range(1, 16)), 33, force=True)
-            assert next(strings).count("1") == 0
 
 
 class TestBruteBest:

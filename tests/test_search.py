@@ -403,6 +403,17 @@ class TestFindWinner:
         assert result.certificate is None
         assert len(result.attempts) == 3
 
+    def test_budget_bounds_are_positive_integers(self):
+        for bad in (0, -3, True, 2.5, "4"):
+            with pytest.raises(ValueError, match="positive integer"):
+                SearchBudget(max_window=bad)
+            with pytest.raises(ValueError, match="positive integer"):
+                SearchBudget(max_block=bad)
+        budget = SearchBudget(max_window=1, max_block=1)
+        assert budget.window_bound(D35) == budget.block_bound(D35) == 1
+        assert SearchBudget().window_bound(D35) == 20
+        assert SearchBudget().block_bound(D35) == 10
+
     def test_strategies_name_the_same_winner(self):
         # any two certificates for one distance set must agree on the set
         for dset in [(3, 5), (1, 2), (1, 3, 6, 8)]:

@@ -17,7 +17,6 @@ from germpack import (
     germ_compare,
     greedy_avoiding,
     is_avoiding,
-    normalize,
     one_minus_power,
     set_compare,
     shift,
@@ -51,20 +50,20 @@ class TestDistanceSet:
 
 class TestNormalize:
     def test_primitive_reduction(self):
-        assert normalize("", "1010") == RationalSet("", "10")
+        assert RationalSet("", "1010") == RationalSet("", "10")
 
     def test_preperiod_absorption(self):
-        assert normalize("1", "01") == RationalSet("", "10")
+        assert RationalSet("1", "01") == RationalSet("", "10")
 
     def test_finite_set_already_canonical(self):
-        s = normalize("111", "0")
+        s = RationalSet("111", "0")
         assert (s.preperiod, s.repetend) == ("111", "0")
 
     def test_idempotent(self):
         rng = random.Random(3)
         for _ in range(200):
             s = random_rational_set(rng)
-            again = normalize(s.preperiod, s.repetend)
+            again = RationalSet(s.preperiod, s.repetend)
             assert again == s
 
     def test_equivalent_encodings_collapse(self):
@@ -72,16 +71,16 @@ class TestNormalize:
         for _ in range(200):
             s = random_rational_set(rng)
             pre, rep = s.preperiod, s.repetend
-            absorbed = normalize(pre + rep[0], rep[1:] + rep[:1])
-            extended = normalize(pre + rep, rep)
-            powered = normalize(pre, rep * 3)
+            absorbed = RationalSet(pre + rep[0], rep[1:] + rep[:1])
+            extended = RationalSet(pre + rep, rep)
+            powered = RationalSet(pre, rep * 3)
             assert absorbed == s
             assert extended == s
             assert powered == s
 
     def test_rejects_empty_repetend(self):
         with pytest.raises(ValueError):
-            normalize("1", "")
+            RationalSet("1", "")
 
     def test_membership_and_bits(self):
         s = RationalSet("1100", "001")

@@ -14,7 +14,6 @@ from germpack import (
     RationalSet,
     block_encode,
     circular_compare,
-    circular_concat,
     circular_decompose,
     default_block_length,
     generating_function,
@@ -126,7 +125,7 @@ class TestCircularWord:
         alpha, beta, gamma = Letter("0"), Letter("1"), Letter("0")
         c = CircularWord((alpha, beta, alpha))
         d = CircularWord((alpha, gamma, alpha))
-        joined = circular_concat(c, d)
+        joined = c.concat(d)
         assert joined.letters == (alpha, beta, alpha, gamma, alpha)
         assert joined.length == 4
 
