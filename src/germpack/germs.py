@@ -9,7 +9,9 @@ nonzero coefficient of the t-expansion.
 
 One routine, `_t_series`, computes t-coefficients, by repeated exact
 division by (q - 1).  Every sign near 1, every comparison, every leading
-gap and every Laurent coefficient here is read off it.
+gap and every Laurent coefficient here is read off it.  The only product
+is `_times_one_minus_power`, by 1 - q^d: `IntPolynomial` is a tuple of int
+coefficients with no ring arithmetic of its own.
 
 Everything here is integer/rational arithmetic; no floating point is used
 anywhere (the binomial coefficients that appear in the t-expansion overflow
@@ -73,75 +75,35 @@ class IntPolynomial:
     """Polynomial with arbitrary-precision integer coefficients.
 
     coeffs[i] multiplies q**i; trailing zeros are stripped so the zero
-    polynomial is the empty tuple and degree == len(coeffs) - 1 otherwise.
+    polynomial is the empty tuple.  Non-int coefficients, bools too, are refused.
     """
 
     coeffs: tuple[int, ...] = ()
+    _BITS = {(str, "0"): 0, (str, "1"): 1, (int, 0): 0, (int, 1): 1}
 
     def __post_init__(self):
-        c = tuple(int(x) for x in self.coeffs)
+        c = tuple(self.coeffs)
+        if any(type(x) is not int for x in c):
+            raise ValueError(f"coefficients must be ints, got {self.coeffs!r}")
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
     def from_bits(cls, bits) -> IntPolynomial:
-        """Indicator polynomial of a 0/1 string: sum of q**i over the 1s."""
-        return cls(tuple(1 if b in (1, "1") else 0 for b in bits))
+        """Indicator polynomial of 0/1 bits, "0"/"1" or ints (not bools): q**i for each 1."""
+        try:
+            return cls(tuple(cls._BITS[type(b), b] for b in bits))
+        except (KeyError, TypeError):
+            raise ValueError(f"bits must be 0/1 or '0'/'1', got {bits!r}") from None
 
-    @classmethod
-    def monomial(cls, power: int, coefficient: int = 1) -> IntPolynomial:
-        return cls((0,) * power + (coefficient,))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: IntPolynomial) -> IntPolynomial:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(tuple(out))
-
-    def __neg__(self) -> IntPolynomial:
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: IntPolynomial) -> IntPolynomial:
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial(tuple(c * other for c in self.coeffs))
-        out = [0] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
-    __rmul__ = __mul__
-
-    def shifted(self, power: int) -> IntPolynomial:
-        """Multiply by q**power."""
-        if self.is_zero:
-            return self
-        return IntPolynomial((0,) * power + self.coeffs)
-
-    def __call__(self, x):
-        """Evaluate by Horner; exact when x is an int or Fraction."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+def _times_one_minus_power(coeffs, d: int) -> list[int]:
+    """The coefficients of sum(coeffs[i] * q**i) * (1 - q**d), as a list."""
+    out = list(coeffs) + [0] * d
+    for i, c in enumerate(coeffs):
+        out[i + d] -= c
+    return out
 
 
 def one_minus_power(d: int) -> IntPolynomial:
@@ -177,9 +139,11 @@ class RationalGF:
             raise ValueError("period must be >= 1")
 
 
-def _cross_numerator(f: RationalGF, g: RationalGF) -> IntPolynomial:
+def _cross_numerator(f: RationalGF, g: RationalGF) -> list[int]:
     """num(f)*(1-q^{dg}) - num(g)*(1-q^{df}): f - g over (1-q^{df})(1-q^{dg})."""
-    return f.numerator * one_minus_power(g.period) - g.numerator * one_minus_power(f.period)
+    a = _times_one_minus_power(f.numerator.coeffs, g.period)
+    b = _times_one_minus_power(g.numerator.coeffs, f.period)
+    return [x - y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
 def germ_compare(f: RationalGF, g: RationalGF) -> int:
@@ -188,7 +152,7 @@ def germ_compare(f: RationalGF, g: RationalGF) -> int:
     Cross-multiplies: both denominators 1 - q**d are positive on (0, 1), so
     f - g has the sign of its cross numerator near 1.
     """
-    return poly_sign_near_one(_cross_numerator(f, g))
+    return _sign_near_one(_cross_numerator(f, g))
 
 
 @dataclass(frozen=True)
@@ -245,7 +209,7 @@ def germ_gap(f: RationalGF, g: RationalGF):
     with u_f(0) u_g(0) = df*dg, so a lowest cross term c*t**j gives
     c/(df*dg) at order j - 2; the cross numerator vanishes at q = 1, so j >= 1.
     """
-    term = _lowest_t_term(_cross_numerator(f, g).coeffs)
+    term = _lowest_t_term(_cross_numerator(f, g))
     if term is None:
         return None
     j, c = term

@@ -49,10 +49,10 @@ CERTIFICATE_KINDS = (REPEATABLE_WINDOW, SYMMETRIC_OFFSET, TWO_BLOCK_INDUCTION)
 # germ-maximal strings
 
 
-# Germ-best entries keep their masks up to this length and, past it, only at
-# the lengths asked for: keeping every mask costs memory quadratic in the
-# length, and a certificate may name any length it likes.
-_KEPT_MASKS = 1 << 12
+# The most evidence bits (a window, or a block pair) a certificate may hold:
+# the kernel run to length n costs time quadratic in n.  Germ-best entries keep
+# their masks up to it and, past it, only at the lengths asked for.
+MAX_EVIDENCE_BITS = 1 << 12
 
 
 @lru_cache(maxsize=16)
@@ -67,7 +67,7 @@ def _best_entries(distances: DistanceSet, length: int) -> list[tuple]:
     with lock:
         while len(entries) <= length:
             mask, ones, possum = kernel.advance(1).best()
-            kept = kernel.length <= _KEPT_MASKS or kernel.length == length
+            kept = kernel.length <= MAX_EVIDENCE_BITS or kernel.length == length
             entries.append((mask if kept else None, ones, possum))
     return entries
 
@@ -118,7 +118,10 @@ class Certificate:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
 
     def verify(self) -> bool:
-        """Replay the checks; False for failed checks and malformed evidence."""
+        """Replay the checks; False on failure or malformed evidence, ValueError past a cap."""
+        bits = sum(len(value) for value in self.evidence.values() if isinstance(value, str))
+        if bits > MAX_EVIDENCE_BITS:
+            raise ValueError(f"{bits} bits of evidence are over the cap of {MAX_EVIDENCE_BITS}")
         if self.kind == REPEATABLE_WINDOW:
             return self._verify_window(check_offset=None)
         if self.kind == SYMMETRIC_OFFSET:
@@ -208,8 +211,8 @@ def find_repeatable_winner(distances: DistanceSet, max_window: int) -> Certifica
     certifies the winner outright.
     """
     norm = distances.norm
-    if max_window <= norm:
-        raise ValueError("max window must exceed the largest distance")
+    if not norm < max_window <= MAX_EVIDENCE_BITS:
+        raise ValueError(f"max window must be in (norm, cap] = ({norm}, {MAX_EVIDENCE_BITS}]")
 
     preferred = sorted(s for s in _pair_sums(distances) if norm < s <= max_window)
     skip = set(preferred)
@@ -378,16 +381,17 @@ def _avoiding_with_ones(distances: DistanceSet, length: int, need: int):
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Bounds for the winner search, positive ints; None picks defaults from the distances."""
+    """Bounds for the winner search, positive ints within MAX_EVIDENCE_BITS; None for defaults."""
 
     max_window: int | None = None
     max_block: int | None = None
 
     def __post_init__(self):
-        for name in ("max_window", "max_block"):
+        cap = MAX_EVIDENCE_BITS  # a window, or a block pair of two blocks
+        for name, limit in (("max_window", cap), ("max_block", cap // 2)):
             value = getattr(self, name)
-            if value is not None and not (_is_int(value) and value >= 1):
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            if value is not None and not (_is_int(value) and 1 <= value <= limit):
+                raise ValueError(f"{name} must be a positive integer <= {limit}, got {value!r}")
 
     def window_bound(self, distances: DistanceSet) -> int:
         return self.max_window if self.max_window is not None else max(4 * distances.norm, 1)

@@ -19,9 +19,9 @@ from fractions import Fraction
 from .germs import (
     IntPolynomial,
     RationalGF,
+    _times_one_minus_power,
     germ_compare,
     laurent_prefix,
-    one_minus_power,
 )
 
 
@@ -206,10 +206,10 @@ def generating_function(s: RationalSet) -> RationalGF:
     repetend its indicator polynomial delayed past the preperiod.
     """
     d = len(s.repetend)
-    pre_poly = IntPolynomial.from_bits(s.preperiod)
-    rep_poly = IntPolynomial.from_bits(s.repetend)
-    numerator = pre_poly * one_minus_power(d) + rep_poly.shifted(len(s.preperiod))
-    return RationalGF(numerator, d)
+    numerator = _times_one_minus_power([int(b) for b in s.preperiod], d)
+    for i, b in enumerate(s.repetend, len(s.preperiod)):
+        numerator[i] += int(b)
+    return RationalGF(IntPolynomial(tuple(numerator)), d)
 
 
 def is_avoiding(subject, distances: DistanceSet) -> bool:

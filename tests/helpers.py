@@ -1,7 +1,7 @@
 """Shared generators and independent mini-oracles for the test suite."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 from math import comb
 
 from germpack import (
@@ -46,6 +46,42 @@ def random_circular_word(rng, anchor_bits, extra_max=6):
     return CircularWord.from_bits(body, m)
 
 
+def convolve(a, b):
+    """Coefficients of the product of two polynomials, by plain convolution."""
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def add(a, b):
+    """Coefficients of the sum of two polynomials."""
+    return tuple(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def one_minus(d):
+    """Coefficients of 1 - q**d."""
+    return (1,) + (0,) * (d - 1) + (-1,)
+
+
+def numerator_by_convolution(s):
+    """Numerator of a set's generating function over 1 - q**len(repetend).
+
+    pre(q) * (1 - q**d) + q**len(pre) * rep(q), from the set's bits.
+    """
+    pre = tuple(int(b) for b in s.preperiod)
+    shifted_rep = (0,) * len(s.preperiod) + tuple(int(b) for b in s.repetend)
+    return add(convolve(pre, one_minus(len(s.repetend))), shifted_rep)
+
+
+def cross_numerator(f, g):
+    """num(f) * (1 - q**period(g)) - num(g) * (1 - q**period(f))."""
+    left = convolve(f.numerator.coeffs, one_minus(g.period))
+    right = convolve(g.numerator.coeffs, one_minus(f.period))
+    return add(left, tuple(-c for c in right))
+
+
 def t_expansion(coeffs):
     """Coefficients in t = 1-q by direct binomial transform (independent route)."""
     out = []
@@ -62,7 +98,7 @@ def laurent_by_binomials(f, count):
     comes from truncated power-series division over the rationals.
     """
     num = t_expansion(f.numerator.coeffs)
-    u = t_expansion((1,) + (0,) * (f.period - 1) + (-1,))[1:]
+    u = t_expansion(one_minus(f.period))[1:]
     out = []
     for n in range(count):
         acc = Fraction(num[n] if n < len(num) else 0)

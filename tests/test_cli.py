@@ -82,6 +82,16 @@ class TestWinnerCommand:
         assert err.startswith("error: ") and "positive integer" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "bound,limit", [(["--m-max", "4097"], 4096), (["--block-max", "2049"], 2048)]
+    )
+    def test_bounds_must_keep_the_evidence_verifiable(self, capsys, bound, limit):
+        # certify refuses evidence past 4,096 bits, so the search may not emit it
+        code = main(["winner", "--d", "7,9,12", *bound])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and f"positive integer <= {limit}" in err
+
 
 class TestBestCommand:
     @pytest.mark.parametrize("key", sorted(BEST_GOLDEN))
@@ -242,6 +252,16 @@ def mutate(rng, document):
     return document
 
 
+# a valid-looking {3,5} window of 64,000 bits: the growing kernel run would
+# take time quadratic in its length to replay it
+LONG_WINDOW_DOCUMENT = {
+    "kind": "RepeatableWindow",
+    "distances": [3, 5],
+    "winner": {"preperiod": "", "repetend": "10"},
+    "evidence": {"window_length": 64_000, "window": "10" * 32_000},
+}
+
+
 class TestCertifyFuzz:
     @pytest.mark.parametrize("dists", ["3,5", "2,4,7", "1,2", "1,2,4"])
     def test_mutated_certificates_never_crash(self, capsys, tmp_path, dists):
@@ -258,6 +278,8 @@ class TestCertifyFuzz:
             documents.append(document)
         for huge in (10**6, 3 * 10**8):  # every line-DP window becomes a huge int
             documents.append({**valid, "distances": valid["distances"] + [huge]})
+        documents.append(LONG_WINDOW_DOCUMENT)
+        documents.append({**LONG_WINDOW_DOCUMENT, "distances": valid["distances"]})
         for document in documents:
             path.write_text(json.dumps(document))
             code = main(["certify", "--file", str(path), "--json"])
@@ -337,6 +359,31 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: distances {40} need ")
         assert "over the cap" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "document,bits",
+        [
+            (LONG_WINDOW_DOCUMENT, 64_000),
+            ({**LONG_WINDOW_DOCUMENT, "evidence": {"window": "10" * 2049}}, 4098),
+            (
+                {
+                    "kind": "TwoBlockInduction",
+                    "distances": [3, 5],
+                    "winner": {"preperiod": "", "repetend": "10"},
+                    "evidence": {"block_a": "10" * 1025, "block_b": "10" * 1025},
+                },
+                4100,
+            ),
+        ],
+    )
+    def test_evidence_over_the_length_cap_is_an_error(self, capsys, tmp_path, document, bits):
+        # refused before any kernel work: a window, or a block pair, costs
+        # time quadratic in its length to replay
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(document))
+        assert main(["certify", "--file", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bits} bits of evidence are over the cap of 4096\n"
 
     @pytest.mark.parametrize("norm,block", [(300_000_000, 10), (1_000_000_000, 1)])
     def test_a_huge_norm_is_refused_before_it_exhausts_memory(self, tmp_path, norm, block):

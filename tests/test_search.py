@@ -34,7 +34,8 @@ from germpack import (
     symmetric_winner,
     symmetry_offset,
 )
-from germpack import search
+from germpack import local, search
+from germpack.local import LineKernel
 from germpack.search import (
     _avoiding_with_ones,
     _best_entries,
@@ -87,9 +88,9 @@ class TestBestString:
             best_string(D35, 0)
 
     def test_lengths_past_the_kept_masks(self, monkeypatch):
-        # past _KEPT_MASKS the run keeps masks only at the lengths asked for;
+        # past MAX_EVIDENCE_BITS the run keeps masks only at the lengths asked for;
         # a length it passed unasked is recomputed on its own
-        monkeypatch.setattr(search, "_KEPT_MASKS", 4)
+        monkeypatch.setattr(search, "MAX_EVIDENCE_BITS", 4)
         _line_run.cache_clear()
         distances = DistanceSet.of(2, 4, 7)
         try:
@@ -413,6 +414,37 @@ class TestFindWinner:
         assert budget.window_bound(D35) == budget.block_bound(D35) == 1
         assert SearchBudget().window_bound(D35) == 20
         assert SearchBudget().block_bound(D35) == 10
+
+    def test_budget_bounds_stay_within_the_evidence_cap(self):
+        # verify refuses windows, and block pairs, longer than the cap, so
+        # the search must not be allowed to emit them
+        cap = search.MAX_EVIDENCE_BITS
+        budget = SearchBudget(max_window=cap, max_block=cap // 2)
+        assert budget.window_bound(D35) == cap and budget.block_bound(D35) == cap // 2
+        with pytest.raises(ValueError, match="max_window must be a positive integer <= 4096"):
+            SearchBudget(max_window=cap + 1)
+        with pytest.raises(ValueError, match="max_block must be a positive integer <= 2048"):
+            SearchBudget(max_block=cap // 2 + 1)
+        assert find_repeatable_winner(D35, cap).winner == RationalSet("", "10")
+        with pytest.raises(ValueError, match=r"\(5, 4096\]"):
+            find_repeatable_winner(D35, cap + 1)
+        with pytest.raises(ValueError, match=r"\(5, 4096\]"):
+            find_repeatable_winner(D35, 5)
+
+    def test_default_bounds_stay_within_the_evidence_cap(self):
+        # at length n the kernel holds at least min(n, norm) + 1 windows (no
+        # 1, or a single 1 among the last norm bits), and it refuses a step
+        # once twice its windows times norm pass MAX_WINDOW_BITS; so no norm
+        # of `refused` or more gets past length `refused`, and below it the
+        # defaults (windows up to 4 norm, block pairs up to 2 * 2 norm) stay
+        # within 4 (refused - 1)
+        cap = local.MAX_WINDOW_BITS
+        refused = next(n for n in range(17, cap) if 2 * (n + 1) * n > cap)
+        assert max(refused, 4 * (refused - 1)) <= search.MAX_EVIDENCE_BITS
+        # the fewest windows a norm can have: D = {1..norm} allows one 1 per window
+        kernel = LineKernel(DistanceSet(tuple(range(1, refused + 1)))).advance(refused)
+        with pytest.raises(ValueError, match="over the cap"):
+            kernel.advance(1)
 
     def test_strategies_name_the_same_winner(self):
         # any two certificates for one distance set must agree on the set

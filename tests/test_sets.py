@@ -1,6 +1,7 @@
 """Rational sets: canonical forms, avoidance, greedy, valuation, ordering."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,12 +18,18 @@ from germpack import (
     germ_compare,
     greedy_avoiding,
     is_avoiding,
-    one_minus_power,
     set_compare,
     shift,
     valuation,
 )
-from helpers import pairs_clash, random_bits, random_rational_set
+from helpers import (
+    cross_numerator,
+    numerator_by_convolution,
+    pairs_clash,
+    random_bits,
+    random_rational_set,
+    sign_by_evaluation,
+)
 
 D35 = DistanceSet.of(3, 5)
 
@@ -103,16 +110,41 @@ class TestGeneratingFunction:
     def test_arithmetic_progression(self):
         for a, d in [(0, 2), (1, 2), (2, 3), (4, 5)]:
             f = generating_function(RationalSet.arithmetic(a, d))
-            want = RationalGF(IntPolynomial.monomial(a), d)
+            want = RationalGF(IntPolynomial((0,) * a + (1,)), d)
             assert germ_compare(f, want) == EQUAL
 
     def test_finite_set_reduces_to_polynomial(self):
         f = generating_function(RationalSet("0111", "0"))
-        # the function is exactly the polynomial q + q^2 + q^3
-        polynomial = IntPolynomial((0, 1, 1, 1))
-        want = RationalGF(polynomial * one_minus_power(1), 1)
+        # the function is exactly the polynomial q + q^2 + q^3, written
+        # over 1 - q as (q + q^2 + q^3)(1 - q) = q - q^4
+        want = RationalGF(IntPolynomial((0, 1, 0, 0, -1)), 1)
         assert germ_compare(f, want) == EQUAL
-        assert f.numerator == polynomial * one_minus_power(1)
+        assert f.numerator == want.numerator
+
+    def test_numerator_matches_plain_convolution(self):
+        # pre(q)(1 - q^d) + q^len(pre) rep(q) over 1200 seeded sets, each
+        # compared with the one before it through its cross numerator
+        rng = random.Random(26)
+        shapes = Counter()
+        previous = None
+        for trial in range(1200):
+            pre = random_bits(rng, rng.randrange(0, 13))
+            if trial % 5 == 0:
+                rep = "0" * rng.randrange(1, 4)
+            else:
+                rep = random_bits(rng, rng.randrange(1, 9))
+            s = RationalSet(pre, rep)
+            shapes["empty preperiod"] += not s.preperiod
+            shapes["all-zero repetend"] += s.repetend == "0"
+            shapes["preperiod longer than repetend"] += len(s.preperiod) > len(s.repetend)
+            f = generating_function(s)
+            assert f.period == len(s.repetend)
+            assert f.numerator == IntPolynomial(numerator_by_convolution(s)), s
+            if previous is not None:
+                g = generating_function(previous)
+                assert germ_compare(f, g) == sign_by_evaluation(cross_numerator(f, g)), (s, previous)
+            previous = s
+        assert len(shapes) == 3 and min(shapes.values()) >= 100, shapes
 
 
 class TestIsAvoiding:

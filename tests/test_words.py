@@ -10,6 +10,7 @@ from germpack import (
     LESS,
     CircularWord,
     DistanceSet,
+    IntPolynomial,
     Letter,
     RationalSet,
     block_encode,
@@ -21,7 +22,7 @@ from germpack import (
     is_legal,
     is_successor,
 )
-from helpers import random_bits, random_circular_word
+from helpers import add, random_bits, random_circular_word
 
 D35 = DistanceSet.of(3, 5)
 
@@ -170,7 +171,8 @@ class TestCircularGerm:
             anchor = random_bits(rng, 2)
             c, d = random_circular_word(rng, anchor), random_circular_word(rng, anchor)
             joined = c.concat(d).germ()
-            want = c.germ().numerator + d.germ().numerator.shifted(c.length)
+            shifted_d = (0,) * c.length + d.germ().numerator.coeffs
+            want = IntPolynomial(add(c.germ().numerator.coeffs, shifted_d))
             assert joined.numerator == want
             assert joined.period == c.length + d.length
 
