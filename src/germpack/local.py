@@ -15,8 +15,8 @@ are fixpoints: every interior window of a winner must already contain the
 best filling for its contexts, which `winner_windows_consistent` checks.
 
 The best filling comes from `LineKernel`, the one germ-best-string dynamic
-program in the library: `search` reads its germ-best strings of every
-length and its two-block challengers off the same kernel.
+program in the library: `search` reads its germ-best strings and its
+two-block challengers off the same kernel.
 """
 
 from __future__ import annotations
@@ -92,15 +92,18 @@ class LineKernel:
             for window, entry in self.states.items():
                 shifted = window >> 1
                 cur = new.get(shifted)
-                if cur is None or germ_greater(entry, cur):
+                if cur is None or (  # germ_greater, count and position sum inline
+                    entry[1] > cur[1] if entry[1] != cur[1]
+                    else entry[2] < cur[2] if entry[2] != cur[2]
+                    else germ_greater(entry, cur)
+                ):
                     new[shifted] = entry
                 if not window & clash:
+                    # the only way into its new window: the other window that
+                    # shifts there holds a 1 norm back, which clashes (with no
+                    # distances there is one window, and one more 1 wins)
                     mask, ones, possum = entry
-                    grown = (mask | bit, ones + 1, possum + pos)
-                    shifted |= top
-                    cur = new.get(shifted)
-                    if cur is None or germ_greater(grown, cur):
-                        new[shifted] = grown
+                    new[shifted | top] = (mask | bit, ones + 1, possum + pos)
             self.states = new
             self.length += 1
         return self
@@ -118,7 +121,13 @@ class LineKernel:
         blocked &= (1 << norm) - 1
         best = None
         for window, entry in self.states.items():
-            if not window & blocked and (best is None or germ_greater(entry, best)):
+            if window & blocked:
+                continue
+            if best is None or (  # germ_greater, count and position sum inline
+                entry[1] > best[1] if entry[1] != best[1]
+                else entry[2] < best[2] if entry[2] != best[2]
+                else germ_greater(entry, best)
+            ):
                 best = entry
         if best is None:
             raise AssertionError("no feasible filling, yet all-zero is always feasible")

@@ -17,8 +17,10 @@ Three certification strategies, in the order a search tries them:
 All certificates re-verify from their recorded evidence alone, without
 trusting the search that produced them.
 
-The germ-maximal avoiding strings of every length are read off one growing
-run of the line kernel (`local.LineKernel`) per distance set.
+The germ-maximal avoiding strings are read off one cached run of the line
+kernel (`local.LineKernel`) per distance set, at the lengths asked for: the
+run jumps ahead to each new length, and a second, catch-up kernel serves the
+lengths it jumped over.
 """
 
 from __future__ import annotations
@@ -55,25 +57,49 @@ CERTIFICATE_KINDS = (REPEATABLE_WINDOW, SYMMETRIC_OFFSET, TWO_BLOCK_INDUCTION)
 MAX_EVIDENCE_BITS = 1 << 12
 
 
+class _LineRun:
+    """Germ-best entries of one distance set, each length's computed when first asked.
+
+    The front kernel jumps straight to each length asked past it and reads
+    the best entry there only.  A length it passed unasked falls to a
+    catch-up kernel, which also only moves forward and records the best
+    entry of every length it passes, so it runs at most once over the
+    lengths the front skipped.  One lock guards both kernels and the table.
+    """
+
+    def __init__(self, distances: DistanceSet):
+        self.front = LineKernel(distances)
+        self.catch_up = LineKernel(distances)
+        self.bests = {0: (0, 0, 0)}  # length -> (mask or None, ones, position-sum)
+        self.lock = threading.Lock()
+
+    def entry(self, length: int) -> tuple:
+        """The length's germ-best (mask, ones, position-sum); mask None if the
+        catch-up kernel passed it unasked past MAX_EVIDENCE_BITS."""
+        with self.lock:
+            if length not in self.bests:
+                if length >= self.front.length:
+                    self._record(self.front.advance(length - self.front.length), length)
+                else:  # every length up to the catch-up kernel's is recorded
+                    while self.catch_up.length < length:
+                        self._record(self.catch_up.advance(1), length)
+            return self.bests[length]
+
+    def _record(self, kernel: LineKernel, asked: int) -> None:
+        length = kernel.length
+        if length not in self.bests:
+            mask, ones, possum = kernel.best()
+            kept = length <= MAX_EVIDENCE_BITS or length == asked
+            self.bests[length] = (mask if kept else None, ones, possum)
+
+
 @lru_cache(maxsize=16)
-def _line_run(distances: DistanceSet):
-    """One growing kernel run from an all-zero start, with its bests so far."""
-    return LineKernel(distances), [(0, 0, 0)], threading.Lock()
-
-
-def _best_entries(distances: DistanceSet, length: int) -> list[tuple]:
-    """The germ-best (mask, ones, position-sum) of each length 0..length, or longer."""
-    kernel, entries, lock = _line_run(distances)
-    with lock:
-        while len(entries) <= length:
-            mask, ones, possum = kernel.advance(1).best()
-            kept = kernel.length <= MAX_EVIDENCE_BITS or kernel.length == length
-            entries.append((mask if kept else None, ones, possum))
-    return entries
+def _line_run(distances: DistanceSet) -> _LineRun:
+    return _LineRun(distances)
 
 
 def _best_mask(distances: DistanceSet, length: int) -> int:
-    mask = _best_entries(distances, length)[length][0]
+    mask = _line_run(distances).entry(length)[0]
     if mask is None:  # passed without being asked for
         mask = LineKernel(distances).advance(length).best()[0]
     return mask
@@ -91,8 +117,8 @@ def best_string(distances: DistanceSet, length: int) -> str:
     Unique: distinct equal-length strings have distinct indicator
     polynomials, so the germ order never ties.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    if not _is_int(length) or length < 1:
+        raise ValueError(f"length must be a positive integer, got {length!r}")
     return _to_bits(_best_mask(distances, length), length)
 
 
@@ -235,19 +261,15 @@ def _is_symmetry_offset(distances: DistanceSet, k: int) -> bool:
 
 
 def symmetry_offset(distances: DistanceSet) -> int | None:
-    """Smallest k past the largest distance with d forbidden iff k-d forbidden.
+    """The k past the largest distance with d forbidden iff k-d forbidden, or None.
 
-    Any such k maps the smallest distance to a forbidden k-min, so the scan
-    stops at norm + min(distances).
+    Such a k is norm + min(distances) or nothing: d -> k-d reverses the
+    distances, so it maps the smallest to the largest.
     """
     if not distances:
         raise ValueError("symmetry offset needs a nonempty distance set")
-    norm = distances.norm
-    smallest = distances.distances[0]
-    for k in range(norm + 1, norm + smallest + 1):
-        if _is_symmetry_offset(distances, k):
-            return k
-    return None
+    k = distances.norm + distances.distances[0]
+    return k if _is_symmetry_offset(distances, k) else None
 
 
 def symmetric_winner(distances: DistanceSet) -> Certificate | None:
@@ -360,10 +382,11 @@ def _avoiding_with_ones(distances: DistanceSet, length: int, need: int):
     """
     # the germ-best string of each length has the most 1s: the count is the
     # leading t-coefficient
-    bests = _best_entries(distances, length)
+    run = _line_run(distances)
+    most = [run.entry(n)[1] for n in range(length + 1)]
 
     def extend(pos, mask, ones, possum):
-        if ones + bests[length - pos][1] < need:
+        if ones + most[length - pos] < need:
             return
         if pos == length:
             yield mask, ones, possum

@@ -58,11 +58,11 @@ class DistanceSet:
     distances: tuple[int, ...] = ()
 
     def __post_init__(self):
-        seen = sorted(set(self.distances))
-        for d in seen:
+        entries = tuple(self.distances)
+        for d in entries:  # before sorting, which would raise TypeError on a stray type
             if not isinstance(d, int) or isinstance(d, bool) or d < 1:
                 raise ValueError(f"forbidden distances must be positive integers, got {d!r}")
-        object.__setattr__(self, "distances", tuple(seen))
+        object.__setattr__(self, "distances", tuple(sorted(set(entries))))
 
     @classmethod
     def of(cls, *distances: int) -> DistanceSet:

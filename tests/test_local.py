@@ -21,7 +21,9 @@ from germpack import (
     winner_windows_consistent,
 )
 from germpack import local
-from germpack.local import germ_greater
+from germpack.local import LineKernel, germ_greater
+from germpack.search import _entry
+from germpack.sets import _to_bits
 from helpers import brute_patch, random_avoiding, random_bits
 
 D35 = DistanceSet.of(3, 5)
@@ -55,6 +57,45 @@ class TestGermGreater:
                         assert got == (order == GREATER)
                         checked += x != y
         assert checked > 1000
+
+
+def kernel_keeps(first, second):
+    """The entries LineKernel.advance and .best keep of two, in both arrival orders."""
+    kept = []
+    for a, b in ((first, second), (second, first)):
+        kernel = LineKernel(DistanceSet.of(1))
+        kernel.states = {0: a, 1: b}  # a 0 shifts both windows to window 0
+        kept.append(kernel.best())
+        kept.append(kernel.advance(1).states[0])
+    return kept
+
+
+class TestKernelComparison:
+    def test_kernel_decides_as_germ_greater(self):
+        # pairs drawn at random differ mostly in count; pairs of one count and
+        # pairs tied on count and position sum exercise the later steps
+        rng = random.Random(41)
+        kinds = {"random": 0, "same count": 0, "tied": 0}
+        for length in range(1, 15):
+            groups = {}
+            for _ in range(200):
+                mask = rng.getrandbits(length)
+                entry = _entry(mask)
+                groups.setdefault(entry[1:], set()).add(entry)
+                groups.setdefault(entry[1], set()).add(entry)
+            draws = [_entry(rng.getrandbits(length)) for _ in range(100)]
+            pairs = [("random", x, y) for x, y in zip(draws[::2], draws[1::2]) if x != y]
+            for key, entries in groups.items():
+                kind = "same count" if isinstance(key, int) else "tied"
+                entries = sorted(entries)
+                pairs += [(kind, x, y) for x in entries[:6] for y in entries[:6] if x != y]
+            for kind, x, y in pairs:
+                order = germ_cmp(_to_bits(x[0], length), _to_bits(y[0], length))
+                assert (order == GREATER) == germ_greater(x, y) != germ_greater(y, x)
+                want = x if order == GREATER else y
+                assert kernel_keeps(x, y) == [want] * 4, (x, y)
+                kinds[kind] += 1
+        assert min(kinds.values()) > 500, kinds
 
 
 class TestPatchContext:

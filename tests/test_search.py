@@ -38,7 +38,6 @@ from germpack import local, search
 from germpack.local import LineKernel
 from germpack.search import (
     _avoiding_with_ones,
-    _best_entries,
     _entry,
     _line_run,
     _two_block_challenger,
@@ -87,6 +86,12 @@ class TestBestString:
         with pytest.raises(ValueError):
             best_string(D35, 0)
 
+    def test_length_must_be_an_int(self):
+        best_string(D35, 2)  # a bests table keyed by length now holds 2
+        for length in (True, False, 2.0, "2", None):
+            with pytest.raises(ValueError, match="length must be a positive integer"):
+                best_string(D35, length)
+
     def test_lengths_past_the_kept_masks(self, monkeypatch):
         # past MAX_EVIDENCE_BITS the run keeps masks only at the lengths asked for;
         # a length it passed unasked is recomputed on its own
@@ -96,7 +101,8 @@ class TestBestString:
         try:
             for length in (12, 3, 9, 15, 11, 1, 14):
                 assert best_string(distances, length) == brute_best(distances, length)
-            entries = _best_entries(distances, 15)
+            run = _line_run(distances)
+            entries = [run.entry(n) for n in range(16)]
             assert entries[12][0] is not None and entries[10][0] is None
         finally:
             _line_run.cache_clear()
@@ -112,6 +118,8 @@ class TestBestString:
         got, errors = [], []
 
         def ask(stride):
+            # a negative stride asks in descending order, which leaves most
+            # lengths to the catch-up kernel
             try:
                 start.wait(timeout=60)
                 got.extend((n, best_string(distances, n)) for n in lengths[::stride])
@@ -121,7 +129,8 @@ class TestBestString:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=ask, args=(k % 3 + 1,)) for k in range(6)]
+            strides = (1, -2, 3, -1, 2, -3)
+            threads = [threading.Thread(target=ask, args=(stride,)) for stride in strides]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -131,6 +140,53 @@ class TestBestString:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert len(got) == 2 * (60 + 30 + 20) and all(want[n] == bits for n, bits in got)
+
+
+class TestLazyRun:
+    """The cached run gives each length its germ-best string in any ask order."""
+
+    @staticmethod
+    def _orders(distances, top):
+        lengths = list(range(1, top + 1))
+        pair_sums = sorted(s for s in search._pair_sums(distances) if distances.norm < s <= top)
+        doubled = [n for size in range(1, top // 2 + 1) for n in (size, 2 * size)]
+        return {
+            "ascending": lengths,
+            "descending": lengths[::-1],
+            # find_repeatable_winner's order, then the lengths it never asks
+            "pair sums first": pair_sums + [n for n in lengths if n not in pair_sums],
+            # find_winner's two-block order, then the odd lengths past top / 2
+            "size then double": doubled + [n for n in lengths if n not in doubled],
+        }
+
+    def test_every_ask_order_gives_the_best_string(self, monkeypatch):
+        built = []
+
+        class CountedKernel(LineKernel):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(search, "LineKernel", CountedKernel)
+        census = [DistanceSet.of(*d) for d in ((12,), (5, 12), (1, 7, 12), (4, 9, 12))]
+        top = 60
+        try:
+            for distances in all_distance_sets(6) + census:
+                kernel = LineKernel(distances)  # advanced one step at a time, from scratch
+                fresh = [None] + [
+                    _to_bits(kernel.advance(1).best()[0], n) for n in range(1, top + 1)
+                ]
+                brute = {n: brute_best(distances, n) for n in range(1, 15)}
+                assert all(fresh[n] == bits for n, bits in brute.items())
+                for name, order in self._orders(distances, top).items():
+                    _line_run.cache_clear()
+                    built.clear()
+                    for n in order:
+                        assert best_string(distances, n) == fresh[n], (distances, name, n)
+                    # one front kernel and one catch-up kernel, nothing rebuilt
+                    assert len(built) == 2 and _line_run(distances).front.length == top
+        finally:
+            _line_run.cache_clear()
 
 
 class TestPrefixExtension:
@@ -190,6 +246,34 @@ class TestSymmetry:
         assert symmetry_offset(DistanceSet.of(2, 4, 7)) is None
         for k in (2, 3, 5, 8):
             assert symmetry_offset(DistanceSet.of(*range(1, k))) == k
+
+    def test_offset_is_norm_plus_smallest_or_none(self):
+        # d -> k - d maps the smallest distance to the largest, so no other k
+        # can work; compared with the scan over every k up to 2 * norm
+        for distances in all_distance_sets(9):
+            norm = distances.norm
+            scan = [
+                k for k in range(norm + 1, 2 * norm + 1)
+                if search._is_symmetry_offset(distances, k)
+            ]
+            assert symmetry_offset(distances) == (scan[0] if scan else None)
+            assert len(scan) <= 1
+
+    def test_offset_checks_one_candidate(self, monkeypatch):
+        # a lone huge distance must not be scanned k by k up to twice its size
+        checked = []
+        is_offset = search._is_symmetry_offset
+
+        def counted(distances, k):
+            checked.append(k)
+            if len(checked) > 3:
+                raise AssertionError("symmetry_offset tried more than three offsets")
+            return is_offset(distances, k)
+
+        monkeypatch.setattr(search, "_is_symmetry_offset", counted)
+        assert symmetry_offset(DistanceSet.of(10**9)) == 2 * 10**9
+        assert symmetry_offset(DistanceSet.of(3, 5, 10**9)) is None
+        assert len(checked) == 2
 
     def test_offset_needs_nonempty_distances(self):
         with pytest.raises(ValueError):
@@ -294,7 +378,8 @@ def _agree_with_oracle(distances, block_a, block_b):
 class TestTwoBlockBranchAndBound:
     def test_max_ones_matches_enumeration(self):
         for distances in all_distance_sets(5):
-            entries = _best_entries(distances, 10)
+            run = _line_run(distances)
+            entries = [run.entry(n) for n in range(11)]
             for length in range(11):
                 want = max(s.count("1") for s in enumerate_avoiding(distances, length))
                 assert entries[length][1] == want

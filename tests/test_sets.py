@@ -44,6 +44,12 @@ class TestDistanceSet:
         with pytest.raises(ValueError):
             DistanceSet((-1,))
 
+    def test_rejects_non_integers_before_sorting(self):
+        # entries sorted() cannot order must still get the entry check's ValueError
+        for entries in ((1, "a"), (1, None), (1, 2.0), (1, True), (1, [2]), ("a", 2, None)):
+            with pytest.raises(ValueError, match="positive integers"):
+                DistanceSet(entries)
+
     def test_empty_is_legal(self):
         empty = DistanceSet()
         assert empty.norm == 0 and not empty
