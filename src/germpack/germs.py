@@ -7,9 +7,11 @@ functions are rational, of the form P(q)/(1-q^d), and the germ order is total
 and computable exactly: substitute t = 1-q and look at the sign of the lowest
 nonzero coefficient of the t-expansion.
 
-One routine, `_t_series`, computes t-coefficients, by repeated exact
-division by (q - 1).  Every sign near 1, every comparison, every leading
-gap and every Laurent coefficient here is read off it.  The only product
+`_leading_gap` settles rational comparisons and gaps on the closed forms
+f = N(1)/(d t) + (N(1)(d-1) - 2N'(1))/(2d) + O(t) of f = N(q)/(1 - q^d).
+Past those two orders, one routine, `_t_series`, computes t-coefficients,
+by repeated exact division by (q - 1); every polynomial sign, every tie
+and every Laurent coefficient is read off it.  The only product
 is `_times_one_minus_power`, by 1 - q^d: `IntPolynomial` is a tuple of int
 coefficients with no ring arithmetic of its own.
 
@@ -61,13 +63,17 @@ def _lowest_t_term(coeffs):
     return None
 
 
+def _term_sign(term) -> int:
+    """Order given by a leading (order, coefficient) term; EQUAL for None."""
+    return EQUAL if term is None else (GREATER if term[1] > 0 else LESS)
+
+
 def _sign_near_one(coeffs) -> int:
     """Sign of sum(coeffs[i] * q**i) on some interval (1-eps, 1), exactly.
 
     t = 1 - q is small and positive there, so the lowest t-term decides.
     """
-    term = _lowest_t_term(coeffs)
-    return EQUAL if term is None else (GREATER if term[1] > 0 else LESS)
+    return _term_sign(_lowest_t_term(coeffs))
 
 
 @dataclass(frozen=True)
@@ -135,8 +141,8 @@ class RationalGF:
     period: int
 
     def __post_init__(self):
-        if self.period < 1:
-            raise ValueError("period must be >= 1")
+        if type(self.period) is not int or self.period < 1:
+            raise ValueError(f"period must be a positive integer, got {self.period!r}")
 
 
 def _cross_numerator(f: RationalGF, g: RationalGF) -> list[int]:
@@ -146,13 +152,39 @@ def _cross_numerator(f: RationalGF, g: RationalGF) -> list[int]:
     return [x - y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
-def germ_compare(f: RationalGF, g: RationalGF) -> int:
-    """Total order on rational generating functions by germ at 1-.
+def _moments(f: RationalGF):
+    """(N(1), N'(1), d) for f = N(q)/(1 - q**d)."""
+    c = f.numerator.coeffs
+    return sum(c), sum(i * x for i, x in enumerate(c)), f.period
 
-    Cross-multiplies: both denominators 1 - q**d are positive on (0, 1), so
-    f - g has the sign of its cross numerator near 1.
+
+def _a0_numerator(n1: int, dn1: int, d: int) -> int:
+    """2d times the constant term of N(q)/(1 - q**d), from N(1) and N'(1)."""
+    return n1 * (d - 1) - 2 * dn1
+
+
+def _leading_gap(mf, mg, gfs):
+    """Leading Laurent term (order, value) of f - g at t = 1 - q; None if f == g.
+
+    Orders -1 and 0 by cross-multiplying the `_moments` triples mf, mg; only
+    on a tie of both is the pair (f, g) = gfs() built.  Its cross numerator
+    is f - g times (1-q^{df})(1-q^{dg}) = t**2 u_f u_g, u_f(0) u_g(0) = df*dg,
+    so a lowest cross term c*t**j gives c/(df*dg) at order j - 2.
     """
-    return _sign_near_one(_cross_numerator(f, g))
+    (nf, dnf, pf), (ng, dng, pg) = mf, mg
+    c = nf * pg - ng * pf
+    if c:
+        return -1, Fraction(c, pf * pg)
+    c = _a0_numerator(nf, dnf, pf) * pg - _a0_numerator(ng, dng, pg) * pf
+    if c:
+        return 0, Fraction(c, 2 * pf * pg)
+    term = _lowest_t_term(_cross_numerator(*gfs()))
+    return None if term is None else (term[0] - 2, Fraction(term[1], pf * pg))
+
+
+def germ_compare(f: RationalGF, g: RationalGF) -> int:
+    """Total order on rational generating functions by germ at 1-: germ_gap's sign."""
+    return _term_sign(_leading_gap(_moments(f), _moments(g), lambda: (f, g)))
 
 
 @dataclass(frozen=True)
@@ -184,8 +216,8 @@ def laurent_prefix(f: RationalGF, count: int = 4) -> LaurentPrefix:
     coefficients of orders -1, 0, 1, ...  Only the first `count`
     t-coefficients of N and of u are expanded.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if type(count) is not int or count < 1:
+        raise ValueError(f"count must be a positive integer, got {count!r}")
     num_t = list(islice(_t_series(f.numerator.coeffs), count))
     # u[i] = coeff of t**i in (1 - (1-t)**d) / t, so u(0) = d
     u = list(islice(_t_series(one_minus_power(f.period).coeffs), 1, count + 1))
@@ -203,14 +235,6 @@ def germ_gap(f: RationalGF, g: RationalGF):
 
     Returns (order, value) for the first nonzero coefficient (order >= -1),
     or None when the germs are identical.  Equal densities show up as a gap
-    at order 0, the constant-term level.
-
-    f - g is the cross numerator over (1-q^{df})(1-q^{dg}) = t**2 u_f u_g
-    with u_f(0) u_g(0) = df*dg, so a lowest cross term c*t**j gives
-    c/(df*dg) at order j - 2; the cross numerator vanishes at q = 1, so j >= 1.
+    at order 0, the constant-term level.  The sign of value is germ_compare.
     """
-    term = _lowest_t_term(_cross_numerator(f, g))
-    if term is None:
-        return None
-    j, c = term
-    return j - 2, Fraction(c, f.period * g.period)
+    return _leading_gap(_moments(f), _moments(g), lambda: (f, g))

@@ -19,9 +19,10 @@ from fractions import Fraction
 from .germs import (
     IntPolynomial,
     RationalGF,
+    _a0_numerator,
+    _leading_gap,
+    _term_sign,
     _times_one_minus_power,
-    germ_compare,
-    laurent_prefix,
 )
 
 
@@ -303,12 +304,22 @@ class Valuation:
         return "fractional"
 
 
+def _moments(s: RationalSet):
+    """(N(1), N'(1), d) of generating_function(s) = N(q)/(1 - q**d), off the strings."""
+    # N = pre(q)(1 - q^d) + q^m rep(q), m = |pre|: N'(1) = m ones(rep) + possum(rep) - d ones(pre)
+    pre, rep = s.preperiod, s.repetend
+    ones = rep.count("1")
+    possum = sum(i for i, b in enumerate(rep) if b == "1")
+    return ones, len(pre) * ones + possum - len(rep) * pre.count("1"), len(rep)
+
+
 def valuation(s: RationalSet) -> Valuation:
-    """Density and constant term of the set's germ, as exact rationals."""
-    prefix = laurent_prefix(generating_function(s), 2)
-    return Valuation(prefix.density, prefix.a0)
+    """Density and constant term of the set's germ, exactly, by `germs`' closed forms."""
+    n1, dn1, d = _moments(s)
+    return Valuation(Fraction(n1, d), Fraction(_a0_numerator(n1, dn1, d), 2 * d))
 
 
 def set_compare(a: RationalSet, b: RationalSet) -> int:
     """Germ order on sets; EQUAL exactly when the canonical forms coincide."""
-    return germ_compare(generating_function(a), generating_function(b))
+    return _term_sign(_leading_gap(
+        _moments(a), _moments(b), lambda: (generating_function(a), generating_function(b))))

@@ -39,6 +39,49 @@ def random_gf(rng, max_degree=6, max_coeff=4, max_period=6):
     return RationalGF(IntPolynomial(coeffs), rng.randrange(1, max_period + 1))
 
 
+def random_gf_pair(rng):
+    """Two rational germs: independent half the time, else the same germ over a
+    period 2-4 times as long, mostly nudged by c*q^a*(1-q)^k (moves order k - 1 on)."""
+    f = random_gf(rng)
+    if rng.random() < 0.5:
+        return f, random_gf(rng)
+    m, d = rng.randrange(2, 5), f.period
+    repeat = tuple(1 if i % d == 0 else 0 for i in range(d * (m - 1) + 1))
+    numerator = convolve(f.numerator.coeffs, repeat)
+    if rng.random() < 0.8:
+        nudge = (0,) * rng.randrange(10) + (rng.choice((-2, -1, 1, 2)),)
+        for _ in range(rng.randrange(5)):
+            nudge = convolve(nudge, (1, -1))
+        numerator = add(numerator, nudge)
+    return f, RationalGF(IntPolynomial(numerator), d * m)
+
+
+def random_set_pair(rng):
+    """Two rational sets, often tied in density and constant term.
+
+    One of: independent sets; one set in a second encoding; finite sets of the
+    same size where one 1 moves a step left and another a step right (same
+    position sum);
+    a shared repetend behind a preperiod and its reverse (same constant term).
+    """
+    kind = rng.randrange(4)
+    if kind == 0:
+        return random_rational_set(rng), random_rational_set(rng)
+    if kind == 1:
+        s = random_rational_set(rng)
+        return s, RationalSet(s.preperiod + s.repetend, s.repetend * rng.randrange(1, 4))
+    if kind == 2:
+        bits = list(random_bits(rng, rng.randrange(4, 14)))
+        moved = list(bits)
+        i, j = rng.randrange(1, len(bits)), rng.randrange(len(bits) - 1)
+        apart = i not in (j, j + 2) and moved[i - 1] == moved[j + 1] == "0"
+        if apart and moved[i] == moved[j] == "1":
+            moved[i - 1], moved[i], moved[j], moved[j + 1] = "1", "0", "0", "1"
+        return RationalSet("".join(bits), "0"), RationalSet("".join(moved), "0")
+    pre, rep = random_bits(rng, rng.randrange(1, 8)), random_bits(rng, rng.randrange(1, 6))
+    return RationalSet(pre, rep), RationalSet(pre[::-1], rep)
+
+
 def random_circular_word(rng, anchor_bits, extra_max=6):
     """Circular word over the anchor's block length starting with the anchor."""
     m = len(anchor_bits)
@@ -80,6 +123,14 @@ def cross_numerator(f, g):
     left = convolve(f.numerator.coeffs, one_minus(g.period))
     right = convolve(g.numerator.coeffs, one_minus(f.period))
     return add(left, tuple(-c for c in right))
+
+
+def gap_by_cross_numerator(f, g):
+    """Leading Laurent term of f - g from the lowest t-term c*t**j of the cross
+    numerator: c/(df*dg) at order j - 2, since (1-q^df)(1-q^dg) = df*dg*t**2 + ..."""
+    ts = t_expansion(cross_numerator(f, g))
+    j = next((j for j, c in enumerate(ts) if c), None)
+    return None if j is None else (j - 2, Fraction(ts[j], f.period * g.period))
 
 
 def t_expansion(coeffs):

@@ -130,6 +130,31 @@ class TestCompareCommand:
         assert code == 0
         assert data["order"] == "Equal" and data["gap"] is None
 
+    # one pair per route: a density gap, a constant-term gap, and a tie of
+    # both that only the cross numerator's t-expansion settles
+    @pytest.mark.parametrize("a, b, order, gap_order, value", [
+        ("|100", "0|01", "Less", -1, "-1/6"),
+        ("|10", "0|10", "Greater", 0, "1/2"),
+        ("1001|0", "0110|0", "Greater", 2, "2/1"),
+    ])
+    def test_golden_output_of_each_route(self, capsys, a, b, order, gap_order, value):
+        assert run(capsys, "compare", "--a", a, "--b", b) == (
+            0, f"{order}\ngap: {value} at t^{gap_order} (t = 1-q)\n")
+        assert run(capsys, "compare", "--a", a, "--b", b, "--json") == (0, (
+            '{\n  "gap": {\n    "order": %d,\n    "value": "%s"\n  },\n  "order": "%s"\n}\n'
+            % (gap_order, value, order)))
+
+    def test_runs_as_a_module(self, capsys):
+        argv = ["compare", "--a", "1001|0", "--b", "0110|0", "--json"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "germpack", *argv],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == run(capsys, *argv)
+
 
 class TestValuationCommand:
     def test_evens(self, capsys):

@@ -17,7 +17,17 @@ from germpack import (
     poly_germ_compare,
     poly_sign_near_one,
 )
-from helpers import add, convolve, laurent_by_binomials, random_gf, sign_by_evaluation
+from germpack import germs
+from helpers import (
+    add,
+    convolve,
+    cross_numerator,
+    gap_by_cross_numerator,
+    laurent_by_binomials,
+    random_gf,
+    random_gf_pair,
+    sign_by_evaluation,
+)
 
 
 def gf(coeffs, period):
@@ -137,6 +147,12 @@ class TestLaurentPrefix:
         with pytest.raises(ValueError):
             laurent_prefix(gf((1,), 1), 0)
 
+    @pytest.mark.parametrize("count", [True, False, 2.5, 2.0, "2", None])
+    def test_count_must_be_an_int(self, count):
+        # True used to give a one-term prefix, 2.5 islice's "Stop argument" error
+        with pytest.raises(ValueError, match="count must be a positive integer"):
+            laurent_prefix(gf((1,), 1), count)
+
 
 class TestGermGap:
     def test_grandi_gap(self):
@@ -205,9 +221,44 @@ class TestRationalGF:
         with pytest.raises(ValueError):
             RationalGF(IntPolynomial((1,)), 0)
 
+    @pytest.mark.parametrize("period", [True, False, 2.0, "3", None, [2]])
+    def test_period_must_be_an_int(self, period):
+        # True used to be read as period 1; the closed forms divide by it
+        with pytest.raises(ValueError, match="period must be a positive integer"):
+            RationalGF(IntPolynomial((1,)), period)
+
     def test_rewriting_the_denominator_preserves_the_germ(self):
         # (1 + q^2)/(1 - q^3) times (1 + q^3 + q^6 + q^9)/(1 + q^3 + q^6 + q^9)
         f = gf((1, 0, 1), 3)
         g = gf(convolve(f.numerator.coeffs, (1, 0, 0, 1, 0, 0, 1, 0, 0, 1)), 12)
         assert germ_compare(f, g) == EQUAL
         assert germ_gap(f, g) is None
+
+
+class TestClosedFormShortcut:
+    """Orders -1 and 0 come from closed forms; the cross numerator only on a tie of both."""
+
+    def test_matches_the_cross_numerator_route(self):
+        rng = random.Random(20261018)
+        ties = 0
+        for _ in range(3000):
+            f, g = random_gf_pair(rng)
+            sign = sign_by_evaluation(cross_numerator(f, g))
+            gap = gap_by_cross_numerator(f, g)
+            assert germ_compare(f, g) == sign and germ_compare(g, f) == -sign
+            assert germ_gap(f, g) == gap
+            assert germ_gap(g, f) == (None if gap is None else (gap[0], -gap[1]))
+            ties += gap is None or gap[0] > 0
+        assert ties > 1000  # equal germs and nudges past order 0 reach the fallback
+
+    def test_cross_numerator_only_on_a_tie(self, monkeypatch):
+        calls = []
+        real = germs._cross_numerator
+        monkeypatch.setattr(germs, "_cross_numerator", lambda f, g: calls.append(1) or real(f, g))
+        density_gap = (gf((1,), 3), gf((0, 1), 2))   # |100 against 0|01
+        a0_gap = (gf((1,), 2), gf((0, 1), 2))        # |10 against 0|10
+        assert germ_compare(*density_gap) == LESS and germ_gap(*a0_gap) == (0, Fraction(1, 2))
+        assert not calls
+        tied = (gf((1, -1, 0, 1, -1), 1), gf((0, 1, 0, -1), 1))  # 1001|0 against 0110|0
+        assert germ_compare(*tied) == GREATER and germ_gap(*tied) == (2, Fraction(2))
+        assert len(calls) == 2

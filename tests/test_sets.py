@@ -9,6 +9,7 @@ import pytest
 from germpack import (
     EQUAL,
     GREATER,
+    LESS,
     DistanceSet,
     IntPolynomial,
     RationalGF,
@@ -16,18 +17,23 @@ from germpack import (
     Valuation,
     generating_function,
     germ_compare,
+    germ_gap,
     greedy_avoiding,
     is_avoiding,
+    laurent_prefix,
     set_compare,
     shift,
     valuation,
 )
+from germpack import germs, sets
 from helpers import (
     cross_numerator,
+    gap_by_cross_numerator,
     numerator_by_convolution,
     pairs_clash,
     random_bits,
     random_rational_set,
+    random_set_pair,
     sign_by_evaluation,
 )
 
@@ -295,3 +301,48 @@ class TestSetCompare:
             a, b = random_rational_set(rng), random_rational_set(rng)
             if set_compare(a, b) == GREATER:
                 assert valuation(a).density >= valuation(b).density
+
+
+class TestClosedForms:
+    """valuation and set_compare read density and constant term off the strings."""
+
+    def test_match_the_cross_numerator_route(self):
+        rng = random.Random(20261019)
+        ties = 0
+        for _ in range(2500):
+            a, b = random_set_pair(rng)
+            fa, fb = generating_function(a), generating_function(b)
+            sign = sign_by_evaluation(cross_numerator(fa, fb))
+            assert set_compare(a, b) == sign and set_compare(b, a) == -sign
+            assert (sign == EQUAL) == (a == b)
+            gap = gap_by_cross_numerator(fa, fb)
+            assert germ_gap(fa, fb) == gap
+            ties += gap is None or gap[0] > 0
+            for s, f in ((a, fa), (b, fb)):
+                prefix = laurent_prefix(f, 2)
+                assert valuation(s) == Valuation(prefix.density, prefix.a0)
+        assert ties > 1000  # pairs tied at both closed-form orders reach the fallback
+
+    def test_generating_functions_only_on_a_tie(self, monkeypatch):
+        calls = Counter()
+        real_cross, real_gf = germs._cross_numerator, sets.generating_function
+
+        def cross(f, g):
+            calls["cross"] += 1
+            return real_cross(f, g)
+
+        def gf(s):
+            calls["gf"] += 1
+            return real_gf(s)
+
+        monkeypatch.setattr(germs, "_cross_numerator", cross)
+        monkeypatch.setattr(sets, "generating_function", gf)
+        text = RationalSet.from_text
+        assert set_compare(text("|100"), text("0|01")) == LESS      # density gap
+        assert set_compare(text("|10"), text("0|10")) == GREATER    # constant-term gap
+        for s in map(text, ("|100", "0|01", "1001|0", "110|100")):
+            valuation(s)
+        assert not calls
+        assert set_compare(text("1001|0"), text("0110|0")) == GREATER
+        assert set_compare(text("110|100"), text("110100|100100")) == EQUAL
+        assert calls == {"cross": 2, "gf": 4}
