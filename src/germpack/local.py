@@ -16,7 +16,9 @@ best filling for its contexts, which `winner_windows_consistent` checks.
 
 The best filling comes from `LineKernel`, the one germ-best-string dynamic
 program in the library: `search` reads its germ-best strings and its
-two-block challengers off the same kernel.
+two-block challengers off the same kernel.  Past norm steps the kernel drops
+a window whose new 1 loses to its clashing sibling's 0; `LineKernel` says
+why that is exact.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .germs import EQUAL, GREATER, _sign_near_one
-from .sets import DistanceSet, RationalSet, _check_bits, _to_bits, _to_mask, is_avoiding
+from .sets import (
+    DistanceSet, RationalSet, _check_bits, _check_natural, _to_bits, _to_mask, is_avoiding,
+)
 
 # The most window bits a line DP may hold: 2**16 windows of 16 bits, so every
 # norm up to 16 fits whole (a DP holds at most 2**norm windows).  A distance
@@ -64,6 +68,14 @@ class LineKernel:
     window suffices.  `left` is the context before position 0, bit i being
     the bit norm - i back; violations inside it are not the filling's
     business.
+
+    Windows 2s and 2s + 1 both shift to s; only 2s can take a 1 (2s + 1
+    holds a 1 norm back), making s | top, which is dropped when germ-lower
+    than the entry of 2s + 1.  Exact: s holds a subset of its 1s, so any
+    continuation of s | top, `best`'s right context included, also follows
+    s, from a greater entry.  Before step norm the bit norm back is a context
+    bit, the same in every window, so none has a sibling and a patch of
+    length norm keeps every avoiding filling; 2**norm windows is a ceiling.
     """
 
     def __init__(self, distances: DistanceSet, left: int = 0):
@@ -88,6 +100,7 @@ class LineKernel:
                     f"{MAX_WINDOW_BITS} window bits"
                 )
             bit = 1 << pos
+            cut = pos >= norm  # before it no window has a sibling
             new: dict[int, tuple[int, int, int]] = {}
             for window, entry in self.states.items():
                 shifted = window >> 1
@@ -103,6 +116,14 @@ class LineKernel:
                     # shifts there holds a 1 norm back, which clashes (with no
                     # distances there is one window, and one more 1 wins)
                     mask, ones, possum = entry
+                    if cut:
+                        rival = self.states.get(window | 1)  # shifts in with a 0
+                        if rival is not None and (  # germ_greater(rival, the 1-extension) inline
+                            rival[1] > ones + 1 if rival[1] != ones + 1
+                            else rival[2] < possum + pos if rival[2] != possum + pos
+                            else germ_greater(rival, (mask | bit, ones + 1, possum + pos))
+                        ):
+                            continue
                     new[shifted | top] = (mask | bit, ones + 1, possum + pos)
             self.states = new
             self.length += 1
@@ -147,8 +168,7 @@ class PatchContext:
         _check_bits(self.right, "right context")
         if len(self.left) != len(self.right):
             raise ValueError("left and right contexts must have equal width")
-        if self.patch_length < 1:
-            raise ValueError("patch length must be >= 1")
+        _check_natural(self.patch_length, "patch length")
 
 
 def best_patch(context: PatchContext, distances: DistanceSet) -> str:
@@ -176,9 +196,7 @@ def _patch_filler(distances: DistanceSet, patch_length: int):
     Checks the patch length up front.  The memo lives only as long as the
     returned function, which serves one call of the functions below.
     """
-    if patch_length < 1:
-        raise ValueError("patch length must be >= 1")
-    if patch_length < distances.norm:
+    if _check_natural(patch_length, "patch length") < distances.norm:
         raise ValueError("patch length must be at least the largest distance")
     fillings: dict[tuple[str, str], str] = {}
 
@@ -208,10 +226,12 @@ def improve_at(bits: str, position: int, patch_length: int, distances: DistanceS
     """
     if not is_avoiding(bits, distances):  # also rejects non-bit strings
         raise ValueError("input string must avoid the distances")
+    fill = _patch_filler(distances, patch_length)  # checks the patch length
     norm = distances.norm
+    _check_natural(position, "position", 0)
     if position < norm or position + patch_length + norm > len(bits):
         raise ValueError(f"position {position} out of range for patch rewriting")
-    return _refill(bits, position, patch_length, norm, _patch_filler(distances, patch_length))
+    return _refill(bits, position, patch_length, norm, fill)
 
 
 def sweep_to_fixpoint(bits: str, patch_length: int, distances: DistanceSet) -> str:

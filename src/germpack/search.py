@@ -219,9 +219,9 @@ def is_repeatable(window: str, distances: DistanceSet) -> bool:
     violation in the infinite repetition crosses at most one junction and so
     already shows up in the doubled window.
     """
-    if len(window) <= distances.norm:
+    if len(_check_bits(window, "window")) <= distances.norm:
         raise ValueError("window must be longer than the largest distance")
-    mask = _to_mask(_check_bits(window, "window"))
+    mask = _to_mask(window)
     return _mask_avoids(mask | mask << len(window), distances)
 
 

@@ -27,9 +27,17 @@ from .germs import (
 
 
 def _check_bits(bits: str, what: str) -> str:
-    if any(ch not in "01" for ch in bits):
+    if not isinstance(bits, str) or any(ch not in "01" for ch in bits):
         raise ValueError(f"{what} must be a string of 0s and 1s, got {bits!r}")
     return bits
+
+
+def _check_natural(value, what: str, least: int = 1):
+    """Raise unless `value` is an int (bools refused) of at least `least`, 0 or 1."""
+    if type(value) is not int or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{what} must be a {kind} integer, got {value!r}")
+    return value
 
 
 def _to_mask(bits: str) -> int:
@@ -157,7 +165,7 @@ class RationalSet:
     @classmethod
     def from_finite(cls, elements) -> RationalSet:
         """The finite set containing the given naturals."""
-        elems = sorted(set(elements))
+        elems = sorted({_check_natural(n, "set element", 0) for n in elements})
         if not elems:
             return cls.empty()
         bits = ["0"] * (elems[-1] + 1)
@@ -168,8 +176,8 @@ class RationalSet:
     @classmethod
     def arithmetic(cls, first: int, step: int) -> RationalSet:
         """The progression {first, first+step, first+2*step, ...}."""
-        if step < 1:
-            raise ValueError("step must be >= 1")
+        _check_natural(first, "first", 0)
+        _check_natural(step, "step")
         return cls("0" * first, "1" + "0" * (step - 1))
 
     def __contains__(self, n) -> bool:

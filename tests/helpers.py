@@ -1,6 +1,7 @@
 """Shared generators and independent mini-oracles for the test suite."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product, zip_longest
 from math import comb
 
@@ -13,6 +14,7 @@ from germpack import (
     RationalSet,
     poly_germ_compare,
 )
+from germpack.local import germ_greater
 
 
 def random_bits(rng, length, one_prob=0.5):
@@ -221,3 +223,38 @@ def all_distance_sets(max_distance):
     for mask in range(1, 1 << max_distance):
         out.append(DistanceSet(tuple(d for d in range(1, max_distance + 1) if mask >> (d - 1) & 1)))
     return out
+
+
+@lru_cache(maxsize=4)
+def _unpruned_windows(distances, length, left):
+    """Every reachable window of the last norm bits (bit i is the bit norm - i
+    back, the left context before position 0) with the germ-best (mask, ones,
+    position-sum) entry reaching it, ranked by count, then by position sum."""
+    norm = distances.norm
+    if length == 0:
+        return [(left, (0, 0, 0))]
+    pos, best = length - 1, {}
+    for window, (mask, ones, possum) in _unpruned_windows(distances, pos, left):
+        steps = [(window >> 1, (mask, ones, possum))]
+        if not any(window >> (norm - d) & 1 for d in distances):  # a 1 fits
+            grown = (mask | 1 << pos, ones + 1, possum + pos)
+            steps.append((window >> 1 | 1 << (norm - 1), grown))
+        for key, entry in steps:
+            if key not in best or germ_greater(entry, best[key]):
+                best[key] = entry
+    return sorted(best.items(), key=lambda item: (-item[1][1], item[1][2]))
+
+
+def unpruned_best(distances, length, left, right):
+    """The germ-best entry of a line DP that keeps every window, whose last
+    window meets no 1 of `right` (bit j is position length + j); None if none
+    fits.  The reference for `LineKernel`, which drops dominated windows."""
+    norm = distances.norm
+    blocked = sum({1 << (norm + j - d) for d in distances for j in range(d) if right >> j & 1})
+    best = None
+    for window, entry in _unpruned_windows(distances, length, left):
+        if best is not None and entry[1:] != best[1:]:
+            break  # ranked: nothing further can beat it
+        if not window & blocked and (best is None or germ_greater(entry, best)):
+            best = entry
+    return best

@@ -22,9 +22,10 @@ from germpack import (
 )
 from germpack import local
 from germpack.local import LineKernel, germ_greater
+from germpack.oracle import enumerate_avoiding
 from germpack.search import _entry
-from germpack.sets import _to_bits
-from helpers import brute_patch, random_avoiding, random_bits
+from germpack.sets import _to_bits, _to_mask
+from helpers import all_distance_sets, brute_patch, random_avoiding, random_bits, unpruned_best
 
 D35 = DistanceSet.of(3, 5)
 
@@ -98,6 +99,57 @@ class TestKernelComparison:
         assert min(kinds.values()) > 500, kinds
 
 
+def kernel_best(kernel, right):
+    """`kernel.best(right)`, or None where no filling fits (a run shorter than
+    norm whose left context meets `right`)."""
+    try:
+        return kernel.best(right)
+    except AssertionError:
+        return None
+
+
+CENSUS_SHAPES = [DistanceSet.of(*d) for d in ((12,), (11, 12), (7, 9, 12), (1, 12))]
+
+
+class TestSiblingCut:
+    """A new 1 that loses to its clashing sibling's 0 is dropped, exactly."""
+
+    @pytest.mark.parametrize(
+        "distances", all_distance_sets(7) + CENSUS_SHAPES, ids=lambda d: d.to_text()
+    )
+    def test_best_matches_the_dp_that_keeps_every_window(self, distances):
+        norm = distances.norm
+        rng = random.Random(distances.to_text())
+        lefts = [0, rng.getrandbits(norm), rng.getrandbits(norm)]
+        rights = range(1 << norm) if norm <= 6 else [rng.getrandbits(norm) for _ in range(64)]
+        for left in lefts:
+            kernel = LineKernel(distances, left)
+            for length in range(1, 4 * norm + 1):
+                kernel.advance(1)
+                for right in rights:
+                    want = unpruned_best(distances, length, left, right)
+                    assert kernel_best(kernel, right) == want, (left, length, right)
+
+    @pytest.mark.parametrize(
+        "dset, length, windows",
+        # without the cut: 4,096, 4,096, 3,072, 672 and 199 windows
+        [((12,), 24, 1), ((12,), 48, 1), ((11, 12), 48, 13), ((7, 9, 12), 48, 524),
+         ((4, 7, 11), 132, 130)],
+    )
+    def test_window_counts(self, dset, length, windows):
+        assert len(LineKernel(DistanceSet.of(*dset)).advance(length).states) == windows
+
+    def test_patch_kernels_keep_every_filling(self):
+        # best_patch runs norm steps, all before the cut can apply
+        for distances in all_distance_sets(6):
+            norm = distances.norm
+            strings = list(enumerate_avoiding(distances, 2 * norm))
+            for context in enumerate_avoiding(distances, norm):
+                kernel = LineKernel(distances, _to_mask(context)).advance(norm)
+                fillings = {_to_mask(s[norm:]) for s in strings if s.startswith(context)}
+                assert set(kernel.states) == fillings, (distances, context)
+
+
 class TestPatchContext:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -106,6 +158,16 @@ class TestPatchContext:
     def test_patch_length_positive(self):
         with pytest.raises(ValueError):
             PatchContext("00", "00", 0)
+
+    @pytest.mark.parametrize("length", [0, -1, True, 5.0, "5", None])
+    def test_patch_length_must_be_a_positive_int(self, length):
+        with pytest.raises(ValueError, match="patch length must be a positive integer, got"):
+            PatchContext("00000", "00000", length)
+
+    @pytest.mark.parametrize("left, right", [(list("00000"), "00000"), ("00000", 0)])
+    def test_contexts_must_be_strs(self, left, right):
+        with pytest.raises(ValueError, match="context must be a string of 0s and 1s"):
+            PatchContext(left, right, 5)
 
 
 class TestBestPatch:
@@ -176,6 +238,17 @@ class TestImproveAt:
     def test_input_must_avoid(self):
         with pytest.raises(ValueError):
             improve_at("1100100000000000", 6, 5, D35)
+
+    @pytest.mark.parametrize("position", [True, 6.0, "6", None, -1])
+    def test_position_must_be_an_int(self, position):
+        # position=True used to rewrite at 1
+        with pytest.raises(ValueError, match="position must be a non-negative integer, got"):
+            improve_at("0" * 20, position, 5, DistanceSet.of(1))
+
+    @pytest.mark.parametrize("length", [True, 5.0, "5"])
+    def test_patch_length_must_be_an_int(self, length):
+        with pytest.raises(ValueError, match="patch length must be a positive integer, got"):
+            improve_at("0" * 20, 6, length, D35)
 
 
 class TestSweep:
@@ -253,6 +326,14 @@ class TestSweep:
             for ell in (0, -2, 2):
                 with pytest.raises(ValueError, match="patch length must"):
                     sweep_to_fixpoint(bits, ell, D35)
+
+    @pytest.mark.parametrize("length", [True, 5.0, "5", None])
+    def test_patch_length_must_be_an_int(self, length):
+        # True used to die in a format specifier, 5.0 with a TypeError
+        with pytest.raises(ValueError, match="patch length must be a positive integer, got"):
+            sweep_to_fixpoint("0" * 20, length, DistanceSet.of(1))
+        with pytest.raises(ValueError, match="patch length must be a positive integer, got"):
+            local._patch_filler(D35, length)
 
 
 # perfbench's LOCAL_SWEEP_SETS with norm <= 8

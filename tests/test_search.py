@@ -218,6 +218,11 @@ class TestRepeatable:
         with pytest.raises(ValueError):
             is_repeatable("10101", D35)
 
+    @pytest.mark.parametrize("window", [list("10101010"), 10101010])
+    def test_window_must_be_a_str(self, window):
+        with pytest.raises(ValueError, match="window must be a string of 0s and 1s"):
+            is_repeatable(window, D35)
+
 
 class TestFindRepeatableWinner:
     def test_three_five(self):
@@ -517,12 +522,12 @@ class TestFindWinner:
             find_repeatable_winner(D35, 5)
 
     def test_default_bounds_stay_within_the_evidence_cap(self):
-        # at length n the kernel holds at least min(n, norm) + 1 windows (no
-        # 1, or a single 1 among the last norm bits), and it refuses a step
-        # once twice its windows times norm pass MAX_WINDOW_BITS; so no norm
-        # of `refused` or more gets past length `refused`, and below it the
-        # defaults (windows up to 4 norm, block pairs up to 2 * 2 norm) stay
-        # within 4 (refused - 1)
+        # at length n <= norm, before any window is dropped, the kernel holds
+        # at least n + 1 windows (no 1, or a single 1 among the n bits), and
+        # it refuses a step once twice its windows times norm pass
+        # MAX_WINDOW_BITS; so no norm of `refused` or more gets past length
+        # `refused`, and below it the defaults (windows up to 4 norm, block
+        # pairs up to 2 * 2 norm) stay within 4 (refused - 1)
         cap = local.MAX_WINDOW_BITS
         refused = next(n for n in range(17, cap) if 2 * (n + 1) * n > cap)
         assert max(refused, 4 * (refused - 1)) <= search.MAX_EVIDENCE_BITS

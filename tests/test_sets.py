@@ -113,6 +113,37 @@ class TestNormalize:
         assert RationalSet.from_finite([2, 0]) == RationalSet("101", "0")
         assert RationalSet.arithmetic(1, 2) == RationalSet("", "01")
 
+    @pytest.mark.parametrize(
+        "elements, bad",
+        # a negative index used to write from the end, or past it; True was read as 1
+        [([-2, 3], "-2"), ([-5, 3], "-5"), ([True, 3], "True"), ([1, True], "True"),
+         ([2.0], "2.0"), (["3"], "'3'")],
+    )
+    def test_from_finite_refuses_non_naturals(self, elements, bad):
+        message = f"set element must be a non-negative integer, got {bad}"
+        with pytest.raises(ValueError, match=message):
+            RationalSet.from_finite(elements)
+
+    @pytest.mark.parametrize(
+        "first, step, message",
+        # arithmetic(-1, 2) used to give the evens, and 2.0 a TypeError
+        [(-1, 2, "first must be a non-negative integer, got -1"),
+         (True, 2, "first must be a non-negative integer, got True"),
+         (1.0, 2, "first must be a non-negative integer, got 1.0"),
+         (0, 2.0, "step must be a positive integer, got 2.0"),
+         (0, True, "step must be a positive integer, got True"),
+         (0, 0, "step must be a positive integer, got 0")],
+    )
+    def test_arithmetic_refuses_non_integers(self, first, step, message):
+        with pytest.raises(ValueError, match=message):
+            RationalSet.arithmetic(first, step)
+
+    @pytest.mark.parametrize("preperiod, repetend", [(["1"], "0"), ("1", ["0"]), (b"1", "0")])
+    def test_bits_must_be_a_str(self, preperiod, repetend):
+        # a list of "0"/"1" used to construct, then fail hash() and is_avoiding
+        with pytest.raises(ValueError, match="must be a string of 0s and 1s"):
+            RationalSet(preperiod, repetend)
+
 
 class TestGeneratingFunction:
     def test_evens(self):
@@ -176,6 +207,11 @@ class TestIsAvoiding:
         for bits in ("10x", "1_0", " 10"):
             with pytest.raises(ValueError):
                 is_avoiding(bits, D35)
+
+    @pytest.mark.parametrize("subject", [["1", "0"], ("1", "0"), 5, None])
+    def test_rejects_non_strings(self, subject):
+        with pytest.raises(ValueError, match="indicator string must be a string of 0s and 1s"):
+            is_avoiding(subject, D35)
 
     def test_rational_window_matches_pair_checking(self):
         rng = random.Random(5)
