@@ -15,13 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .germs import (
-    ORDER_NAMES,
-    IntPolynomial,
-    germ_compare,
-    germ_gap,
-    poly_germ_compare,
-)
+from .germs import ORDER_NAMES, IntPolynomial, _term_sign, germ_gap, poly_germ_compare
 from .local import sweep_to_fixpoint
 from .oracle import brute_best, brute_best_periodic
 from .search import Certificate, SearchBudget, best_string, find_winner
@@ -77,8 +71,9 @@ def _cmd_winner(args) -> int:
 
 
 def _cmd_best(args) -> int:
+    """`best` and `oracle best`: `args.best` is best_string or brute_best."""
     distances = DistanceSet.from_text(args.d)
-    result = best_string(distances, args.len)
+    result = args.best(distances, args.len)
     _emit(
         args,
         {"distances": list(distances), "length": args.len, "best": result},
@@ -106,9 +101,8 @@ def _cmd_greedy(args) -> int:
 def _cmd_compare(args) -> int:
     a = RationalSet.from_text(args.a)
     b = RationalSet.from_text(args.b)
-    fa, fb = generating_function(a), generating_function(b)
-    order = germ_compare(fa, fb)
-    gap = germ_gap(fa, fb)
+    gap = germ_gap(generating_function(a), generating_function(b))
+    order = _term_sign(gap)
     payload = {
         "order": ORDER_NAMES[order],
         "gap": None if gap is None else {"order": gap[0], "value": _frac(gap[1])},
@@ -163,17 +157,6 @@ def _cmd_certify(args) -> int:
     return OK if valid else INVALID
 
 
-def _cmd_oracle_best(args) -> int:
-    distances = DistanceSet.from_text(args.d)
-    result = brute_best(distances, args.len)
-    _emit(
-        args,
-        {"distances": list(distances), "length": args.len, "best": result},
-        [result],
-    )
-    return OK
-
-
 def _cmd_oracle_periodic(args) -> int:
     distances = DistanceSet.from_text(args.d)
     result = brute_best_periodic(distances, args.max_period)
@@ -200,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", required=True)
     p.add_argument("--len", type=int, required=True)
     _add_json_flag(p)
-    p.set_defaults(func=_cmd_best)
+    p.set_defaults(func=_cmd_best, best=best_string)
 
     p = sub.add_parser("greedy", help="greedy avoiding string with period detection")
     p.add_argument("--d", required=True)
@@ -237,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--d", required=True)
     q.add_argument("--len", type=int, required=True)
     _add_json_flag(q)
-    q.set_defaults(func=_cmd_oracle_best)
+    q.set_defaults(func=_cmd_best, best=brute_best)
     q = orc.add_parser("periodic", help="exhaustive germ-maximal periodic set")
     q.add_argument("--d", required=True)
     q.add_argument("--max-period", type=int, required=True)

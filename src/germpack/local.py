@@ -29,12 +29,7 @@ from .germs import EQUAL, GREATER, _sign_near_one
 from .sets import (
     DistanceSet, RationalSet, _check_bits, _check_natural, _to_bits, _to_mask, is_avoiding,
 )
-
-# The most window bits a line DP may hold: 2**16 windows of 16 bits, so every
-# norm up to 16 fits whole (a DP holds at most 2**norm windows).  A distance
-# set that could pass it (a lone large distance forbids almost nothing, and
-# each window is a norm-bit int) is refused before the step that might.
-MAX_WINDOW_BITS = 16 << 16
+from .sets import MAX_WINDOW_BITS  # noqa: F401  the kernel's cap, still named here
 
 
 def germ_greater(a, b) -> bool:
@@ -61,13 +56,11 @@ def germ_greater(a, b) -> bool:
 class LineKernel:
     """The germ-best avoiding filling of every trailing window, grown bit by bit.
 
-    The state is the window of the last norm bits (bit i is the bit norm - i
-    back, so the newest bit is the top one): a new 1 can only clash inside
-    it, and whichever of two equal-length fillings is germ-greater stays so
-    under any common extension, so one entry (mask, ones, position-sum) per
-    window suffices.  `left` is the context before position 0, bit i being
-    the bit norm - i back; violations inside it are not the filling's
-    business.
+    The state is a window of `sets._WindowModel`: a new 1 can only clash
+    inside it, and whichever of two equal-length fillings is germ-greater
+    stays so under any common extension, so one entry (mask, ones,
+    position-sum) per window suffices.  `left` is the window before position
+    0; violations inside it are not the filling's business.
 
     Windows 2s and 2s + 1 both shift to s; only 2s can take a 1 (2s + 1
     holds a 1 norm back), making s | top, which is dropped when germ-lower
@@ -79,26 +72,18 @@ class LineKernel:
     """
 
     def __init__(self, distances: DistanceSet, left: int = 0):
-        self.distances = distances
+        self.model = distances._windows
         self.length = 0
         self.states = {left: (0, 0, 0)}
 
     def advance(self, steps: int) -> LineKernel:
         """Append `steps` positions; raises ValueError before passing MAX_WINDOW_BITS."""
-        norm = self.distances.norm
-        top = clash = 0
-        if norm <= MAX_WINDOW_BITS:  # past it the first step refuses, so skip the big ints
-            top = 1 << (norm - 1) if norm else 0  # where the new bit lands
-            clash = sum(1 << (norm - d) for d in self.distances)  # what a new 1 must not meet
+        model = self.model
+        norm, most, top, clash = model.norm, model.most, model.top, model.clash
         for _ in range(steps):
             pos = self.length
-            # a step at most doubles the windows
-            if norm > 16 and 2 * len(self.states) * norm > MAX_WINDOW_BITS:
-                raise ValueError(
-                    f"distances {{{self.distances.to_text()}}} need up to {2 * len(self.states)} "
-                    f"line-DP windows of {norm} bits at length {pos + 1}, over the cap of "
-                    f"{MAX_WINDOW_BITS} window bits"
-                )
+            if len(self.states) > most:
+                model.refuse(len(self.states), pos + 1)
             bit = 1 << pos
             cut = pos >= norm  # before it no window has a sibling
             new: dict[int, tuple[int, int, int]] = {}
@@ -132,14 +117,11 @@ class LineKernel:
     def best(self, right: int = 0) -> tuple[int, int, int]:
         """The germ-best entry whose last window fits before `right`.
 
-        Bit j of `right` is position length + j; the all-zero filling always
-        fits when the window holds no context bits.
+        Bit j of `right` is position length + j.  The all-zero filling fits
+        once the window holds no context bits; before that every window may
+        clash, and then no filling fits: ValueError.
         """
-        norm = self.distances.norm
-        blocked = 0
-        for d in self.distances:
-            blocked |= (right << norm) >> d
-        blocked &= (1 << norm) - 1
+        blocked = self.model.blocked(right)
         best = None
         for window, entry in self.states.items():
             if window & blocked:
@@ -151,7 +133,9 @@ class LineKernel:
             ):
                 best = entry
         if best is None:
-            raise AssertionError("no feasible filling, yet all-zero is always feasible")
+            raise ValueError(
+                f"no filling of length {self.length} fits: the left context clashes with the right"
+            )
         return best
 
 

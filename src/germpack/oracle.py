@@ -1,10 +1,9 @@
 """Brute-force ground truth for small instances.
 
 Exhaustively enumerates avoiding strings and periodic avoiding sets and picks
-germ-maxima by direct comparison; pairs every two blocks in the search for a
-two-block challenger.  A reference for the test suite and the `germpack
-oracle` command: the search and certificate checks never call it, and it
-shares nothing with the line kernel in `local` except the polynomial
+germ-maxima by direct comparison.  A reference for the test suite and the
+`germpack oracle` command: the search and certificate checks never call it,
+and it shares nothing with the line kernel in `local` except the polynomial
 comparator, so the two routes stay independent checks of each other.
 Desk-scale only: lengths past MAX_LENGTH and periods past MAX_PERIOD are
 refused.
@@ -13,7 +12,7 @@ refused.
 from __future__ import annotations
 
 from .germs import GREATER, IntPolynomial, poly_germ_compare
-from .sets import DistanceSet, RationalSet, is_avoiding, set_compare
+from .sets import DistanceSet, RationalSet, _check_natural, is_avoiding, set_compare
 
 MAX_LENGTH = 32
 MAX_PERIOD = 24
@@ -25,9 +24,7 @@ def enumerate_avoiding(distances: DistanceSet, length: int):
     Backtracking over positions; appending a 1 is checked against the last
     norm bits only, which is where any new violation must live.
     """
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    if length > MAX_LENGTH:
+    if _check_natural(length, "length", 0) > MAX_LENGTH:
         raise ValueError(f"length {length} over the enumeration cap of {MAX_LENGTH}")
     dists = tuple(distances)
     prefix: list[str] = []
@@ -50,6 +47,7 @@ def enumerate_avoiding(distances: DistanceSet, length: int):
 
 def brute_best(distances: DistanceSet, length: int) -> str:
     """Germ-maximal avoiding string of the given length, by full enumeration."""
+    _check_natural(length, "length")
     best = None
     best_poly = None
     for candidate in enumerate_avoiding(distances, length):
@@ -59,31 +57,6 @@ def brute_best(distances: DistanceSet, length: int) -> str:
     return best
 
 
-def brute_two_block(distances: DistanceSet, block_b: str):
-    """A challenger to the two-block bound, by enumerating every pair.
-
-    Returns the first avoiding (Q, R) with |Q| = |R| = |block_b|, R germ-greater
-    than block_b and QR germ-greater than block_b doubled, or None when no
-    such pair exists.  Every R is tried against every Q.
-    """
-    size = len(block_b)
-    b_poly = IntPolynomial.from_bits(block_b)
-    bb_poly = IntPolynomial.from_bits(block_b + block_b)
-    firsts = None
-    for second in enumerate_avoiding(distances, size):
-        if poly_germ_compare(IntPolynomial.from_bits(second), b_poly) != GREATER:
-            continue
-        if firsts is None:
-            firsts = list(enumerate_avoiding(distances, size))
-        for first in firsts:
-            if not is_avoiding(first + second, distances):
-                continue
-            joined = IntPolynomial.from_bits(first + second)
-            if poly_germ_compare(joined, bb_poly) == GREATER:
-                return first, second
-    return None
-
-
 def brute_best_periodic(distances: DistanceSet, max_period: int) -> RationalSet:
     """Germ-maximal purely periodic avoiding set with repetend up to max_period.
 
@@ -91,9 +64,7 @@ def brute_best_periodic(distances: DistanceSet, max_period: int) -> RationalSet:
     empty set (all-zero repetend) is always a candidate, so a best always
     exists.
     """
-    if max_period < 1:
-        raise ValueError("max period must be >= 1")
-    if max_period > MAX_PERIOD:
+    if _check_natural(max_period, "max period") > MAX_PERIOD:
         raise ValueError(f"period {max_period} over the enumeration cap of {MAX_PERIOD}")
     best = RationalSet.empty()
     for period in range(1, max_period + 1):

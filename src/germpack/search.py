@@ -34,6 +34,7 @@ from .sets import (
     DistanceSet,
     RationalSet,
     _check_bits,
+    _check_natural,
     _mask_avoids,
     _to_bits,
     _to_mask,
@@ -117,9 +118,7 @@ def best_string(distances: DistanceSet, length: int) -> str:
     Unique: distinct equal-length strings have distinct indicator
     polynomials, so the germ order never ties.
     """
-    if not _is_int(length) or length < 1:
-        raise ValueError(f"length must be a positive integer, got {length!r}")
-    return _to_bits(_best_mask(distances, length), length)
+    return _to_bits(_best_mask(distances, _check_natural(length, "length")), length)
 
 
 # ---------------------------------------------------------------------------
@@ -377,25 +376,28 @@ def _two_block_challenger(distances: DistanceSet, block_b: str):
 def _avoiding_with_ones(distances: DistanceSet, length: int, need: int):
     """The entry of every avoiding string of the given length with >= `need` 1s.
 
-    Depth first, 1 before 0; a prefix is cut as soon as even the fullest
-    avoiding tail of the remaining length cannot bring it up to `need`.
+    Depth first, 1 before 0, carrying the window of `sets._WindowModel`; a
+    prefix is cut as soon as even the fullest avoiding tail of the remaining
+    length cannot bring it up to `need`.
     """
     # the germ-best string of each length has the most 1s: the count is the
     # leading t-coefficient
     run = _line_run(distances)
     most = [run.entry(n)[1] for n in range(length + 1)]
+    model = distances._windows
+    top, clash = model.top, model.clash
 
-    def extend(pos, mask, ones, possum):
+    def extend(pos, window, mask, ones, possum):
         if ones + most[length - pos] < need:
             return
         if pos == length:
             yield mask, ones, possum
             return
-        if _mask_avoids(mask | 1 << pos, distances):
-            yield from extend(pos + 1, mask | 1 << pos, ones + 1, possum + pos)
-        yield from extend(pos + 1, mask, ones, possum)
+        if not window & clash:
+            yield from extend(pos + 1, window >> 1 | top, mask | 1 << pos, ones + 1, possum + pos)
+        yield from extend(pos + 1, window >> 1, mask, ones, possum)
 
-    yield from extend(0, 0, 0, 0)
+    yield from extend(0, 0, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------

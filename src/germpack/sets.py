@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .germs import (
     IntPolynomial,
@@ -53,6 +54,50 @@ def _to_bits(mask: int, length: int) -> str:
 def _mask_avoids(mask: int, distances: DistanceSet) -> bool:
     """No two 1s of the mask lie a forbidden distance apart."""
     return not any(mask & (mask >> d) for d in distances)
+
+
+# The most window bits a line DP may hold: 2**16 windows of 16 bits, so every
+# norm up to 16 fits whole (a DP holds at most 2**norm windows).  A distance
+# set that could pass it (a lone large distance forbids almost nothing, and
+# each window is a norm-bit int) is refused before the step that might.
+MAX_WINDOW_BITS = 16 << 16
+
+
+class _WindowModel:
+    """The avoidance automaton, whose state is the window of the last norm bits.
+
+    Bit i of a window is the bit norm - i back, so the successor of (w, bit)
+    is w >> 1 | bit * top, and a new 1 fits in w iff w & clash == 0.  A line
+    DP may step from at most `most` windows (a step at most doubles them);
+    a norm that no step fits is refused on construction.
+    """
+
+    __slots__ = ("distances", "norm", "most", "top", "clash")
+
+    def __init__(self, distances: DistanceSet):
+        norm = distances.norm
+        self.distances, self.norm = distances, norm
+        self.most = 1 << norm if norm <= 16 else MAX_WINDOW_BITS // (2 * norm)
+        if not self.most:  # before the norm-bit ints below
+            self.refuse(1, 1)
+        self.top = 1 << (norm - 1) if norm else 0
+        self.clash = sum(1 << (norm - d) for d in distances)
+
+    def refuse(self, windows: int, length: int):
+        """Raise the cap's ValueError for `windows` windows stepping to `length`."""
+        raise ValueError(
+            f"distances {{{self.distances.to_text()}}} need up to {2 * windows} line-DP "
+            f"windows of {self.norm} bits at length {length}, over the cap of "
+            f"{MAX_WINDOW_BITS} window bits"
+        )
+
+    def blocked(self, right: int) -> int:
+        """The bits a last window must not hold to fit before `right`, bit j
+        of which is the bit j + 1 after the window's top."""
+        norm, blocked = self.norm, 0
+        for d in self.distances:
+            blocked |= (right << norm) >> d
+        return blocked & ((1 << norm) - 1)
 
 
 @dataclass(frozen=True)
@@ -107,6 +152,11 @@ class DistanceSet:
 
     def __bool__(self) -> bool:
         return bool(self.distances)
+
+    @cached_property
+    def _windows(self) -> _WindowModel:
+        """The window model of these distances, built once per instance."""
+        return _WindowModel(self)
 
 
 def _primitive_root(word: str) -> str:
@@ -243,40 +293,31 @@ def greedy_avoiding(distances: DistanceSet, horizon: int):
     Returns (bits, detected) where bits is the indicator string of the first
     `horizon` naturals and detected is the eventually periodic set proven to
     continue it, or None if no proof was found within the horizon.  The proof
-    is a recurrence of the trailing norm-bit state: the greedy decision at n
-    depends only on that window, so a repeated state repeats forever after.
+    is a recurrence of the window of `_WindowModel` from step norm on: the
+    greedy decision depends only on that window, so a repeated window repeats
+    forever after.  A norm the line DP refuses at its first step is refused.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    norm = distances.norm
+    _check_natural(horizon, "horizon")
+    model = distances._windows
+    norm, top, clash = model.norm, model.top, model.clash
     bits: list[str] = []
-    seen: dict[str, int] = {}
+    seen: dict[int, int] = {}
     detected = None
-    for n in range(horizon):
+    window = 0
+    for n in range(horizon + 1):  # the window after the final bit may close the loop
         if detected is None and n >= norm:
-            state = "".join(bits[n - norm: n])
-            if state in seen:
-                start = seen[state]
-                detected = RationalSet("".join(bits[:start]), "".join(bits[start:n]))
-            else:
-                seen[state] = n
-        ok = all(d > n or bits[n - d] == "0" for d in distances)
-        bits.append("1" if ok else "0")
-    text = "".join(bits)
-    if detected is None and norm <= horizon:
-        # the state after the final bit may close the loop
-        state = text[horizon - norm:] if norm else ""
-        if state in seen:
-            start = seen[state]
-            detected = RationalSet(text[:start], text[start:])
-    return text, detected
+            start = seen.setdefault(window, n)
+            if start < n:
+                detected = RationalSet("".join(bits[:start]), "".join(bits[start:]))
+        fits = not window & clash
+        bits.append("1" if fits else "0")
+        window = window >> 1 | top if fits else window >> 1
+    return "".join(bits[:horizon]), detected
 
 
 def shift(s: RationalSet, offset: int) -> RationalSet:
     """The translated set S + offset."""
-    if offset < 0:
-        raise ValueError("offset must be >= 0")
-    return RationalSet("0" * offset + s.preperiod, s.repetend)
+    return RationalSet("0" * _check_natural(offset, "offset", 0) + s.preperiod, s.repetend)
 
 
 @dataclass(frozen=True, order=True)

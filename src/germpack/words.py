@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .germs import IntPolynomial, RationalGF, germ_compare
-from .sets import DistanceSet, RationalSet, _check_bits, is_avoiding
+from .sets import DistanceSet, RationalSet, _check_bits, _check_natural, is_avoiding
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,7 @@ def block_encode(source, block_length: int, count: int | None = None) -> tuple[L
     periodically.  By default one full cycle plus one letter is produced
     (so a purely periodic source starts and ends with the same letter).
     """
-    if block_length < 1:
-        raise ValueError("block length must be >= 1")
+    _check_natural(block_length, "block length")
     if isinstance(source, RationalSet):
         span = len(source.preperiod) + len(source.repetend)
         if count is None:

@@ -12,6 +12,8 @@ from germpack import (
     IntPolynomial,
     RationalGF,
     RationalSet,
+    enumerate_avoiding,
+    is_avoiding,
     poly_germ_compare,
 )
 from germpack.local import germ_greater
@@ -258,3 +260,53 @@ def unpruned_best(distances, length, left, right):
         if not window & blocked and (best is None or germ_greater(entry, best)):
             best = entry
     return best
+
+
+def brute_two_block(distances, block_b):
+    """A challenger to the two-block bound, by enumerating every pair.
+
+    Returns the first avoiding (Q, R) with |Q| = |R| = |block_b|, R germ-greater
+    than block_b and QR germ-greater than block_b doubled, or None when no
+    such pair exists.  Every R is tried against every Q.
+    """
+    size = len(block_b)
+    b_poly = IntPolynomial.from_bits(block_b)
+    bb_poly = IntPolynomial.from_bits(block_b + block_b)
+    firsts = None
+    for second in enumerate_avoiding(distances, size):
+        if poly_germ_compare(IntPolynomial.from_bits(second), b_poly) != GREATER:
+            continue
+        if firsts is None:
+            firsts = list(enumerate_avoiding(distances, size))
+        for first in firsts:
+            if not is_avoiding(first + second, distances):
+                continue
+            joined = IntPolynomial.from_bits(first + second)
+            if poly_germ_compare(joined, bb_poly) == GREATER:
+                return first, second
+    return None
+
+
+def string_greedy(distances, horizon):
+    """First-fit avoiding string and its detected period, on string windows:
+    the reference for `greedy_avoiding`, which walks int windows."""
+    norm = distances.norm
+    bits, seen, detected = [], {}, None
+    for n in range(horizon):
+        if detected is None and n >= norm:
+            state = "".join(bits[n - norm: n])
+            if state in seen:
+                start = seen[state]
+                detected = RationalSet("".join(bits[:start]), "".join(bits[start:n]))
+            else:
+                seen[state] = n
+        ok = all(d > n or bits[n - d] == "0" for d in distances)
+        bits.append("1" if ok else "0")
+    text = "".join(bits)
+    if detected is None and norm <= horizon:
+        # the state after the final bit may close the loop
+        state = text[horizon - norm:] if norm else ""
+        if state in seen:
+            start = seen[state]
+            detected = RationalSet(text[:start], text[start:])
+    return text, detected

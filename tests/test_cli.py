@@ -329,6 +329,12 @@ class TestOracleCommand:
         code, data = run_json(capsys, "oracle", "best", "--d", "3,5", "--len", "8", "--json")
         assert code == 0 and data["best"] == "10101010"
 
+    def test_zero_length_exits_one_as_best_does(self, capsys):
+        for argv in (["best"], ["oracle", "best"]):
+            assert main([*argv, "--d", "3,5", "--len", "0"]) == 1
+            err = capsys.readouterr().err
+            assert err == "error: length must be a positive integer, got 0\n"
+
     def test_periodic(self, capsys):
         code, data = run_json(
             capsys, "oracle", "periodic", "--d", "3,5", "--max-period", "8", "--json"
@@ -410,23 +416,30 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == f"error: {bits} bits of evidence are over the cap of 4096\n"
 
-    @pytest.mark.parametrize("norm,block", [(300_000_000, 10), (1_000_000_000, 1)])
+    @pytest.mark.parametrize(
+        "norm,block", [(300_000_000, 10), (1_000_000_000, 1), (600_000, None)]
+    )
     def test_a_huge_norm_is_refused_before_it_exhausts_memory(self, tmp_path, norm, block):
         # each window of the line DP, and the window is_avoiding checks a
         # periodic set on, is a norm-bit int; under a 1.5 GB address-space
-        # limit both used to end in a MemoryError traceback
-        block_a, block_b = "1" + "0" * (block - 1), "0" * block
-        document = {
-            "kind": "TwoBlockInduction",
-            "distances": [norm],
-            "winner": {"preperiod": block_a, "repetend": "0"},
-            "evidence": {"block_a": block_a, "block_b": block_b},
-        }
-        path = tmp_path / "cert.json"
-        path.write_text(json.dumps(document))
+        # limit both used to end in a MemoryError traceback, as greedy did
+        # (block None) when it kept a norm-character window per step
+        if block is None:
+            argv = ["greedy", "--d", str(norm), "--horizon", "700000"]
+        else:
+            block_a, block_b = "1" + "0" * (block - 1), "0" * block
+            document = {
+                "kind": "TwoBlockInduction",
+                "distances": [norm],
+                "winner": {"preperiod": block_a, "repetend": "0"},
+                "evidence": {"block_a": block_a, "block_b": block_b},
+            }
+            path = tmp_path / "cert.json"
+            path.write_text(json.dumps(document))
+            argv = ["certify", "--file", str(path)]
         limit = 1536 << 20
         proc = subprocess.run(
-            [sys.executable, "-m", "germpack.cli", "certify", "--file", str(path)],
+            [sys.executable, "-m", "germpack.cli", *argv],
             env={**os.environ, "PYTHONPATH": str(SRC)},
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
             capture_output=True,

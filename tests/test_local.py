@@ -104,8 +104,16 @@ def kernel_best(kernel, right):
     norm whose left context meets `right`)."""
     try:
         return kernel.best(right)
-    except AssertionError:
+    except ValueError:
         return None
+
+
+def test_a_kernel_with_no_fitting_filling_says_so():
+    # one step from a left context whose 1 sits 2 before the right's
+    kernel = LineKernel(DistanceSet.of(2), left=0b10).advance(1)
+    with pytest.raises(ValueError, match="no filling of length 1 fits"):
+        kernel.best(1)
+    assert kernel.best(0) == (1, 1, 0)
 
 
 CENSUS_SHAPES = [DistanceSet.of(*d) for d in ((12,), (11, 12), (7, 9, 12), (1, 12))]

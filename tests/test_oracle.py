@@ -72,7 +72,9 @@ class TestBruteBest:
         assert brute_best(DistanceSet.of(2, 3, 7), 10) == "1100011000"
 
     def test_zero_length(self):
-        assert brute_best(D35, 0) == ""
+        # as best_string refuses it, with the same message
+        with pytest.raises(ValueError, match="length must be a positive integer, got 0"):
+            brute_best(D35, 0)
 
     def test_prefix_monotone_germ(self):
         rng = random.Random(52)

@@ -22,7 +22,6 @@ from germpack import (
     best_string,
     brute_best,
     brute_best_periodic,
-    brute_two_block,
     certify_two_block,
     enumerate_avoiding,
     find_repeatable_winner,
@@ -43,7 +42,7 @@ from germpack.search import (
     _two_block_challenger,
 )
 from germpack.sets import _to_bits
-from helpers import all_distance_sets, random_bits
+from helpers import all_distance_sets, brute_two_block, random_bits
 
 D35 = DistanceSet.of(3, 5)
 

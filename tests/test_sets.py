@@ -1,6 +1,7 @@
 """Rational sets: canonical forms, avoidance, greedy, valuation, ordering."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -25,8 +26,9 @@ from germpack import (
     shift,
     valuation,
 )
-from germpack import germs, sets
+from germpack import block_encode, brute_best_periodic, enumerate_avoiding, germs, sets
 from helpers import (
+    all_distance_sets,
     cross_numerator,
     gap_by_cross_numerator,
     numerator_by_convolution,
@@ -35,6 +37,7 @@ from helpers import (
     random_rational_set,
     random_set_pair,
     sign_by_evaluation,
+    string_greedy,
 )
 
 D35 = DistanceSet.of(3, 5)
@@ -257,6 +260,44 @@ class TestGreedy:
     def test_no_detection_when_horizon_too_short(self):
         _, detected = greedy_avoiding(D35, 3)
         assert detected is None
+
+    def test_matches_the_string_window_greedy(self):
+        # every D inside {1..9} with at most 3 distances, at horizons on both
+        # sides of its norm and of its first detection
+        cases = [d for d in all_distance_sets(9) if len(d) <= 3]
+        assert len(cases) == 129
+        for distances in cases:
+            for horizon in (1, 2, 3, 5, 8, 9, 10, 17, 31, 64):
+                got = greedy_avoiding(distances, horizon)
+                assert got == string_greedy(distances, horizon), (distances, horizon)
+
+    def test_no_distances(self):
+        assert greedy_avoiding(DistanceSet(), 4) == ("1111", RationalSet.naturals())
+
+    def test_refuses_norms_the_line_dp_refuses(self):
+        # one window of 2**19 + 1 bits would pass MAX_WINDOW_BITS at its first step
+        norm = (sets.MAX_WINDOW_BITS >> 1) + 1
+        with pytest.raises(ValueError, match=re.escape(f"distances {{{norm}}} need up to 2 line-DP ")):
+            greedy_avoiding(DistanceSet.of(norm), 1)
+        bits, detected = greedy_avoiding(DistanceSet.of(norm - 1), 3)
+        assert (bits, detected) == ("111", None)
+
+
+@pytest.mark.parametrize("junk", [1.5, True, "3", None, -1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: greedy_avoiding(D35, n),
+        lambda n: shift(RationalSet("", "10"), n),
+        lambda n: block_encode("10", n),
+        lambda n: list(enumerate_avoiding(D35, n)),
+        lambda n: brute_best_periodic(D35, n),
+    ],
+    ids=["greedy horizon", "shift offset", "block length", "enumeration length", "max period"],
+)
+def test_counts_must_be_ints_in_range(call, junk):
+    with pytest.raises(ValueError, match="must be a (positive|non-negative) integer, got"):
+        call(junk)
 
 
 class TestShift:
