@@ -9,6 +9,7 @@ terminates (every change is a strict, exact germ increase over finitely
 many strings, which the sweep checks at each change) in a string no single
 patch rewrite can improve.  One sweep computes the best filling of each
 distinct pair of contexts once and reuses it for the rest of the call.
+It runs on an int mask: bit strings appear only at the API boundary.
 
 Fixpoints of the sweep are not known to be winners, but certified winners
 are fixpoints: every interior window of a winner must already contain the
@@ -27,9 +28,15 @@ from dataclasses import dataclass
 
 from .germs import EQUAL, GREATER, _sign_near_one
 from .sets import (
-    DistanceSet, RationalSet, _check_bits, _check_natural, _to_bits, _to_mask, is_avoiding,
+    DistanceSet, RationalSet, _check_bits, _check_natural, _mask_avoids, _to_bits, _to_mask,
 )
 from .sets import MAX_WINDOW_BITS  # noqa: F401  the kernel's cap, still named here
+
+
+def _entry(mask: int) -> tuple[int, int, int]:
+    """The (mask, ones, position-sum) entry `germ_greater` compares."""
+    ones = [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    return mask, len(ones), sum(ones)
 
 
 def germ_greater(a, b) -> bool:
@@ -168,37 +175,34 @@ def best_patch(context: PatchContext, distances: DistanceSet) -> str:
     if len(context.left) != norm:
         raise ValueError(f"context width {len(context.left)} != largest distance {norm}")
     length = context.patch_length
-    if length < norm:
-        raise ValueError("patch length must be at least the largest distance")
-    kernel = LineKernel(distances, _to_mask(context.left)).advance(length)
-    return _to_bits(kernel.best(_to_mask(context.right))[0], length)
+    refill = _patch_filler(distances, length)
+    whole = _to_mask(context.left + "0" * length + context.right)
+    return _to_bits(refill(whole, norm), length + 2 * norm)[norm: norm + length]
 
 
 def _patch_filler(distances: DistanceSet, patch_length: int):
-    """The best filling as a function of (left, right) contexts, each computed once.
+    """`refill(mask, position)`: the patch at `position` rewritten to the best
+    filling for its contexts, the norm bits either side, each pair computed once.
 
     Checks the patch length up front.  The memo lives only as long as the
     returned function, which serves one call of the functions below.
     """
     if _check_natural(patch_length, "patch length") < distances.norm:
         raise ValueError("patch length must be at least the largest distance")
-    fillings: dict[tuple[str, str], str] = {}
+    norm = distances.norm
+    width, hole = (1 << norm) - 1, (1 << patch_length) - 1
+    fillings: dict[tuple[int, int], int] = {}
 
-    def fill(left: str, right: str) -> str:
+    def refill(mask: int, position: int) -> int:
+        left = mask >> (position - norm) & width
+        right = mask >> (position + patch_length) & width
         patch = fillings.get((left, right))
         if patch is None:
-            patch = best_patch(PatchContext(left, right, patch_length), distances)
-            fillings[left, right] = patch
-        return patch
+            kernel = LineKernel(distances, left).advance(patch_length)
+            patch = fillings[left, right] = kernel.best(right)[0]
+        return mask & ~(hole << position) | patch << position
 
-    return fill
-
-
-def _refill(bits, position, patch_length, norm, fill):
-    """`bits` with the patch at `position` replaced by the best filling for its contexts."""
-    end = position + patch_length
-    left, right = bits[position - norm: position], bits[end: end + norm]
-    return bits[:position] + fill(left, right) + bits[end:]
+    return refill
 
 
 def improve_at(bits: str, position: int, patch_length: int, distances: DistanceSet) -> str:
@@ -208,14 +212,14 @@ def improve_at(bits: str, position: int, patch_length: int, distances: DistanceS
     patch changes, and the result is still avoiding.  Positions too close to
     the ends to carry full contexts are rejected.
     """
-    if not is_avoiding(bits, distances):  # also rejects non-bit strings
+    mask = _to_mask(_check_bits(bits, "indicator string"))
+    if not _mask_avoids(mask, distances):
         raise ValueError("input string must avoid the distances")
-    fill = _patch_filler(distances, patch_length)  # checks the patch length
-    norm = distances.norm
+    refill = _patch_filler(distances, patch_length)  # checks the patch length
     _check_natural(position, "position", 0)
-    if position < norm or position + patch_length + norm > len(bits):
+    if position < distances.norm or position + patch_length + distances.norm > len(bits):
         raise ValueError(f"position {position} out of range for patch rewriting")
-    return _refill(bits, position, patch_length, norm, fill)
+    return _to_bits(refill(mask, position), len(bits))
 
 
 def sweep_to_fixpoint(bits: str, patch_length: int, distances: DistanceSet) -> str:
@@ -226,35 +230,34 @@ def sweep_to_fixpoint(bits: str, patch_length: int, distances: DistanceSet) -> s
     and its germ dominates the input's.  Each context's best filling is
     computed once.
     """
-    if not is_avoiding(bits, distances):  # also rejects non-bit strings
+    current = _to_mask(_check_bits(bits, "indicator string"))
+    if not _mask_avoids(current, distances):
         raise ValueError("input string must avoid the distances")
-    norm = distances.norm
-    fill = _patch_filler(distances, patch_length)
-    positions = range(norm, len(bits) - patch_length - norm + 1)
-    current = bits
+    refill = _patch_filler(distances, patch_length)
+    positions = range(distances.norm, len(bits) - patch_length - distances.norm + 1)
     changed = True
     while changed:
         changed = False
         for position in positions:
-            replaced = _refill(current, position, patch_length, norm, fill)
+            replaced = refill(current, position)
             if replaced != current:
                 _check_rewrite(current, replaced, position, patch_length, distances)
                 current = replaced
                 changed = True
-    return current
+    return _to_bits(current, len(bits))
 
 
 def _check_rewrite(old, new, position, patch_length, distances):
-    """Raise unless the rewrite raised the germ and kept the string avoiding.
+    """Raise unless the rewrite raised the germ and kept the mask avoiding.
 
     The strict rise is what ends the sweep.  Only pairs within norm of the
     patch can clash, so the patch and its contexts suffice.
     """
-    end, norm = position + patch_length, distances.norm
-    rise = [int(b) - int(a) for a, b in zip(old[position:end], new[position:end])]
-    if _sign_near_one(rise) != GREATER:
+    norm, hole = distances.norm, (1 << patch_length) - 1
+    if not germ_greater(_entry(new >> position & hole), _entry(old >> position & hole)):
         raise AssertionError(f"patch rewrite at {position} did not raise the germ")
-    if not is_avoiding(new[position - norm: end + norm], distances):
+    span = new >> (position - norm) & ((1 << (patch_length + 2 * norm)) - 1)
+    if not _mask_avoids(span, distances):
         raise AssertionError(f"patch rewrite at {position} broke avoidance")
 
 
@@ -269,9 +272,8 @@ def winner_windows_consistent(
     norm = distances.norm
     pre, rep = len(winner.preperiod), len(winner.repetend)
     span = pre + 2 * rep + patch_length + 2 * norm
-    window = winner.bits(span)
-    fill = _patch_filler(distances, patch_length)
+    window = _to_mask(winner.bits(span))
+    refill = _patch_filler(distances, patch_length)
     return all(
-        _refill(window, position, patch_length, norm, fill) == window
-        for position in range(norm, pre + rep + norm + 1)
+        refill(window, position) == window for position in range(norm, pre + rep + norm + 1)
     )

@@ -29,7 +29,7 @@ import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .local import LineKernel, germ_greater
+from .local import LineKernel, _entry, germ_greater
 from .sets import (
     DistanceSet,
     RationalSet,
@@ -104,12 +104,6 @@ def _best_mask(distances: DistanceSet, length: int) -> int:
     if mask is None:  # passed without being asked for
         mask = LineKernel(distances).advance(length).best()[0]
     return mask
-
-
-def _entry(mask: int) -> tuple[int, int, int]:
-    """The (mask, ones, position-sum) entry `germ_greater` compares."""
-    ones = [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
-    return mask, len(ones), sum(ones)
 
 
 def best_string(distances: DistanceSet, length: int) -> str:

@@ -295,7 +295,9 @@ def greedy_avoiding(distances: DistanceSet, horizon: int):
     continue it, or None if no proof was found within the horizon.  The proof
     is a recurrence of the window of `_WindowModel` from step norm on: the
     greedy decision depends only on that window, so a repeated window repeats
-    forever after.  A norm the line DP refuses at its first step is refused.
+    forever after.  A norm the line DP refuses at its first step is refused,
+    and so is a walk that would record more windows than a line-DP step may
+    start from (none can up to norm 16, which has only 2**norm windows).
     """
     _check_natural(horizon, "horizon")
     model = distances._windows
@@ -309,6 +311,8 @@ def greedy_avoiding(distances: DistanceSet, horizon: int):
             start = seen.setdefault(window, n)
             if start < n:
                 detected = RationalSet("".join(bits[:start]), "".join(bits[start:]))
+            elif len(seen) > model.most:
+                model.refuse(len(seen), n)
         fits = not window & clash
         bits.append("1" if fits else "0")
         window = window >> 1 | top if fits else window >> 1

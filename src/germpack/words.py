@@ -64,17 +64,13 @@ def block_encode(source, block_length: int, count: int | None = None) -> tuple[L
     _check_natural(block_length, "block length")
     if isinstance(source, RationalSet):
         span = len(source.preperiod) + len(source.repetend)
-        if count is None:
-            count = span + 1
-        window = source.bits(count + block_length - 1)
     else:
-        bits = _check_bits(source, "indicator string")
-        if len(bits) < block_length:
+        span = len(_check_bits(source, "indicator string"))
+        if span < block_length:
             raise ValueError("finite input shorter than the block length")
-        if count is None:
-            count = len(bits) + 1
-        reps = -(-(count + block_length - 1) // len(bits))
-        window = (bits * reps)[: count + block_length - 1]
+        source = RationalSet("", source)  # the same periodic extension
+    count = span + 1 if count is None else _check_natural(count, "count", 0)
+    window = source.bits(count + block_length - 1)
     return tuple(Letter(window[n: n + block_length]) for n in range(count))
 
 

@@ -219,6 +219,45 @@ def brute_patch(left, right, length, distances):
     return best
 
 
+@lru_cache(maxsize=None)
+def _memo_brute_patch(left, right, length, distances):
+    return brute_patch(left, right, length, distances)
+
+
+def brute_refill(bits, position, patch_length, distances):
+    """`bits` with the patch at `position` replaced by `brute_patch`'s filling
+    for the norm bits either side of it."""
+    norm, end = distances.norm, position + patch_length
+    left, right = bits[position - norm: position], bits[end: end + norm]
+    return bits[:position] + _memo_brute_patch(left, right, patch_length, distances) + bits[end:]
+
+
+def brute_sweep(bits, patch_length, distances):
+    """Round-robin `brute_refill` at every position with full contexts until a
+    pass changes nothing: the string reference for `local.sweep_to_fixpoint`."""
+    positions = range(distances.norm, len(bits) - patch_length - distances.norm + 1)
+    changed = True
+    while changed:
+        changed = False
+        for position in positions:
+            out = brute_refill(bits, position, patch_length, distances)
+            changed |= out != bits
+            bits = out
+    return bits
+
+
+def brute_windows_consistent(winner, distances, patch_length):
+    """`brute_refill` changes no patch of the winner across its preperiod and
+    one period: the reference for `local.winner_windows_consistent`."""
+    norm = distances.norm
+    pre, rep = len(winner.preperiod), len(winner.repetend)
+    window = winner.bits(pre + 2 * rep + patch_length + 2 * norm)
+    return all(
+        brute_refill(window, position, patch_length, distances) == window
+        for position in range(norm, pre + rep + norm + 1)
+    )
+
+
 def all_distance_sets(max_distance):
     """Every nonempty forbidden-distance set inside {1..max_distance}."""
     out = []

@@ -417,15 +417,17 @@ class TestErrors:
         assert err == f"error: {bits} bits of evidence are over the cap of 4096\n"
 
     @pytest.mark.parametrize(
-        "norm,block", [(300_000_000, 10), (1_000_000_000, 1), (600_000, None)]
+        "norm,block",
+        [(300_000_000, 10), (1_000_000_000, 1), (600_000, None), (100_000, None)],
     )
     def test_a_huge_norm_is_refused_before_it_exhausts_memory(self, tmp_path, norm, block):
         # each window of the line DP, and the window is_avoiding checks a
         # periodic set on, is a norm-bit int; under a 1.5 GB address-space
         # limit both used to end in a MemoryError traceback, as greedy did
-        # (block None) when it kept a norm-character window per step
+        # (block None) when it kept a norm-character window per step, and
+        # then one norm-bit window per step past norm
         if block is None:
-            argv = ["greedy", "--d", str(norm), "--horizon", "700000"]
+            argv = ["greedy", "--d", str(norm), "--horizon", str(norm + 100_000)]
         else:
             block_a, block_b = "1" + "0" * (block - 1), "0" * block
             document = {

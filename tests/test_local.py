@@ -21,11 +21,19 @@ from germpack import (
     winner_windows_consistent,
 )
 from germpack import local
-from germpack.local import LineKernel, germ_greater
+from germpack.local import LineKernel, _entry, germ_greater
 from germpack.oracle import enumerate_avoiding
-from germpack.search import _entry
 from germpack.sets import _to_bits, _to_mask
-from helpers import all_distance_sets, brute_patch, random_avoiding, random_bits, unpruned_best
+from helpers import (
+    all_distance_sets,
+    brute_patch,
+    brute_refill,
+    brute_sweep,
+    brute_windows_consistent,
+    random_avoiding,
+    random_bits,
+    unpruned_best,
+)
 
 D35 = DistanceSet.of(3, 5)
 
@@ -259,6 +267,42 @@ class TestImproveAt:
             improve_at("0" * 20, 6, length, D35)
 
 
+def lying_kernel(filling, calls):
+    """A stand-in for `LineKernel` whose every run ends in `filling`; `calls`
+    gets one entry per run."""
+
+    class Lying:
+        def __init__(self, distances, left=0):
+            calls.append(left)
+            if len(calls) > 10_000:
+                raise RuntimeError("sweep never stopped")
+
+        def advance(self, steps):
+            return self
+
+        def best(self, right=0):
+            return _entry(_to_mask(filling))
+
+    return Lying
+
+
+def counting_kernel(calls):
+    """`LineKernel`, recording the (left, right) contexts of every `best`
+    call in `calls` as bit strings."""
+
+    class Counting(LineKernel):
+        def __init__(self, distances, left=0):
+            super().__init__(distances, left)
+            self.left = left
+
+        def best(self, right=0):
+            norm = self.model.norm
+            calls.append((_to_bits(self.left, norm), _to_bits(right, norm)))
+            return super().best(right)
+
+    return Counting
+
+
 class TestSweep:
     def test_greedy_seed_never_loses(self):
         seed, _ = greedy_avoiding(D35, 24)
@@ -309,14 +353,7 @@ class TestSweep:
         # what the patch at 5 already holds, and moves the 1 of the patch at
         # 6 (10000) later
         calls = []
-
-        def lowering(context, distances):
-            calls.append(context)
-            if len(calls) > 10_000:
-                raise RuntimeError("sweep never stopped")
-            return "01000"
-
-        monkeypatch.setattr(local, "best_patch", lowering)
+        monkeypatch.setattr(local, "LineKernel", lying_kernel("01000", calls))
         with pytest.raises(AssertionError, match="did not raise the germ"):
             sweep_to_fixpoint("000000" + "10000" + "0" * 9, 5, D35)
         assert len(calls) == 1
@@ -324,7 +361,7 @@ class TestSweep:
     def test_a_rewrite_that_clashes_with_its_context_is_refused(self, monkeypatch):
         # at position 5, the first the sweep visits, a 1 at position 7 sits 3
         # before the right context's 1 at position 10
-        monkeypatch.setattr(local, "best_patch", lambda context, distances: "00100")
+        monkeypatch.setattr(local, "LineKernel", lying_kernel("00100", []))
         with pytest.raises(AssertionError, match="broke avoidance"):
             sweep_to_fixpoint("0" * 10 + "1" + "0" * 9, 5, D35)
 
@@ -385,39 +422,61 @@ class TestSweepMemo:
                 changed += expected != w
         assert changed > 2 * len(SWEEP_SHAPES)
 
-    def test_each_context_reaches_best_patch_once(self, monkeypatch):
+    def test_each_context_reaches_the_kernel_once(self, monkeypatch):
         rng = random.Random(46)
-        original = local.best_patch
-        calls = []
-
-        def counted(context, distances):
-            calls.append((context.left, context.right))
-            return original(context, distances)
-
         for shape in SWEEP_SHAPES:
             d = DistanceSet(shape)
             w = random_avoiding(rng, d, rng.randrange(60, 121))
             expected, contexts = reference_sweep(w, d.norm, d)
-            calls.clear()
+            calls = []
             with monkeypatch.context() as patch:
-                patch.setattr(local, "best_patch", counted)
+                patch.setattr(local, "LineKernel", counting_kernel(calls))
                 assert sweep_to_fixpoint(w, d.norm, d) == expected
             assert len(calls) == len(set(calls)) == len(contexts)
             assert set(calls) == contexts
 
     def test_winner_check_computes_each_context_once(self, monkeypatch):
-        original = local.best_patch
         calls = []
-
-        def counted(context, distances):
-            calls.append((context.left, context.right))
-            return original(context, distances)
-
-        monkeypatch.setattr(local, "best_patch", counted)
+        monkeypatch.setattr(local, "LineKernel", counting_kernel(calls))
         d = DistanceSet.of(3, 5)
         assert winner_windows_consistent(RationalSet("", "10"), d, d.norm)
         # the period-2 winner shows only two context pairs
         assert sorted(calls) == [("01010", "01010"), ("10101", "10101")]
+
+
+ACCEPTANCE_WINNER_SETS = ((3, 5), (1, 3, 6, 8), (1, 2), (2, 4, 7), (2, 4, 13))
+
+
+class TestAgainstTheBruteSweep:
+    """The mask sweep against a string sweep that fills each patch by trying
+    every filling (`helpers.brute_sweep`), never running the kernel."""
+
+    def test_sweeps_and_single_rewrites_match(self):
+        rng = random.Random(47)
+        changed = 0
+        for shape in SWEEP_SHAPES:
+            d = DistanceSet(shape)
+            for length in range(d.norm, d.norm + 3):
+                w = random_avoiding(rng, d, rng.randrange(60, 121))
+                expected = brute_sweep(w, length, d)
+                assert sweep_to_fixpoint(w, length, d) == expected, (shape, length, w)
+                changed += expected != w
+                for t in range(d.norm, len(w) - length - d.norm + 1):
+                    want = brute_refill(w, t, length, d)
+                    assert improve_at(w, t, length, d) == want, (shape, length, w, t)
+        assert changed > 2 * len(SWEEP_SHAPES)
+
+    @pytest.mark.parametrize("dset", ACCEPTANCE_WINNER_SETS, ids=str)
+    def test_winner_checks_match(self, dset):
+        d = DistanceSet(dset)
+        winner = find_winner(d).certificate.winner
+        seen = set()
+        for length in range(d.norm, d.norm + 3):
+            for s in (winner, RationalSet.empty()):
+                want = brute_windows_consistent(s, d, length)
+                assert winner_windows_consistent(s, d, length) == want, (s, length)
+                seen.add(want)
+        assert seen == {True, False}
 
 
 class TestWinnerConsistency:

@@ -283,17 +283,24 @@ class TestGreedy:
         assert (bits, detected) == ("111", None)
 
 
-@pytest.mark.parametrize("junk", [1.5, True, "3", None, -1])
+COUNT_CALLS = {
+    "greedy horizon": lambda n: greedy_avoiding(D35, n),
+    "shift offset": lambda n: shift(RationalSet("", "10"), n),
+    "block length": lambda n: block_encode("10", n),
+    "block count": lambda n: block_encode("10", 2, count=n),
+    "enumeration length": lambda n: list(enumerate_avoiding(D35, n)),
+    "max period": lambda n: brute_best_periodic(D35, n),
+}
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, junk",
     [
-        lambda n: greedy_avoiding(D35, n),
-        lambda n: shift(RationalSet("", "10"), n),
-        lambda n: block_encode("10", n),
-        lambda n: list(enumerate_avoiding(D35, n)),
-        lambda n: brute_best_periodic(D35, n),
+        pytest.param(call, junk, id=f"{name}-{junk}")
+        for name, call in COUNT_CALLS.items()
+        for junk in (1.5, True, "3", None, -1)
+        if not (name == "block count" and junk is None)  # None asks for the default count
     ],
-    ids=["greedy horizon", "shift offset", "block length", "enumeration length", "max period"],
 )
 def test_counts_must_be_ints_in_range(call, junk):
     with pytest.raises(ValueError, match="must be a (positive|non-negative) integer, got"):
