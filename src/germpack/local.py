@@ -15,11 +15,13 @@ Fixpoints of the sweep are not known to be winners, but certified winners
 are fixpoints: every interior window of a winner must already contain the
 best filling for its contexts, which `winner_windows_consistent` checks.
 
-The best filling comes from `LineKernel`, the one germ-best-string dynamic
-program in the library: `search` reads its germ-best strings and its
-two-block challengers off the same kernel.  Past norm steps the kernel drops
-a window whose new 1 loses to its clashing sibling's 0; `LineKernel` says
-why that is exact.
+`LineKernel` is the one germ-best-string dynamic program in the library:
+`search` reads its germ-best strings and its two-block challengers off it.
+Past norm steps the kernel drops a window whose new 1 loses to its clashing
+sibling's 0; `LineKernel` says why that is exact.  A patch, whose length
+and right context are known, runs the kernel's windows bounded at both ends
+(`_patch_run`): no 1 that meets the right context, and windows merged once
+they agree on every bit that can still clash, so one entry is left.
 """
 
 from __future__ import annotations
@@ -66,22 +68,23 @@ class LineKernel:
     The state is a window of `sets._WindowModel`: a new 1 can only clash
     inside it, and whichever of two equal-length fillings is germ-greater
     stays so under any common extension, so one entry (mask, ones,
-    position-sum) per window suffices.  `left` is the window before position
-    0; violations inside it are not the filling's business.
+    position-sum) per window suffices.  The run starts from window 0: no 1s
+    before position 0.
 
     Windows 2s and 2s + 1 both shift to s; only 2s can take a 1 (2s + 1
     holds a 1 norm back), making s | top, which is dropped when germ-lower
     than the entry of 2s + 1.  Exact: s holds a subset of its 1s, so any
     continuation of s | top, `best`'s right context included, also follows
-    s, from a greater entry.  Before step norm the bit norm back is a context
-    bit, the same in every window, so none has a sibling and a patch of
-    length norm keeps every avoiding filling; 2**norm windows is a ceiling.
+    s, from a greater entry.  Before step norm the bit norm back lies before
+    position 0, 0 in every window, so none has a sibling; 2**norm windows is
+    a ceiling.  A patch, whose length and right context are known, runs
+    `_patch_run` instead.
     """
 
-    def __init__(self, distances: DistanceSet, left: int = 0):
+    def __init__(self, distances: DistanceSet):
         self.model = distances._windows
         self.length = 0
-        self.states = {left: (0, 0, 0)}
+        self.states = {0: (0, 0, 0)}
 
     def advance(self, steps: int) -> LineKernel:
         """Append `steps` positions; raises ValueError before passing MAX_WINDOW_BITS."""
@@ -124,9 +127,8 @@ class LineKernel:
     def best(self, right: int = 0) -> tuple[int, int, int]:
         """The germ-best entry whose last window fits before `right`.
 
-        Bit j of `right` is position length + j.  The all-zero filling fits
-        once the window holds no context bits; before that every window may
-        clash, and then no filling fits: ValueError.
+        Bit j of `right` is position length + j.  Window 0, the all-zero
+        filling's, is never dropped and always fits.
         """
         blocked = self.model.blocked(right)
         best = None
@@ -139,10 +141,6 @@ class LineKernel:
                 else germ_greater(entry, best)
             ):
                 best = entry
-        if best is None:
-            raise ValueError(
-                f"no filling of length {self.length} fits: the left context clashes with the right"
-            )
         return best
 
 
@@ -165,11 +163,12 @@ class PatchContext:
 def best_patch(context: PatchContext, distances: DistanceSet) -> str:
     """The unique germ-maximal filling of the gap that keeps it avoiding.
 
-    The line kernel run across the patch from the left context, keeping
-    only final windows that do not clash with the right context.
-    Violations wholly inside a fixed context are not the patch's business
-    and are ignored, so the all-zero filling is always feasible and a best
-    filling always exists.
+    The line kernel's windows run across the patch from the left context,
+    never placing a 1 that meets the right context, and merged once they
+    agree on every bit that can still clash (`_patch_run`).  Violations
+    wholly inside a fixed context are not the patch's business and are
+    ignored, so the all-zero filling is always feasible and a best filling
+    always exists.
     """
     norm = distances.norm
     if len(context.left) != norm:
@@ -192,17 +191,74 @@ def _patch_filler(distances: DistanceSet, patch_length: int):
     norm = distances.norm
     width, hole = (1 << norm) - 1, (1 << patch_length) - 1
     fillings: dict[tuple[int, int], int] = {}
+    run = None  # built on the first miss: a string too short for a patch never needs it
 
     def refill(mask: int, position: int) -> int:
+        nonlocal run
         left = mask >> (position - norm) & width
         right = mask >> (position + patch_length) & width
         patch = fillings.get((left, right))
         if patch is None:
-            kernel = LineKernel(distances, left).advance(patch_length)
-            patch = fillings[left, right] = kernel.best(right)[0]
+            run = run or _patch_run(distances, patch_length)
+            patch = fillings[left, right] = run(left, right)[0]
         return mask & ~(hole << position) | patch << position
 
     return refill
+
+
+def _patch_run(distances: DistanceSet, length: int):
+    """`run(left, right)`: the germ-best (mask, ones, position-sum) entry of
+    the avoiding fillings of `length` (at least norm) positions between two
+    context windows, bit j of `right` being position length + j.
+
+    The line kernel's windows, from `left`, bounded at both ends.  A 1 never
+    goes where it would meet `right`, so no filling is checked at the end.
+    A window bit that can clash with none of the remaining positions is
+    dropped (`_WindowModel.live`), and windows that then agree are merged,
+    keeping the germ-greater entry: they admit the same continuations, and
+    the germ order survives a common extension.  No bit is live after the
+    last step, so one entry is left.  Until the last norm steps every bit
+    is live and the windows are the kernel's, without its sibling cut; the
+    cap check is the kernel's too.
+    """
+    model = distances._windows
+    most, top, clash = model.most, model.top, model.clash
+    steps = [(pos, 1 << pos, model.live(length - pos - 1)) for pos in range(length)]
+
+    def run(left: int, right: int) -> tuple[int, int, int]:
+        # bit p is set iff p + d is a 1 of `right` for some d:
+        # OR_d (right << length) >> d, nothing of which lies below length - norm
+        forbidden = model.blocked(right) << (length - model.norm)
+        states = {left: (0, 0, 0)}
+        for pos, bit, live in steps:
+            if len(states) > most:
+                model.refuse(len(states), pos + 1)
+            fits = not forbidden & bit
+            new: dict[int, tuple[int, int, int]] = {}
+            for window, entry in states.items():
+                shifted = window >> 1 & live
+                cur = new.get(shifted)
+                if cur is None or (  # germ_greater, count and position sum inline
+                    entry[1] > cur[1] if entry[1] != cur[1]
+                    else entry[2] < cur[2] if entry[2] != cur[2]
+                    else germ_greater(entry, cur)
+                ):
+                    new[shifted] = entry
+                if fits and not window & clash:
+                    mask, ones, possum = entry
+                    entry = (mask | bit, ones + 1, possum + pos)
+                    shifted = (shifted | top) & live
+                    cur = new.get(shifted)
+                    if cur is None or (  # germ_greater, count and position sum inline
+                        entry[1] > cur[1] if entry[1] != cur[1]
+                        else entry[2] < cur[2] if entry[2] != cur[2]
+                        else germ_greater(entry, cur)
+                    ):
+                        new[shifted] = entry
+            states = new
+        return states[0]
+
+    return run
 
 
 def improve_at(bits: str, position: int, patch_length: int, distances: DistanceSet) -> str:

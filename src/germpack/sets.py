@@ -99,6 +99,16 @@ class _WindowModel:
             blocked |= (right << norm) >> d
         return blocked & ((1 << norm) - 1)
 
+    def live(self, remaining: int) -> int:
+        """The window bits that can still clash with one of the next `remaining`
+        positions: the bit k back iff some d has k <= d <= k + remaining - 1,
+        so every bit once `remaining` reaches norm, and none at 0."""
+        norm, live = self.norm, 0
+        span = (1 << min(remaining, norm)) - 1
+        for d in self.distances:
+            live |= span << (norm - d)
+        return live & ((1 << norm) - 1)
+
 
 @dataclass(frozen=True)
 class DistanceSet:

@@ -1,6 +1,7 @@
 """Local patch rewriting: best fillings, monotone sweeps, fixpoints."""
 
 import random
+import re
 
 import pytest
 
@@ -107,23 +108,6 @@ class TestKernelComparison:
         assert min(kinds.values()) > 500, kinds
 
 
-def kernel_best(kernel, right):
-    """`kernel.best(right)`, or None where no filling fits (a run shorter than
-    norm whose left context meets `right`)."""
-    try:
-        return kernel.best(right)
-    except ValueError:
-        return None
-
-
-def test_a_kernel_with_no_fitting_filling_says_so():
-    # one step from a left context whose 1 sits 2 before the right's
-    kernel = LineKernel(DistanceSet.of(2), left=0b10).advance(1)
-    with pytest.raises(ValueError, match="no filling of length 1 fits"):
-        kernel.best(1)
-    assert kernel.best(0) == (1, 1, 0)
-
-
 CENSUS_SHAPES = [DistanceSet.of(*d) for d in ((12,), (11, 12), (7, 9, 12), (1, 12))]
 
 
@@ -136,15 +120,13 @@ class TestSiblingCut:
     def test_best_matches_the_dp_that_keeps_every_window(self, distances):
         norm = distances.norm
         rng = random.Random(distances.to_text())
-        lefts = [0, rng.getrandbits(norm), rng.getrandbits(norm)]
         rights = range(1 << norm) if norm <= 6 else [rng.getrandbits(norm) for _ in range(64)]
-        for left in lefts:
-            kernel = LineKernel(distances, left)
-            for length in range(1, 4 * norm + 1):
-                kernel.advance(1)
-                for right in rights:
-                    want = unpruned_best(distances, length, left, right)
-                    assert kernel_best(kernel, right) == want, (left, length, right)
+        kernel = LineKernel(distances)
+        for length in range(1, 4 * norm + 1):
+            kernel.advance(1)
+            for right in rights:
+                want = unpruned_best(distances, length, 0, right)
+                assert kernel.best(right) == want, (length, right)
 
     @pytest.mark.parametrize(
         "dset, length, windows",
@@ -155,15 +137,78 @@ class TestSiblingCut:
     def test_window_counts(self, dset, length, windows):
         assert len(LineKernel(DistanceSet.of(*dset)).advance(length).states) == windows
 
-    def test_patch_kernels_keep_every_filling(self):
-        # best_patch runs norm steps, all before the cut can apply
+
+class TestPatchRun:
+    """`local._patch_run`: the kernel's windows bounded by both contexts,
+    merged once they agree on every bit that can still clash."""
+
+    @pytest.mark.parametrize("distances", all_distance_sets(6), ids=lambda d: d.to_text())
+    def test_matches_the_dp_that_keeps_every_window(self, distances):
+        norm = distances.norm
+        contexts = [_to_mask(c) for c in enumerate_avoiding(distances, norm)]
+        for length in range(norm, 2 * norm + 2):
+            run = local._patch_run(distances, length)
+            for left in contexts:
+                for right in contexts:
+                    want = unpruned_best(distances, length, left, right)
+                    assert run(left, right) == want, (length, left, right)
+
+    def test_patch_runs_pick_the_best_of_every_filling(self):
+        # a patch of length norm between every pair of avoiding contexts,
+        # against every avoiding string that holds them
         for distances in all_distance_sets(6):
             norm = distances.norm
-            strings = list(enumerate_avoiding(distances, 2 * norm))
-            for context in enumerate_avoiding(distances, norm):
-                kernel = LineKernel(distances, _to_mask(context)).advance(norm)
-                fillings = {_to_mask(s[norm:]) for s in strings if s.startswith(context)}
-                assert set(kernel.states) == fillings, (distances, context)
+            best = {}
+            for s in enumerate_avoiding(distances, 3 * norm):
+                key = (_to_mask(s[:norm]), _to_mask(s[2 * norm:]))
+                entry = _entry(_to_mask(s[norm: 2 * norm]))
+                if key not in best or germ_greater(entry, best[key]):
+                    best[key] = entry
+            run = local._patch_run(distances, norm)
+            assert {key: run(*key) for key in best} == best, distances
+
+    def test_live_bits_match_their_definition(self):
+        # the bit k back (window bit norm - k) can clash with one of the next
+        # r positions iff some d has k <= d <= k + r - 1
+        for distances in all_distance_sets(8):
+            norm, model = distances.norm, distances._windows
+            for remaining in range(2 * norm + 2):
+                want = sum(
+                    1 << (norm - k) for k in range(1, norm + 1)
+                    if any(k <= d <= k + remaining - 1 for d in distances)
+                )
+                assert model.live(remaining) == want, (distances, remaining)
+
+    def test_sweeps_and_rewrites_match_the_string_reference(self):
+        # patches up to 2 norm + 1 long, where bits stay live past the first
+        # step and windows merge late
+        rng = random.Random(49)
+        changed = 0
+        for distances in rng.sample(all_distance_sets(6), 20):
+            norm = distances.norm
+            for length in range(norm, min(2 * norm + 1, 10) + 1):
+                w = random_avoiding(rng, distances, rng.randrange(30, 61))
+                expected = brute_sweep(w, length, distances)
+                assert sweep_to_fixpoint(w, length, distances) == expected, (w, length)
+                changed += expected != w
+                for t in range(norm, len(w) - length - norm + 1):
+                    want = brute_refill(w, t, length, distances)
+                    assert improve_at(w, t, length, distances) == want, (w, length, t)
+        assert changed > 20
+
+    def test_a_lone_distance_patch_holds_one_window(self):
+        # {12} over 12 positions: a patch bit k back could only clash 12 - k
+        # positions on, past the patch, so it is dead as it is written; a
+        # model capped at one window never refuses
+        rng = random.Random(48)
+        distances = DistanceSet.of(12)
+        distances._windows.most = 1
+        run = local._patch_run(distances, 12)
+        rights = [0, (1 << 12) - 1] + [rng.getrandbits(12) for _ in range(2)]
+        for left in range(1 << 12):
+            for right in rights:
+                mask = run(left, right)[0]
+                assert mask == ~(right | left) & 0xFFF, (left, right)
 
 
 class TestPatchContext:
@@ -266,41 +311,54 @@ class TestImproveAt:
         with pytest.raises(ValueError, match="patch length must be a positive integer, got"):
             improve_at("0" * 20, 6, length, D35)
 
+    def test_a_lone_large_distance_fills_its_patch(self):
+        # bits of {40} die as the patch writes them, so the run holds one
+        # window; the unbounded kernel would hold 2**k after k steps
+        out = improve_at("0" * 120, 40, 40, DistanceSet.of(40))
+        assert out == "0" * 40 + "1" * 40 + "0" * 40
 
-def lying_kernel(filling, calls):
-    """A stand-in for `LineKernel` whose every run ends in `filling`; `calls`
-    gets one entry per run."""
+    def test_a_patch_whose_bits_stay_live_meets_the_cap(self):
+        # over 80 positions, every bit of {40} stays live for 40 steps
+        message = (
+            "distances {40} need up to 32768 line-DP windows of 40 bits at length 15, "
+            "over the cap of 1048576 window bits"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            improve_at("0" * 160, 40, 80, DistanceSet.of(40))
 
-    class Lying:
-        def __init__(self, distances, left=0):
+
+def lying_run(filling, calls):
+    """A stand-in for `local._patch_run` whose every run ends in `filling`;
+    `calls` gets one entry per run."""
+
+    def make(distances, length):
+        def run(left, right):
             calls.append(left)
             if len(calls) > 10_000:
                 raise RuntimeError("sweep never stopped")
-
-        def advance(self, steps):
-            return self
-
-        def best(self, right=0):
             return _entry(_to_mask(filling))
 
-    return Lying
+        return run
+
+    return make
 
 
-def counting_kernel(calls):
-    """`LineKernel`, recording the (left, right) contexts of every `best`
-    call in `calls` as bit strings."""
+def counting_run(calls):
+    """`local._patch_run`, recording the (left, right) contexts of every run
+    in `calls` as bit strings."""
+    real = local._patch_run
 
-    class Counting(LineKernel):
-        def __init__(self, distances, left=0):
-            super().__init__(distances, left)
-            self.left = left
+    def make(distances, length):
+        inner = real(distances, length)
 
-        def best(self, right=0):
-            norm = self.model.norm
-            calls.append((_to_bits(self.left, norm), _to_bits(right, norm)))
-            return super().best(right)
+        def run(left, right):
+            norm = distances.norm
+            calls.append((_to_bits(left, norm), _to_bits(right, norm)))
+            return inner(left, right)
 
-    return Counting
+        return run
+
+    return make
 
 
 class TestSweep:
@@ -353,7 +411,7 @@ class TestSweep:
         # what the patch at 5 already holds, and moves the 1 of the patch at
         # 6 (10000) later
         calls = []
-        monkeypatch.setattr(local, "LineKernel", lying_kernel("01000", calls))
+        monkeypatch.setattr(local, "_patch_run", lying_run("01000", calls))
         with pytest.raises(AssertionError, match="did not raise the germ"):
             sweep_to_fixpoint("000000" + "10000" + "0" * 9, 5, D35)
         assert len(calls) == 1
@@ -361,7 +419,7 @@ class TestSweep:
     def test_a_rewrite_that_clashes_with_its_context_is_refused(self, monkeypatch):
         # at position 5, the first the sweep visits, a 1 at position 7 sits 3
         # before the right context's 1 at position 10
-        monkeypatch.setattr(local, "LineKernel", lying_kernel("00100", []))
+        monkeypatch.setattr(local, "_patch_run", lying_run("00100", []))
         with pytest.raises(AssertionError, match="broke avoidance"):
             sweep_to_fixpoint("0" * 10 + "1" + "0" * 9, 5, D35)
 
@@ -430,14 +488,14 @@ class TestSweepMemo:
             expected, contexts = reference_sweep(w, d.norm, d)
             calls = []
             with monkeypatch.context() as patch:
-                patch.setattr(local, "LineKernel", counting_kernel(calls))
+                patch.setattr(local, "_patch_run", counting_run(calls))
                 assert sweep_to_fixpoint(w, d.norm, d) == expected
             assert len(calls) == len(set(calls)) == len(contexts)
             assert set(calls) == contexts
 
     def test_winner_check_computes_each_context_once(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(local, "LineKernel", counting_kernel(calls))
+        monkeypatch.setattr(local, "_patch_run", counting_run(calls))
         d = DistanceSet.of(3, 5)
         assert winner_windows_consistent(RationalSet("", "10"), d, d.norm)
         # the period-2 winner shows only two context pairs
