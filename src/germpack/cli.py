@@ -149,7 +149,10 @@ def _cmd_improve(args) -> int:
 
 def _cmd_certify(args) -> int:
     with open(args.file, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError("malformed certificate: JSON nested too deeply") from None
     cert = Certificate.from_json_dict(data)
     valid = cert.verify()
     payload = {"valid": valid, "kind": cert.kind, "winner": _set_dict(cert.winner)}

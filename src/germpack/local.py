@@ -17,11 +17,13 @@ best filling for its contexts, which `winner_windows_consistent` checks.
 
 `LineKernel` is the one germ-best-string dynamic program in the library:
 `search` reads its germ-best strings and its two-block challengers off it.
-Past norm steps the kernel drops a window whose new 1 loses to its clashing
-sibling's 0; `LineKernel` says why that is exact.  A patch, whose length
-and right context are known, runs the kernel's windows bounded at both ends
-(`_patch_run`): no 1 that meets the right context, and windows merged once
-they agree on every bit that can still clash, so one entry is left.
+Its states are the shadows of `sets._WindowModel`, the positions ahead that
+the 1s placed forbid.  The kernel drops a shadow whose new 1 loses to its
+clashing sibling's 0; `LineKernel` says why that is exact.  A patch, whose
+length and right context are known, runs the kernel's shadows from the left
+context's, bounded at both ends (`_patch_run`): no 1 that meets the right
+context, and shadows merged once they agree on every position left in the
+patch, so one entry is left.
 """
 
 from __future__ import annotations
@@ -63,22 +65,21 @@ def germ_greater(a, b) -> bool:
 
 
 class LineKernel:
-    """The germ-best avoiding filling of every trailing window, grown bit by bit.
+    """The germ-best avoiding filling of every shadow, grown bit by bit.
 
-    The state is a window of `sets._WindowModel`: a new 1 can only clash
-    inside it, and whichever of two equal-length fillings is germ-greater
-    stays so under any common extension, so one entry (mask, ones,
-    position-sum) per window suffices.  The run starts from window 0: no 1s
-    before position 0.
+    The state is a shadow of `sets._WindowModel`: two fillings with one
+    shadow admit the same continuations, and whichever of two equal-length
+    fillings is germ-greater stays so under any common extension, so one
+    entry (mask, ones, position-sum) per shadow suffices.  The run starts
+    from shadow 0: no 1s before position 0.
 
-    Windows 2s and 2s + 1 both shift to s; only 2s can take a 1 (2s + 1
-    holds a 1 norm back), making s | top, which is dropped when germ-lower
-    than the entry of 2s + 1.  Exact: s holds a subset of its 1s, so any
-    continuation of s | top, `best`'s right context included, also follows
-    s, from a greater entry.  Before step norm the bit norm back lies before
-    position 0, 0 in every window, so none has a sibling; 2**norm windows is
-    a ceiling.  A patch, whose length and right context are known, runs
-    `_patch_run` instead.
+    Shadows s and s | 1 (s even) both shift to s >> 1; only s can take a 1,
+    making s >> 1 | grow, which is dropped when germ-lower than the entry of
+    s | 1.  Exact: s >> 1 is a subset of that shadow, so any continuation of
+    the 1, `best`'s right context included, also follows s | 1, from a
+    greater entry.  A shadow has norm bits, so 2**norm of them is a ceiling.
+    A patch, whose length and right context are known, runs `_patch_run`
+    instead.
     """
 
     def __init__(self, distances: DistanceSet):
@@ -89,16 +90,15 @@ class LineKernel:
     def advance(self, steps: int) -> LineKernel:
         """Append `steps` positions; raises ValueError before passing MAX_WINDOW_BITS."""
         model = self.model
-        norm, most, top, clash = model.norm, model.most, model.top, model.clash
+        most, grow = model.most, model.grow
         for _ in range(steps):
-            pos = self.length
-            if len(self.states) > most:
-                model.refuse(len(self.states), pos + 1)
+            pos, states = self.length, self.states
+            if len(states) > most:
+                model.refuse(len(states), pos + 1)
             bit = 1 << pos
-            cut = pos >= norm  # before it no window has a sibling
             new: dict[int, tuple[int, int, int]] = {}
-            for window, entry in self.states.items():
-                shifted = window >> 1
+            for shadow, entry in states.items():
+                shifted = shadow >> 1
                 cur = new.get(shifted)
                 if cur is None or (  # germ_greater, count and position sum inline
                     entry[1] > cur[1] if entry[1] != cur[1]
@@ -106,34 +106,37 @@ class LineKernel:
                     else germ_greater(entry, cur)
                 ):
                     new[shifted] = entry
-                if not window & clash:
-                    # the only way into its new window: the other window that
-                    # shifts there holds a 1 norm back, which clashes (with no
-                    # distances there is one window, and one more 1 wins)
+                if not shadow & 1:
                     mask, ones, possum = entry
-                    if cut:
-                        rival = self.states.get(window | 1)  # shifts in with a 0
-                        if rival is not None and (  # germ_greater(rival, the 1-extension) inline
-                            rival[1] > ones + 1 if rival[1] != ones + 1
-                            else rival[2] < possum + pos if rival[2] != possum + pos
-                            else germ_greater(rival, (mask | bit, ones + 1, possum + pos))
-                        ):
-                            continue
-                    new[shifted | top] = (mask | bit, ones + 1, possum + pos)
+                    entry = (mask | bit, ones + 1, possum + pos)
+                    rival = states.get(shadow | 1)  # shifts to `shifted` with a 0
+                    if rival is not None and (  # germ_greater(rival, entry) inline
+                        rival[1] > entry[1] if rival[1] != entry[1]
+                        else rival[2] < entry[2] if rival[2] != entry[2]
+                        else germ_greater(rival, entry)
+                    ):
+                        continue
+                    shifted |= grow
+                    cur = new.get(shifted)
+                    if cur is None or (  # germ_greater, count and position sum inline
+                        entry[1] > cur[1] if entry[1] != cur[1]
+                        else entry[2] < cur[2] if entry[2] != cur[2]
+                        else germ_greater(entry, cur)
+                    ):
+                        new[shifted] = entry
             self.states = new
             self.length += 1
         return self
 
     def best(self, right: int = 0) -> tuple[int, int, int]:
-        """The germ-best entry whose last window fits before `right`.
+        """The germ-best entry whose shadow meets no 1 of `right`.
 
-        Bit j of `right` is position length + j.  Window 0, the all-zero
+        Bit j of `right` is position length + j.  Shadow 0, the all-zero
         filling's, is never dropped and always fits.
         """
-        blocked = self.model.blocked(right)
         best = None
-        for window, entry in self.states.items():
-            if window & blocked:
+        for shadow, entry in self.states.items():
+            if shadow & right:
                 continue
             if best is None or (  # germ_greater, count and position sum inline
                 entry[1] > best[1] if entry[1] != best[1]
@@ -211,32 +214,31 @@ def _patch_run(distances: DistanceSet, length: int):
     the avoiding fillings of `length` (at least norm) positions between two
     context windows, bit j of `right` being position length + j.
 
-    The line kernel's windows, from `left`, bounded at both ends.  A 1 never
-    goes where it would meet `right`, so no filling is checked at the end.
-    A window bit that can clash with none of the remaining positions is
-    dropped (`_WindowModel.live`), and windows that then agree are merged,
+    The line kernel's shadows, from the left context's, bounded at both
+    ends.  A 1 never goes where it would meet `right`, so no filling is
+    checked at the end.  A shadow bit past the patch's last position is
+    dropped (`_WindowModel.live`), and shadows that then agree are merged,
     keeping the germ-greater entry: they admit the same continuations, and
     the germ order survives a common extension.  No bit is live after the
-    last step, so one entry is left.  Until the last norm steps every bit
-    is live and the windows are the kernel's, without its sibling cut; the
-    cap check is the kernel's too.
+    last step, so one entry is left.  The cap check is the kernel's.
     """
-    model = distances._windows
-    most, top, clash = model.most, model.top, model.clash
+    model, norm = distances._windows, distances.norm
+    most, grow = model.most, model.grow
     steps = [(pos, 1 << pos, model.live(length - pos - 1)) for pos in range(length)]
 
     def run(left: int, right: int) -> tuple[int, int, int]:
-        # bit p is set iff p + d is a 1 of `right` for some d:
-        # OR_d (right << length) >> d, nothing of which lies below length - norm
-        forbidden = model.blocked(right) << (length - model.norm)
-        states = {left: (0, 0, 0)}
+        start = forbidden = 0
+        for d in distances:  # left's shadow; bit p of forbidden is set iff p + d is in `right`
+            start |= (left << d) >> norm
+            forbidden |= (right << length) >> d
+        states = {start: (0, 0, 0)}
         for pos, bit, live in steps:
             if len(states) > most:
                 model.refuse(len(states), pos + 1)
             fits = not forbidden & bit
             new: dict[int, tuple[int, int, int]] = {}
-            for window, entry in states.items():
-                shifted = window >> 1 & live
+            for shadow, entry in states.items():
+                shifted = shadow >> 1 & live
                 cur = new.get(shifted)
                 if cur is None or (  # germ_greater, count and position sum inline
                     entry[1] > cur[1] if entry[1] != cur[1]
@@ -244,10 +246,10 @@ def _patch_run(distances: DistanceSet, length: int):
                     else germ_greater(entry, cur)
                 ):
                     new[shifted] = entry
-                if fits and not window & clash:
+                if fits and not shadow & 1:
                     mask, ones, possum = entry
                     entry = (mask | bit, ones + 1, possum + pos)
-                    shifted = (shifted | top) & live
+                    shifted = (shifted | grow) & live
                     cur = new.get(shifted)
                     if cur is None or (  # germ_greater, count and position sum inline
                         entry[1] > cur[1] if entry[1] != cur[1]

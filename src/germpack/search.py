@@ -18,9 +18,9 @@ All certificates re-verify from their recorded evidence alone, without
 trusting the search that produced them.
 
 The germ-maximal avoiding strings are read off one cached run of the line
-kernel (`local.LineKernel`) per distance set, at the lengths asked for: the
-run jumps ahead to each new length, and a second, catch-up kernel serves the
-lengths it jumped over.
+kernel (`local.LineKernel`, keyed by the shadow of the 1s placed) per
+distance set, at the lengths asked for: the run jumps ahead to each new
+length, and a second, catch-up kernel serves the lengths it jumped over.
 """
 
 from __future__ import annotations
@@ -190,12 +190,14 @@ class Certificate:
     @classmethod
     def from_json_dict(cls, data: dict) -> Certificate:
         try:
-            winner = data["winner"]
+            winner, evidence = data["winner"], data["evidence"]
+            if not isinstance(evidence, dict):
+                raise TypeError(f"evidence must be a JSON object, got {evidence!r:.40}")
             return cls(
                 data["kind"],
                 DistanceSet(tuple(data["distances"])),
                 RationalSet(winner["preperiod"], winner["repetend"]),
-                dict(data["evidence"]),
+                dict(evidence),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed certificate: {exc}") from None
@@ -339,10 +341,10 @@ def _two_block_challenger(distances: DistanceSet, block_b: str):
 
     Branch and bound over R.  For a fixed R, QR - Q'R = Q - Q' as
     polynomials, so only the germ-best Q that fits before R can beat BB.  Q
-    meets R only through its last norm bits and R[:norm] (all of R when the
-    blocks are shorter than norm, Q's window then being padded with zeros),
-    so one kernel run over |B| positions from an all-zero context serves
-    every R: the best Q is its best final entry that fits before R[:norm].
+    meets R only through its shadow, the positions of R[:norm] its 1s
+    forbid (all of R when the blocks are shorter than norm), so one kernel
+    run over |B| positions serves every R: the best Q is its best final
+    entry whose shadow misses the 1s of R[:norm].
     R > B needs at least as many 1s as B (the count is the leading
     t-coefficient), so a prefix of R is cut once even the fullest avoiding
     tail cannot reach that count.
@@ -370,7 +372,7 @@ def _two_block_challenger(distances: DistanceSet, block_b: str):
 def _avoiding_with_ones(distances: DistanceSet, length: int, need: int):
     """The entry of every avoiding string of the given length with >= `need` 1s.
 
-    Depth first, 1 before 0, carrying the window of `sets._WindowModel`; a
+    Depth first, 1 before 0, carrying the shadow of `sets._WindowModel`; a
     prefix is cut as soon as even the fullest avoiding tail of the remaining
     length cannot bring it up to `need`.
     """
@@ -378,18 +380,17 @@ def _avoiding_with_ones(distances: DistanceSet, length: int, need: int):
     # leading t-coefficient
     run = _line_run(distances)
     most = [run.entry(n)[1] for n in range(length + 1)]
-    model = distances._windows
-    top, clash = model.top, model.clash
+    grow = distances._windows.grow
 
-    def extend(pos, window, mask, ones, possum):
+    def extend(pos, shadow, mask, ones, possum):
         if ones + most[length - pos] < need:
             return
         if pos == length:
             yield mask, ones, possum
             return
-        if not window & clash:
-            yield from extend(pos + 1, window >> 1 | top, mask | 1 << pos, ones + 1, possum + pos)
-        yield from extend(pos + 1, window >> 1, mask, ones, possum)
+        if not shadow & 1:
+            yield from extend(pos + 1, shadow >> 1 | grow, mask | 1 << pos, ones + 1, possum + pos)
+        yield from extend(pos + 1, shadow >> 1, mask, ones, possum)
 
     yield from extend(0, 0, 0, 0, 0)
 

@@ -5,7 +5,8 @@ a repetend that repeats forever.  The representation is canonicalized on
 construction (primitive repetend, shortest preperiod), so two values are ==
 exactly when they denote the same set.
 
-Also here: forbidden-distance sets, the avoidance predicate, the greedy
+Also here: forbidden-distance sets, the avoidance predicate, the shadow
+model of the avoidance automaton that the line DPs step on, the greedy
 construction with period detection, translation, the generating function,
 and the two-coefficient valuation (density, constant term) that refines
 density comparison.
@@ -64,15 +65,17 @@ MAX_WINDOW_BITS = 16 << 16
 
 
 class _WindowModel:
-    """The avoidance automaton, whose state is the window of the last norm bits.
+    """The avoidance automaton, whose state is the shadow of the 1s placed.
 
-    Bit i of a window is the bit norm - i back, so the successor of (w, bit)
-    is w >> 1 | bit * top, and a new 1 fits in w iff w & clash == 0.  A line
-    DP may step from at most `most` windows (a step at most doubles them);
-    a norm that no step fits is refused on construction.
+    Bit j of the shadow at length n is set when position n + j lies a
+    forbidden distance after a 1 before n, so a new 1 fits in s iff not
+    s & 1, and the successor of (s, bit) is s >> 1 | bit * grow.  One shadow
+    admits one set of continuations, and distinct shadows differ on a lone
+    1.  A line DP may step from at most `most` shadows (of norm bits; a step
+    at most doubles them); a norm that no step fits is refused on construction.
     """
 
-    __slots__ = ("distances", "norm", "most", "top", "clash")
+    __slots__ = ("distances", "norm", "most", "grow")
 
     def __init__(self, distances: DistanceSet):
         norm = distances.norm
@@ -80,8 +83,7 @@ class _WindowModel:
         self.most = 1 << norm if norm <= 16 else MAX_WINDOW_BITS // (2 * norm)
         if not self.most:  # before the norm-bit ints below
             self.refuse(1, 1)
-        self.top = 1 << (norm - 1) if norm else 0
-        self.clash = sum(1 << (norm - d) for d in distances)
+        self.grow = sum(1 << (d - 1) for d in distances)
 
     def refuse(self, windows: int, length: int):
         """Raise the cap's ValueError for `windows` windows stepping to `length`."""
@@ -91,23 +93,9 @@ class _WindowModel:
             f"{MAX_WINDOW_BITS} window bits"
         )
 
-    def blocked(self, right: int) -> int:
-        """The bits a last window must not hold to fit before `right`, bit j
-        of which is the bit j + 1 after the window's top."""
-        norm, blocked = self.norm, 0
-        for d in self.distances:
-            blocked |= (right << norm) >> d
-        return blocked & ((1 << norm) - 1)
-
     def live(self, remaining: int) -> int:
-        """The window bits that can still clash with one of the next `remaining`
-        positions: the bit k back iff some d has k <= d <= k + remaining - 1,
-        so every bit once `remaining` reaches norm, and none at 0."""
-        norm, live = self.norm, 0
-        span = (1 << min(remaining, norm)) - 1
-        for d in self.distances:
-            live |= span << (norm - d)
-        return live & ((1 << norm) - 1)
+        """The shadow bits that one of the next `remaining` positions can meet."""
+        return (1 << min(remaining, self.norm)) - 1
 
 
 @dataclass(frozen=True)
@@ -303,15 +291,16 @@ def greedy_avoiding(distances: DistanceSet, horizon: int):
     Returns (bits, detected) where bits is the indicator string of the first
     `horizon` naturals and detected is the eventually periodic set proven to
     continue it, or None if no proof was found within the horizon.  The proof
-    is a recurrence of the window of `_WindowModel` from step norm on: the
+    is a recurrence of the window of the last norm bits from step norm on: the
     greedy decision depends only on that window, so a repeated window repeats
-    forever after.  A norm the line DP refuses at its first step is refused,
-    and so is a walk that would record more windows than a line-DP step may
-    start from (none can up to norm 16, which has only 2**norm windows).
+    forever after (a shadow can recur sooner).  A norm the line DP refuses at
+    its first step is refused, and so is a walk that would record more
+    windows than a line-DP step may start from (none can up to norm 16, which
+    has only 2**norm windows).
     """
     _check_natural(horizon, "horizon")
-    model = distances._windows
-    norm, top, clash = model.norm, model.top, model.clash
+    model, norm = distances._windows, distances.norm
+    top, clash = 1 << norm >> 1, sum(1 << (norm - d) for d in distances)  # bit i: norm - i back
     bits: list[str] = []
     seen: dict[int, int] = {}
     detected = None

@@ -417,6 +417,22 @@ class TestErrors:
         assert err == f"error: {bits} bits of evidence are over the cap of 4096\n"
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000 + "]" * 100_000,  # deeper than the JSON reader recurses
+            json.dumps({**LONG_WINDOW_DOCUMENT, "evidence": "ab"}),
+            json.dumps({**LONG_WINDOW_DOCUMENT, "evidence": ["ab"]}),  # not read as {"a": "b"}
+        ],
+        ids=["deep", "evidence-str", "evidence-list"],
+    )
+    def test_a_malformed_document_is_an_error(self, capsys, tmp_path, text):
+        path = tmp_path / "cert.json"
+        path.write_text(text)
+        assert main(["certify", "--file", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed certificate: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "norm,block",
         [(300_000_000, 10), (1_000_000_000, 1), (600_000, None), (100_000, None)],
     )

@@ -74,7 +74,7 @@ def kernel_keeps(first, second):
     kept = []
     for a, b in ((first, second), (second, first)):
         kernel = LineKernel(DistanceSet.of(1))
-        kernel.states = {0: a, 1: b}  # a 0 shifts both windows to window 0
+        kernel.states = {0: a, 1: b}  # a 0 shifts both shadows to shadow 0
         kept.append(kernel.best())
         kept.append(kernel.advance(1).states[0])
     return kept
@@ -108,7 +108,30 @@ class TestKernelComparison:
         assert min(kinds.values()) > 500, kinds
 
 
-CENSUS_SHAPES = [DistanceSet.of(*d) for d in ((12,), (11, 12), (7, 9, 12), (1, 12))]
+# {10,11,12} has the most windows per shadow of the census sets (2,048 to
+# 243); {5,11,12} ran the most kernel steps of a census round keyed by window
+CENSUS_SHAPES = [
+    DistanceSet.of(*d)
+    for d in ((12,), (11, 12), (7, 9, 12), (1, 12), (5, 11, 12), (10, 11, 12))
+]
+
+
+class TestShadowKeys:
+    @pytest.mark.parametrize(
+        "distances", all_distance_sets(7) + CENSUS_SHAPES, ids=lambda d: d.to_text()
+    )
+    def test_every_key_is_the_shadow_of_its_entry(self, distances):
+        # bit j of the key is set iff position length + j lies a forbidden
+        # distance after a 1 of the entry: OR_d (mask << d) >> length
+        norm = distances.norm
+        kernel = LineKernel(distances)
+        for length in range(1, 4 * norm + 1):
+            kernel.advance(1)
+            for key, (mask, _, _) in kernel.states.items():
+                ones = [p for p in range(length) if mask >> p & 1]
+                want = sum({1 << (p + d - length) for p in ones for d in distances
+                            if p + d >= length})
+                assert key == want, (length, _to_bits(mask, length))
 
 
 class TestSiblingCut:
@@ -130,8 +153,10 @@ class TestSiblingCut:
 
     @pytest.mark.parametrize(
         "dset, length, windows",
-        # without the cut: 4,096, 4,096, 3,072, 672 and 199 windows
-        [((12,), 24, 1), ((12,), 48, 1), ((11, 12), 48, 13), ((7, 9, 12), 48, 524),
+        # without the cut: 4,096, 4,096, 730, 220 and 199 shadows; keyed by
+        # the window of the last norm bits instead, 4,096, 4,096, 3,072, 672
+        # and 199 windows, and 1, 1, 13, 524 and 130 with the cut from step norm
+        [((12,), 24, 1), ((12,), 48, 1), ((11, 12), 48, 12), ((7, 9, 12), 48, 157),
          ((4, 7, 11), 132, 130)],
     )
     def test_window_counts(self, dset, length, windows):
@@ -139,8 +164,8 @@ class TestSiblingCut:
 
 
 class TestPatchRun:
-    """`local._patch_run`: the kernel's windows bounded by both contexts,
-    merged once they agree on every bit that can still clash."""
+    """`local._patch_run`: the kernel's shadows bounded by both contexts,
+    merged once they agree on every position left in the patch."""
 
     @pytest.mark.parametrize("distances", all_distance_sets(6), ids=lambda d: d.to_text())
     def test_matches_the_dp_that_keeps_every_window(self, distances):
@@ -168,15 +193,14 @@ class TestPatchRun:
             assert {key: run(*key) for key in best} == best, distances
 
     def test_live_bits_match_their_definition(self):
-        # the bit k back (window bit norm - k) can clash with one of the next
-        # r positions iff some d has k <= d <= k + r - 1
-        for distances in all_distance_sets(8):
+        # shadow bit j is position j ahead: live iff some avoiding filling of
+        # the next r positions holds a 1 there (a lone 1 always avoids)
+        for distances in all_distance_sets(6):
             norm, model = distances.norm, distances._windows
             for remaining in range(2 * norm + 2):
-                want = sum(
-                    1 << (norm - k) for k in range(1, norm + 1)
-                    if any(k <= d <= k + remaining - 1 for d in distances)
-                )
+                want = 0
+                for filling in enumerate_avoiding(distances, remaining):
+                    want |= _to_mask(filling) & ((1 << norm) - 1)
                 assert model.live(remaining) == want, (distances, remaining)
 
     def test_sweeps_and_rewrites_match_the_string_reference(self):
@@ -197,9 +221,10 @@ class TestPatchRun:
         assert changed > 20
 
     def test_a_lone_distance_patch_holds_one_window(self):
-        # {12} over 12 positions: a patch bit k back could only clash 12 - k
-        # positions on, past the patch, so it is dead as it is written; a
-        # model capped at one window never refuses
+        # {12} over 12 positions: a 1 of the patch shadows only the position
+        # 12 on, past the patch, so the bit it sets is dead as it is written
+        # and both choices lead to one shadow; a model capped at one never
+        # refuses
         rng = random.Random(48)
         distances = DistanceSet.of(12)
         distances._windows.most = 1
@@ -313,7 +338,7 @@ class TestImproveAt:
 
     def test_a_lone_large_distance_fills_its_patch(self):
         # bits of {40} die as the patch writes them, so the run holds one
-        # window; the unbounded kernel would hold 2**k after k steps
+        # shadow; the unbounded kernel would hold 2**k after k steps
         out = improve_at("0" * 120, 40, 40, DistanceSet.of(40))
         assert out == "0" * 40 + "1" * 40 + "0" * 40
 

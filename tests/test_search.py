@@ -521,16 +521,21 @@ class TestFindWinner:
             find_repeatable_winner(D35, 5)
 
     def test_default_bounds_stay_within_the_evidence_cap(self):
-        # at length n <= norm, before any window is dropped, the kernel holds
-        # at least n + 1 windows (no 1, or a single 1 among the n bits), and
-        # it refuses a step once twice its windows times norm pass
-        # MAX_WINDOW_BITS; so no norm of `refused` or more gets past length
-        # `refused`, and below it the defaults (windows up to 4 norm, block
-        # pairs up to 2 * 2 norm) stay within 4 (refused - 1)
+        # at length n <= norm the kernel holds at least n + 1 shadows (no 1,
+        # or a last 1 at each of the n positions, which sets its own top bit;
+        # checked below for small norms), and it refuses a step once twice
+        # its shadows times norm pass MAX_WINDOW_BITS; so no norm of
+        # `refused` or more gets past length `refused`, and below it the
+        # defaults (windows up to 4 norm, block pairs up to 2 * 2 norm) stay
+        # within 4 (refused - 1)
+        for distances in all_distance_sets(8):
+            kernel = LineKernel(distances)
+            for n in range(1, distances.norm + 1):
+                assert len(kernel.advance(1).states) >= n + 1, (distances, n)
         cap = local.MAX_WINDOW_BITS
         refused = next(n for n in range(17, cap) if 2 * (n + 1) * n > cap)
         assert max(refused, 4 * (refused - 1)) <= search.MAX_EVIDENCE_BITS
-        # the fewest windows a norm can have: D = {1..norm} allows one 1 per window
+        # the fewest a norm can have: D = {1..norm} allows one 1 per window
         kernel = LineKernel(DistanceSet(tuple(range(1, refused + 1)))).advance(refused)
         with pytest.raises(ValueError, match="over the cap"):
             kernel.advance(1)
