@@ -15,26 +15,25 @@ Fixpoints of the sweep are not known to be winners, but certified winners
 are fixpoints: every interior window of a winner must already contain the
 best filling for its contexts, which `winner_windows_consistent` checks.
 
-`LineKernel` is the one germ-best-string dynamic program in the library:
-`search` reads its germ-best strings and its two-block challengers off it.
-Its states are the shadows of `sets._WindowModel`, the positions ahead that
-the 1s placed forbid.  The kernel drops a shadow whose new 1 loses to its
-clashing sibling's 0; `LineKernel` says why that is exact.  A patch, whose
-length and right context are known, runs the kernel's shadows from the left
-context's, bounded at both ends (`_patch_run`): no 1 that meets the right
-context, and shadows merged once they agree on every position left in the
-patch, so one entry is left.
+`LineKernel` is the one germ-best-string dynamic program in the library,
+over the shadows of `sets._WindowModel` (the positions ahead that the 1s
+placed forbid); `search` reads its germ-best strings and its two-block
+challengers off it.  A patch, whose length and right context are known,
+runs the kernel's step loop (`_run_line`, one for both, sibling cut and
+all), bounded at both ends (`_patch_run`): it starts from the shadow both
+contexts cast on the patch, so no 1 meets either, and a 1 sets no shadow
+bit past the patch's last position, so one entry is left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .germs import EQUAL, GREATER, _sign_near_one
 from .sets import (
     DistanceSet, RationalSet, _check_bits, _check_natural, _mask_avoids, _to_bits, _to_mask,
 )
-from .sets import MAX_WINDOW_BITS  # noqa: F401  the kernel's cap, still named here
 
 
 def _entry(mask: int) -> tuple[int, int, int]:
@@ -64,22 +63,64 @@ def germ_greater(a, b) -> bool:
     return order == GREATER
 
 
+def _run_line(model, states: dict, start: int, grown_bits) -> dict:
+    """The line DP's one step loop: `states`, shadow -> germ-best (mask,
+    ones, position-sum) entry, grown by one position from `start` on for
+    each item of `grown_bits`, the shadow bits a 1 there sets.
+
+    A 0 shifts shadow s to s >> 1 and a 1, which fits in an even s, makes
+    s >> 1 | grown.  Fillings with one shadow admit the same continuations,
+    and the germ order survives a common extension, so one entry per shadow
+    stays.  s and s | 1 both shift to s >> 1, a subset of the shadow the 1
+    of s makes, so any continuation of that 1 also follows s | 1, and the 1
+    is dropped when it loses to the entry of s | 1.  Refuses a step from
+    more than `model.most` shadows.
+    """
+    most = model.most
+    for pos, grown in enumerate(grown_bits, start):
+        if len(states) > most:
+            model.refuse(len(states), pos + 1)
+        bit = 1 << pos
+        new: dict[int, tuple[int, int, int]] = {}
+        for shadow, entry in states.items():
+            shifted = shadow >> 1
+            cur = new.get(shifted)
+            if cur is None or (  # germ_greater, count and position sum inline
+                entry[1] > cur[1] if entry[1] != cur[1]
+                else entry[2] < cur[2] if entry[2] != cur[2]
+                else germ_greater(entry, cur)
+            ):
+                new[shifted] = entry
+            if not shadow & 1:
+                mask, ones, possum = entry
+                entry = (mask | bit, ones + 1, possum + pos)
+                rival = states.get(shadow | 1)  # shifts to `shifted` with a 0
+                if rival is not None and (  # germ_greater(rival, entry) inline
+                    rival[1] > entry[1] if rival[1] != entry[1]
+                    else rival[2] < entry[2] if rival[2] != entry[2]
+                    else germ_greater(rival, entry)
+                ):
+                    continue
+                shifted |= grown
+                cur = new.get(shifted)
+                if cur is None or (  # germ_greater, count and position sum inline
+                    entry[1] > cur[1] if entry[1] != cur[1]
+                    else entry[2] < cur[2] if entry[2] != cur[2]
+                    else germ_greater(entry, cur)
+                ):
+                    new[shifted] = entry
+        states = new
+    return states
+
+
 class LineKernel:
     """The germ-best avoiding filling of every shadow, grown bit by bit.
 
-    The state is a shadow of `sets._WindowModel`: two fillings with one
-    shadow admit the same continuations, and whichever of two equal-length
-    fillings is germ-greater stays so under any common extension, so one
-    entry (mask, ones, position-sum) per shadow suffices.  The run starts
-    from shadow 0: no 1s before position 0.
-
-    Shadows s and s | 1 (s even) both shift to s >> 1; only s can take a 1,
-    making s >> 1 | grow, which is dropped when germ-lower than the entry of
-    s | 1.  Exact: s >> 1 is a subset of that shadow, so any continuation of
-    the 1, `best`'s right context included, also follows s | 1, from a
-    greater entry.  A shadow has norm bits, so 2**norm of them is a ceiling.
-    A patch, whose length and right context are known, runs `_patch_run`
-    instead.
+    `_run_line` from shadow 0 (no 1s before position 0), with every shadow
+    bit kept; `best`'s right context is applied at the end, which the
+    sibling cut allows as it allows any continuation.  A shadow has norm
+    bits, so 2**norm of them is a ceiling.  A patch, whose length and right
+    context are known, runs `_patch_run` instead.
     """
 
     def __init__(self, distances: DistanceSet):
@@ -89,43 +130,9 @@ class LineKernel:
 
     def advance(self, steps: int) -> LineKernel:
         """Append `steps` positions; raises ValueError before passing MAX_WINDOW_BITS."""
-        model = self.model
-        most, grow = model.most, model.grow
-        for _ in range(steps):
-            pos, states = self.length, self.states
-            if len(states) > most:
-                model.refuse(len(states), pos + 1)
-            bit = 1 << pos
-            new: dict[int, tuple[int, int, int]] = {}
-            for shadow, entry in states.items():
-                shifted = shadow >> 1
-                cur = new.get(shifted)
-                if cur is None or (  # germ_greater, count and position sum inline
-                    entry[1] > cur[1] if entry[1] != cur[1]
-                    else entry[2] < cur[2] if entry[2] != cur[2]
-                    else germ_greater(entry, cur)
-                ):
-                    new[shifted] = entry
-                if not shadow & 1:
-                    mask, ones, possum = entry
-                    entry = (mask | bit, ones + 1, possum + pos)
-                    rival = states.get(shadow | 1)  # shifts to `shifted` with a 0
-                    if rival is not None and (  # germ_greater(rival, entry) inline
-                        rival[1] > entry[1] if rival[1] != entry[1]
-                        else rival[2] < entry[2] if rival[2] != entry[2]
-                        else germ_greater(rival, entry)
-                    ):
-                        continue
-                    shifted |= grow
-                    cur = new.get(shifted)
-                    if cur is None or (  # germ_greater, count and position sum inline
-                        entry[1] > cur[1] if entry[1] != cur[1]
-                        else entry[2] < cur[2] if entry[2] != cur[2]
-                        else germ_greater(entry, cur)
-                    ):
-                        new[shifted] = entry
-            self.states = new
-            self.length += 1
+        grown_bits = repeat(self.model.grow, steps)
+        self.states = _run_line(self.model, self.states, self.length, grown_bits)
+        self.length += steps
         return self
 
     def best(self, right: int = 0) -> tuple[int, int, int]:
@@ -166,9 +173,9 @@ class PatchContext:
 def best_patch(context: PatchContext, distances: DistanceSet) -> str:
     """The unique germ-maximal filling of the gap that keeps it avoiding.
 
-    The line kernel's windows run across the patch from the left context,
-    never placing a 1 that meets the right context, and merged once they
-    agree on every bit that can still clash (`_patch_run`).  Violations
+    The line kernel's shadows run across the patch from the one both
+    contexts cast, never placing a 1 that meets either, and merged once
+    they agree on every bit that can still clash (`_patch_run`).  Violations
     wholly inside a fixed context are not the patch's business and are
     ignored, so the all-zero filling is always feasible and a best filling
     always exists.
@@ -188,21 +195,24 @@ def _patch_filler(distances: DistanceSet, patch_length: int):
 
     Checks the patch length up front.  The memo lives only as long as the
     returned function, which serves one call of the functions below.
+    Nothing of patch-length size is built before the first miss, so a
+    string too short for a patch of any length costs nothing.
     """
     if _check_natural(patch_length, "patch length") < distances.norm:
         raise ValueError("patch length must be at least the largest distance")
     norm = distances.norm
-    width, hole = (1 << norm) - 1, (1 << patch_length) - 1
+    width = (1 << norm) - 1
     fillings: dict[tuple[int, int], int] = {}
-    run = None  # built on the first miss: a string too short for a patch never needs it
+    run = hole = None
 
     def refill(mask: int, position: int) -> int:
-        nonlocal run
+        nonlocal run, hole
         left = mask >> (position - norm) & width
         right = mask >> (position + patch_length) & width
         patch = fillings.get((left, right))
         if patch is None:
-            run = run or _patch_run(distances, patch_length)
+            if run is None:
+                run, hole = _patch_run(distances, patch_length), (1 << patch_length) - 1
             patch = fillings[left, right] = run(left, right)[0]
         return mask & ~(hole << position) | patch << position
 
@@ -214,51 +224,24 @@ def _patch_run(distances: DistanceSet, length: int):
     the avoiding fillings of `length` (at least norm) positions between two
     context windows, bit j of `right` being position length + j.
 
-    The line kernel's shadows, from the left context's, bounded at both
-    ends.  A 1 never goes where it would meet `right`, so no filling is
-    checked at the end.  A shadow bit past the patch's last position is
-    dropped (`_WindowModel.live`), and shadows that then agree are merged,
-    keeping the germ-greater entry: they admit the same continuations, and
-    the germ order survives a common extension.  No bit is live after the
-    last step, so one entry is left.  The cap check is the kernel's.
+    `_run_line`, the kernel's loop, bounded at both ends.  The run starts
+    from one shadow: the positions of the patch a forbidden distance from a
+    1 of either context.  So no 1 meets `right`, no filling is checked at
+    the end, and the sibling cut holds as in the kernel.  A 1 sets no
+    shadow bit past the patch's last position
+    (`_WindowModel.live`), so shadows that agree on the positions left merge
+    as the run goes; a 0 needs no such mask, since a shadow that fits the
+    positions left still fits them after the shift.  No bit is live after
+    the last step, so one entry is left.
     """
-    model, norm = distances._windows, distances.norm
-    most, grow = model.most, model.grow
-    steps = [(pos, 1 << pos, model.live(length - pos - 1)) for pos in range(length)]
+    model, norm, whole = distances._windows, distances.norm, (1 << length) - 1
+    grown_bits = [model.grow & model.live(length - pos - 1) for pos in range(length)]
 
     def run(left: int, right: int) -> tuple[int, int, int]:
-        start = forbidden = 0
-        for d in distances:  # left's shadow; bit p of forbidden is set iff p + d is in `right`
-            start |= (left << d) >> norm
-            forbidden |= (right << length) >> d
-        states = {start: (0, 0, 0)}
-        for pos, bit, live in steps:
-            if len(states) > most:
-                model.refuse(len(states), pos + 1)
-            fits = not forbidden & bit
-            new: dict[int, tuple[int, int, int]] = {}
-            for shadow, entry in states.items():
-                shifted = shadow >> 1 & live
-                cur = new.get(shifted)
-                if cur is None or (  # germ_greater, count and position sum inline
-                    entry[1] > cur[1] if entry[1] != cur[1]
-                    else entry[2] < cur[2] if entry[2] != cur[2]
-                    else germ_greater(entry, cur)
-                ):
-                    new[shifted] = entry
-                if fits and not shadow & 1:
-                    mask, ones, possum = entry
-                    entry = (mask | bit, ones + 1, possum + pos)
-                    shifted = (shifted | grow) & live
-                    cur = new.get(shifted)
-                    if cur is None or (  # germ_greater, count and position sum inline
-                        entry[1] > cur[1] if entry[1] != cur[1]
-                        else entry[2] < cur[2] if entry[2] != cur[2]
-                        else germ_greater(entry, cur)
-                    ):
-                        new[shifted] = entry
-            states = new
-        return states[0]
+        start = 0
+        for d in distances:  # bit p is set iff p - d is in `left` or p + d in `right`
+            start |= (left << d) >> norm | (right << length) >> d
+        return _run_line(model, {start & whole: (0, 0, 0)}, 0, grown_bits)[0]
 
     return run
 
@@ -273,7 +256,7 @@ def improve_at(bits: str, position: int, patch_length: int, distances: DistanceS
     mask = _to_mask(_check_bits(bits, "indicator string"))
     if not _mask_avoids(mask, distances):
         raise ValueError("input string must avoid the distances")
-    refill = _patch_filler(distances, patch_length)  # checks the patch length
+    refill = _patch_filler(distances, patch_length)  # checks the patch length, builds nothing
     _check_natural(position, "position", 0)
     if position < distances.norm or position + patch_length + distances.norm > len(bits):
         raise ValueError(f"position {position} out of range for patch rewriting")

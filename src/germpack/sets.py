@@ -185,9 +185,12 @@ class RationalSet:
         if not rep:
             raise ValueError("repetend must be nonempty")
         rep = _primitive_root(rep)
-        while pre and pre[-1] == rep[-1]:
-            pre = pre[:-1]
-            rep = rep[-1] + rep[:-1]
+        n, p = len(pre), len(rep)
+        tail = 0  # the preperiod's last bits that repeat the repetend backwards
+        while tail < n and pre[n - 1 - tail] == rep[~tail % p]:
+            tail += 1
+        turn = p - tail % p  # each bit dropped turns the repetend right by one
+        pre, rep = pre[:n - tail], rep[turn:] + rep[:turn]
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "repetend", rep)
 

@@ -17,6 +17,7 @@ from germpack import (
     poly_germ_compare,
 )
 from germpack.local import germ_greater
+from germpack.sets import _primitive_root
 
 
 def random_bits(rng, length, one_prob=0.5):
@@ -30,6 +31,16 @@ def random_avoiding(rng, distances, length, one_prob=0.5):
         legal = all(d > pos or bits[pos - d] == "0" for d in distances)
         bits.append("1" if legal and rng.random() < one_prob else "0")
     return "".join(bits)
+
+
+def canonical_bit_by_bit(pre, rep):
+    """`RationalSet`'s canonical (preperiod, repetend), stripping the
+    preperiod one bit at a time: the reference for its one-pass count."""
+    rep = _primitive_root(rep)
+    while pre and pre[-1] == rep[-1]:
+        pre = pre[:-1]
+        rep = rep[-1] + rep[:-1]
+    return pre, rep
 
 
 def random_rational_set(rng, max_pre=6, max_rep=8):

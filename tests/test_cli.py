@@ -191,6 +191,26 @@ class TestImproveCommand:
         assert code == 1
         assert err.startswith("error: patch length must") and "Traceback" not in err
 
+    @pytest.mark.parametrize("ell", ["1000000000000", "20000000000"])
+    def test_a_patch_too_long_for_the_string_leaves_it_unchanged(self, ell):
+        # no position fits the patch, so nothing of patch-length size is
+        # built: a mask of 10**12 bits used to end in a MemoryError
+        # traceback, and one of 2 * 10**10 bits passes the 1.5 GB
+        # address-space limit below
+        limit = 1536 << 20
+        proc = subprocess.run(
+            [sys.executable, "-m", "germpack.cli", "improve", "--d", "3,5",
+             "--w", "0" * 20, "--ell", ell, "--json"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        data = json.loads(proc.stdout)
+        assert data["result"] == "0" * 20 and data["delta"] == "Equal"
+
 
 class TestCertifyCommand:
     def test_round_trip_every_emitted_certificate(self, capsys, tmp_path):

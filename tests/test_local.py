@@ -141,15 +141,19 @@ class TestSiblingCut:
         "distances", all_distance_sets(7) + CENSUS_SHAPES, ids=lambda d: d.to_text()
     )
     def test_best_matches_the_dp_that_keeps_every_window(self, distances):
+        # both callers of the one step loop: the kernel, and at lengths norm
+        # to 2 norm + 1 a patch after an all-zero left context
         norm = distances.norm
         rng = random.Random(distances.to_text())
         rights = range(1 << norm) if norm <= 6 else [rng.getrandbits(norm) for _ in range(64)]
         kernel = LineKernel(distances)
         for length in range(1, 4 * norm + 1):
             kernel.advance(1)
+            run = local._patch_run(distances, length) if norm <= length <= 2 * norm + 1 else None
             for right in rights:
                 want = unpruned_best(distances, length, 0, right)
                 assert kernel.best(right) == want, (length, right)
+                assert run is None or run(0, right) == want, (length, right)
 
     @pytest.mark.parametrize(
         "dset, length, windows",
@@ -320,6 +324,8 @@ class TestImproveAt:
             improve_at(w, 4, 5, D35)  # inside the left margin
         with pytest.raises(ValueError):
             improve_at(w, 11, 5, D35)  # right context would overflow
+        with pytest.raises(ValueError, match="out of range"):
+            improve_at(w, 6, 10**12, D35)  # before any int of 10**12 bits is built
 
     def test_input_must_avoid(self):
         with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ from germpack import (
     symmetric_winner,
     symmetry_offset,
 )
-from germpack import local, search
+from germpack import search, sets
 from germpack.local import LineKernel
 from germpack.search import (
     _avoiding_with_ones,
@@ -532,7 +532,7 @@ class TestFindWinner:
             kernel = LineKernel(distances)
             for n in range(1, distances.norm + 1):
                 assert len(kernel.advance(1).states) >= n + 1, (distances, n)
-        cap = local.MAX_WINDOW_BITS
+        cap = sets.MAX_WINDOW_BITS
         refused = next(n for n in range(17, cap) if 2 * (n + 1) * n > cap)
         assert max(refused, 4 * (refused - 1)) <= search.MAX_EVIDENCE_BITS
         # the fewest a norm can have: D = {1..norm} allows one 1 per window

@@ -29,6 +29,7 @@ from germpack import (
 from germpack import block_encode, brute_best_periodic, enumerate_avoiding, germs, sets
 from helpers import (
     all_distance_sets,
+    canonical_bit_by_bit,
     cross_numerator,
     gap_by_cross_numerator,
     numerator_by_convolution,
@@ -99,6 +100,25 @@ class TestNormalize:
             assert absorbed == s
             assert extended == s
             assert powered == s
+
+    def test_matches_the_bit_by_bit_strip(self):
+        # preperiods whose last bits repeat the repetend backwards after a
+        # random head, for up to 30 periods, and in one draw in 100 for up to
+        # 20,000 bits; repetends of 1 to 12 bits, often not primitive
+        rng = random.Random(5)
+        stripped = 0
+        for draw in range(3000):
+            rep = random_bits(rng, rng.randrange(1, 13))
+            if rng.random() < 0.3:
+                rep *= rng.randrange(2, 4)
+            turns = rng.randrange(len(rep))
+            periods = 20_000 // len(rep) if draw % 100 == 0 else rng.randrange(30)
+            tail = (rep[turns:] + rep[:turns]) * periods
+            pre = random_bits(rng, rng.randrange(8)) + tail[: rng.randrange(len(tail) + 1)]
+            s = RationalSet(pre, rep)
+            assert (s.preperiod, s.repetend) == canonical_bit_by_bit(pre, rep), (pre, rep)
+            stripped += len(pre) - len(s.preperiod) > 2 * len(rep)
+        assert stripped > 500
 
     def test_rejects_empty_repetend(self):
         with pytest.raises(ValueError):
