@@ -17,12 +17,12 @@ best filling for its contexts, which `winner_windows_consistent` checks.
 
 `LineKernel` is the one germ-best-string dynamic program in the library,
 over the shadows of `sets._WindowModel` (the positions ahead that the 1s
-placed forbid); `search` reads its germ-best strings and its two-block
-challengers off it.  A patch, whose length and right context are known,
-runs the kernel's step loop (`_run_line`, one for both, sibling cut and
-all), bounded at both ends (`_patch_run`): it starts from the shadow both
-contexts cast on the patch, so no 1 meets either, and a 1 sets no shadow
-bit past the patch's last position, so one entry is left.
+placed forbid); `search` reads its germ-best strings off it.  A patch,
+whose length and right context are known, runs the kernel's step loop
+(`_run_line`, one for both, sibling cut and all), bounded at both ends
+(`_patch_run`): it starts from the shadow both contexts cast on the patch,
+so no 1 meets either, and a 1 sets no shadow bit past the patch's last
+position, so one entry is left.
 """
 
 from __future__ import annotations
@@ -117,10 +117,9 @@ class LineKernel:
     """The germ-best avoiding filling of every shadow, grown bit by bit.
 
     `_run_line` from shadow 0 (no 1s before position 0), with every shadow
-    bit kept; `best`'s right context is applied at the end, which the
-    sibling cut allows as it allows any continuation.  A shadow has norm
-    bits, so 2**norm of them is a ceiling.  A patch, whose length and right
-    context are known, runs `_patch_run` instead.
+    bit kept, so any continuation may follow.  A shadow has norm bits, so
+    2**norm of them is a ceiling.  A patch, whose length and right context
+    are known, runs `_patch_run` instead.
     """
 
     def __init__(self, distances: DistanceSet):
@@ -135,16 +134,10 @@ class LineKernel:
         self.length += steps
         return self
 
-    def best(self, right: int = 0) -> tuple[int, int, int]:
-        """The germ-best entry whose shadow meets no 1 of `right`.
-
-        Bit j of `right` is position length + j.  Shadow 0, the all-zero
-        filling's, is never dropped and always fits.
-        """
+    def best(self) -> tuple[int, int, int]:
+        """The germ-best entry over every shadow."""
         best = None
-        for shadow, entry in self.states.items():
-            if shadow & right:
-                continue
+        for entry in self.states.values():
             if best is None or (  # germ_greater, count and position sum inline
                 entry[1] > best[1] if entry[1] != best[1]
                 else entry[2] < best[2] if entry[2] != best[2]
@@ -221,8 +214,9 @@ def _patch_filler(distances: DistanceSet, patch_length: int):
 
 def _patch_run(distances: DistanceSet, length: int):
     """`run(left, right)`: the germ-best (mask, ones, position-sum) entry of
-    the avoiding fillings of `length` (at least norm) positions between two
-    context windows, bit j of `right` being position length + j.
+    the avoiding fillings of `length` positions between two context windows
+    of norm bits, bit i of `left` being position i - norm and bit j of
+    `right` position length + j; the length may be below the norm.
 
     `_run_line`, the kernel's loop, bounded at both ends.  The run starts
     from one shadow: the positions of the patch a forbidden distance from a

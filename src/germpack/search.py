@@ -21,6 +21,8 @@ The germ-maximal avoiding strings are read off one cached run of the line
 kernel (`local.LineKernel`, keyed by the shadow of the 1s placed) per
 distance set, at the lengths asked for: the run jumps ahead to each new
 length, and a second, catch-up kernel serves the lengths it jumped over.
+A two-block challenger's first block is a patch (`local._patch_run`) after
+an all-zero left context.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .local import LineKernel, _entry, germ_greater
+from .local import LineKernel, _entry, _patch_run, germ_greater
 from .sets import (
     DistanceSet,
     RationalSet,
@@ -170,11 +172,7 @@ class Certificate:
         if check_offset is not None:
             if check_offset != length or not _is_symmetry_offset(d, check_offset):
                 return False
-        if window != best_string(d, length):
-            return False
-        if not is_repeatable(window, d):
-            return False
-        return self.winner == RationalSet("", window)
+        return window == _repeating_best(d, length) and self.winner == RationalSet("", window)
 
     def to_json_dict(self) -> dict:
         return {
@@ -220,6 +218,13 @@ def is_repeatable(window: str, distances: DistanceSet) -> bool:
     return _mask_avoids(mask | mask << len(window), distances)
 
 
+def _repeating_best(distances: DistanceSet, length: int) -> str | None:
+    """The germ-best window of the length (past the norm) if it stays
+    avoiding when doubled, else None."""
+    mask = _best_mask(distances, length)
+    return _to_bits(mask, length) if _mask_avoids(mask | mask << length, distances) else None
+
+
 def _pair_sums(distances: DistanceSet) -> set[int]:
     return {a + b for a in distances for b in distances}
 
@@ -239,9 +244,8 @@ def find_repeatable_winner(distances: DistanceSet, max_window: int) -> Certifica
     skip = set(preferred)
     rest = [m for m in range(norm + 1, max_window + 1) if m not in skip]
     for m in preferred + rest:
-        mask = _best_mask(distances, m)
-        if _mask_avoids(mask | mask << m, distances):
-            window = _to_bits(mask, m)
+        window = _repeating_best(distances, m)
+        if window is not None:
             return Certificate(
                 REPEATABLE_WINDOW,
                 distances,
@@ -276,8 +280,8 @@ def symmetric_winner(distances: DistanceSet) -> Certificate | None:
     offset = symmetry_offset(distances)
     if offset is None:
         return None
-    window = best_string(distances, offset)
-    if not is_repeatable(window, distances):
+    window = _repeating_best(distances, offset)
+    if window is None:
         raise AssertionError("symmetric window failed the repeatability check")
     return Certificate(
         SYMMETRIC_OFFSET,
@@ -341,10 +345,10 @@ def _two_block_challenger(distances: DistanceSet, block_b: str):
 
     Branch and bound over R.  For a fixed R, QR - Q'R = Q - Q' as
     polynomials, so only the germ-best Q that fits before R can beat BB.  Q
-    meets R only through its shadow, the positions of R[:norm] its 1s
-    forbid (all of R when the blocks are shorter than norm), so one kernel
-    run over |B| positions serves every R: the best Q is its best final
-    entry whose shadow misses the 1s of R[:norm].
+    meets R only through R[:norm] (all of R when the blocks are shorter
+    than norm), so Q is the best filling of a patch of |B| positions
+    between an all-zero left context and that head (`local._patch_run`),
+    computed once per head.
     R > B needs at least as many 1s as B (the count is the leading
     t-coefficient), so a prefix of R is cut once even the fullest avoiding
     tail cannot reach that count.
@@ -352,7 +356,7 @@ def _two_block_challenger(distances: DistanceSet, block_b: str):
     size = len(block_b)
     b_entry = _entry(_to_mask(block_b))
     bb_entry = _entry(b_entry[0] | b_entry[0] << size)
-    kernel = None
+    run = None
     firsts: dict[int, tuple[int, int, int]] = {}
     for second in _avoiding_with_ones(distances, size, b_entry[1]):
         if not germ_greater(second, b_entry):
@@ -360,8 +364,8 @@ def _two_block_challenger(distances: DistanceSet, block_b: str):
         head = second[0] & ((1 << distances.norm) - 1)
         first = firsts.get(head)
         if first is None:
-            kernel = kernel or LineKernel(distances).advance(size)
-            first = firsts[head] = kernel.best(head)
+            run = run or _patch_run(distances, size)
+            first = firsts[head] = run(0, head)
         mask, ones, possum = second
         joined = (first[0] | mask << size, first[1] + ones, first[2] + possum + size * ones)
         if germ_greater(joined, bb_entry):
@@ -451,21 +455,18 @@ def find_winner(distances: DistanceSet, budget: SearchBudget | None = None) -> S
         )
 
     max_window = budget.window_bound(distances)
-    cert = find_repeatable_winner(distances, max_window)
+    cert = max_window > distances.norm and find_repeatable_winner(distances, max_window)
     if cert:
         return SearchResult(cert, tuple(attempts))
-    attempts.append(
+    attempts.append(  # an empty range when max_window is at or below the norm
         f"no repeatable germ-maximal window for lengths "
         f"{distances.norm + 1}..{max_window}"
     )
 
     max_block = budget.block_bound(distances)
     for size in range(1, max_block + 1):
-        block_a = best_string(distances, size)
         doubled = best_string(distances, 2 * size)
-        if doubled[:size] != block_a:
-            continue
-        cert = certify_two_block(distances, block_a, doubled[size:])
+        cert = certify_two_block(distances, doubled[:size], doubled[size:])
         if cert:
             return SearchResult(cert, tuple(attempts))
     attempts.append(f"two-block induction failed for block lengths 1..{max_block}")

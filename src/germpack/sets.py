@@ -7,7 +7,7 @@ exactly when they denote the same set.
 
 Also here: forbidden-distance sets, the avoidance predicate, the shadow
 model of the avoidance automaton that the line DPs step on, the greedy
-construction with period detection, translation, the generating function,
+walk of that model with period detection, translation, the generating function,
 and the two-coefficient valuation (density, constant term) that refines
 density comparison.
 """
@@ -72,7 +72,8 @@ class _WindowModel:
     s & 1, and the successor of (s, bit) is s >> 1 | bit * grow.  One shadow
     admits one set of continuations, and distinct shadows differ on a lone
     1.  A line DP may step from at most `most` shadows (of norm bits; a step
-    at most doubles them); a norm that no step fits is refused on construction.
+    at most doubles them), and the greedy walk record as many; a norm that
+    no step fits is refused on construction.
     """
 
     __slots__ = ("distances", "norm", "most", "grow")
@@ -293,32 +294,30 @@ def greedy_avoiding(distances: DistanceSet, horizon: int):
 
     Returns (bits, detected) where bits is the indicator string of the first
     `horizon` naturals and detected is the eventually periodic set proven to
-    continue it, or None if no proof was found within the horizon.  The proof
-    is a recurrence of the window of the last norm bits from step norm on: the
-    greedy decision depends only on that window, so a repeated window repeats
-    forever after (a shadow can recur sooner).  A norm the line DP refuses at
-    its first step is refused, and so is a walk that would record more
-    windows than a line-DP step may start from (none can up to norm 16, which
-    has only 2**norm windows).
+    continue it, or None if no proof was found within the horizon.  The walk
+    steps the shadow of `_WindowModel`, which alone decides every later
+    bit, so the first shadow that recurs, from step 0 on, proves the period
+    and the detected set supplies the bits from there.  A walk that would
+    record more shadows than a line-DP step may start from is refused at the
+    step the line DP refuses (none is up to norm 16, which has only 2**norm
+    shadows).
     """
     _check_natural(horizon, "horizon")
-    model, norm = distances._windows, distances.norm
-    top, clash = 1 << norm >> 1, sum(1 << (norm - d) for d in distances)  # bit i: norm - i back
+    model = distances._windows
     bits: list[str] = []
     seen: dict[int, int] = {}
-    detected = None
-    window = 0
-    for n in range(horizon + 1):  # the window after the final bit may close the loop
-        if detected is None and n >= norm:
-            start = seen.setdefault(window, n)
-            if start < n:
-                detected = RationalSet("".join(bits[:start]), "".join(bits[start:]))
-            elif len(seen) > model.most:
-                model.refuse(len(seen), n)
-        fits = not window & clash
+    shadow = 0
+    for n in range(horizon + 1):  # the shadow after the final bit may close the loop
+        start = seen.setdefault(shadow, n)
+        if start < n:
+            detected = RationalSet("".join(bits[:start]), "".join(bits[start:]))
+            return detected.bits(horizon), detected
+        if len(seen) > model.most:
+            model.refuse(len(seen), n + 1)
+        fits = not shadow & 1
         bits.append("1" if fits else "0")
-        window = window >> 1 | top if fits else window >> 1
-    return "".join(bits[:horizon]), detected
+        shadow = shadow >> 1 | model.grow if fits else shadow >> 1
+    return "".join(bits[:horizon]), None
 
 
 def shift(s: RationalSet, offset: int) -> RationalSet:

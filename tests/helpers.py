@@ -3,7 +3,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product, zip_longest
-from math import comb
+from math import comb, gcd
 
 from germpack import (
     GREATER,
@@ -337,9 +337,17 @@ def brute_two_block(distances, block_b):
     return None
 
 
+def cantor_gordon_density(a, b):
+    """The largest density of a set avoiding the distances a and b:
+    floor(s/2)/s with s = (a + b)/gcd(a, b) (Cantor and Gordon, 1973)."""
+    s = (a + b) // gcd(a, b)
+    return Fraction(s // 2, s)
+
+
 def string_greedy(distances, horizon):
     """First-fit avoiding string and its detected period, on string windows:
-    the reference for `greedy_avoiding`, which walks int windows."""
+    the reference for `greedy_avoiding`'s bits, and for its set wherever the
+    last norm bits recur (its shadows may recur sooner)."""
     norm = distances.norm
     bits, seen, detected = [], {}, None
     for n in range(horizon):

@@ -57,6 +57,14 @@ class TestWinnerCommand:
         # canonical encoding of (110000)(100100)(100100)...
         assert data["winner"] == {"preperiod": "1100", "repetend": "001"}
 
+    @pytest.mark.parametrize("bound", ["7", "1"])
+    def test_window_budget_at_or_below_the_norm(self, capsys, bound):
+        # SearchBudget accepts it; it used to end in find_repeatable_winner's
+        # range error, and now the two-block search certifies the winner
+        code, data = run_json(capsys, "winner", "--d", "2,4,7", "--m-max", bound)
+        assert code == 0 and data["kind"] == "TwoBlockInduction"
+        assert data["winner"] == {"preperiod": "1100", "repetend": "001"}
+
     def test_inconclusive_exit_code(self, capsys):
         code, data = run_json(
             capsys, "winner", "--d", "4,7,11", "--m-max", "16", "--block-max", "9"

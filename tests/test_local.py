@@ -141,19 +141,20 @@ class TestSiblingCut:
         "distances", all_distance_sets(7) + CENSUS_SHAPES, ids=lambda d: d.to_text()
     )
     def test_best_matches_the_dp_that_keeps_every_window(self, distances):
-        # both callers of the one step loop: the kernel, and at lengths norm
-        # to 2 norm + 1 a patch after an all-zero left context
+        # both callers of the one step loop: the kernel, and at lengths 1 to
+        # 2 norm + 1 a patch after an all-zero left context, as the two-block
+        # challenger runs it (its blocks may be shorter than the norm)
         norm = distances.norm
         rng = random.Random(distances.to_text())
         rights = range(1 << norm) if norm <= 6 else [rng.getrandbits(norm) for _ in range(64)]
         kernel = LineKernel(distances)
         for length in range(1, 4 * norm + 1):
-            kernel.advance(1)
-            run = local._patch_run(distances, length) if norm <= length <= 2 * norm + 1 else None
-            for right in rights:
-                want = unpruned_best(distances, length, 0, right)
-                assert kernel.best(right) == want, (length, right)
-                assert run is None or run(0, right) == want, (length, right)
+            assert kernel.advance(1).best() == unpruned_best(distances, length, 0, 0), length
+            if length <= 2 * norm + 1:
+                run = local._patch_run(distances, length)
+                for right in rights:
+                    want = unpruned_best(distances, length, 0, right)
+                    assert run(0, right) == want, (length, right)
 
     @pytest.mark.parametrize(
         "dset, length, windows",

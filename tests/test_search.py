@@ -32,6 +32,7 @@ from germpack import (
     set_compare,
     symmetric_winner,
     symmetry_offset,
+    valuation,
 )
 from germpack import search, sets
 from germpack.local import LineKernel
@@ -42,7 +43,7 @@ from germpack.search import (
     _two_block_challenger,
 )
 from germpack.sets import _to_bits
-from helpers import all_distance_sets, brute_two_block, random_bits
+from helpers import all_distance_sets, brute_two_block, cantor_gordon_density, random_bits
 
 D35 = DistanceSet.of(3, 5)
 
@@ -484,6 +485,19 @@ class TestFindWinner:
         assert result.certificate.kind == TWO_BLOCK_INDUCTION
         assert result.certificate.winner == RationalSet("110000", "100100")
 
+    def test_window_budget_at_or_below_the_norm_skips_the_window_scan(self):
+        # SearchBudget accepts any max_window from 1; with no window length
+        # to scan the search records the empty range and goes on to the two
+        # blocks
+        distances = DistanceSet.of(2, 4, 7)
+        for max_window in (1, 7):
+            result = find_winner(distances, SearchBudget(max_window=max_window))
+            assert result.certificate.winner == RationalSet("1100", "001")
+            assert result.attempts == (
+                "no symmetry offset in (7, 9]",
+                f"no repeatable germ-maximal window for lengths 8..{max_window}",
+            )
+
     def test_empty_distances_give_naturals(self):
         result = find_winner(DistanceSet())
         assert result.certificate.winner == RationalSet.naturals()
@@ -590,6 +604,17 @@ class TestWinnerIntegration:
         )
         assert result.certificate is None
         assert len(result.attempts) == 3
+
+    def test_two_distance_winners_have_the_cantor_gordon_density(self):
+        # every D = {a, b} with b <= 12 certifies under the default budget,
+        # and its winner has the density Cantor and Gordon proved maximal
+        cases = [DistanceSet.of(a, b) for b in range(2, 13) for a in range(1, b)]
+        assert len(cases) == 66
+        for distances in cases:
+            cert = find_winner(distances).certificate
+            assert cert is not None, distances
+            want = cantor_gordon_density(*distances)
+            assert valuation(cert.winner).density == want, distances
 
 
 class TestCertificate:

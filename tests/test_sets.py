@@ -27,6 +27,7 @@ from germpack import (
     valuation,
 )
 from germpack import block_encode, brute_best_periodic, enumerate_avoiding, germs, sets
+from germpack.local import LineKernel
 from helpers import (
     all_distance_sets,
     canonical_bit_by_bit,
@@ -281,15 +282,28 @@ class TestGreedy:
         _, detected = greedy_avoiding(D35, 3)
         assert detected is None
 
+    def test_detects_the_period_when_a_shadow_recurs(self):
+        # the shadow after the eighth bit is the empty one of step 0; the
+        # window of the last 5 bits first recurs only at step 13
+        assert greedy_avoiding(D35, 8) == ("11100000", RationalSet("", "11100000"))
+
     def test_matches_the_string_window_greedy(self):
         # every D inside {1..9} with at most 3 distances, at horizons on both
-        # sides of its norm and of its first detection
+        # sides of its norm and of its first detection: the same bits, the
+        # same set wherever the window walk detects one, and any earlier
+        # detection by shadow continues the bits and avoids D
         cases = [d for d in all_distance_sets(9) if len(d) <= 3]
         assert len(cases) == 129
         for distances in cases:
             for horizon in (1, 2, 3, 5, 8, 9, 10, 17, 31, 64):
-                got = greedy_avoiding(distances, horizon)
-                assert got == string_greedy(distances, horizon), (distances, horizon)
+                bits, detected = greedy_avoiding(distances, horizon)
+                want_bits, want_detected = string_greedy(distances, horizon)
+                assert bits == want_bits, (distances, horizon)
+                if want_detected is not None:
+                    assert detected == want_detected, (distances, horizon)
+                elif detected is not None:
+                    assert detected.bits(horizon) == bits, (distances, horizon)
+                    assert is_avoiding(detected, distances), (distances, horizon)
 
     def test_no_distances(self):
         assert greedy_avoiding(DistanceSet(), 4) == ("1111", RationalSet.naturals())
@@ -299,8 +313,13 @@ class TestGreedy:
         norm = (sets.MAX_WINDOW_BITS >> 1) + 1
         with pytest.raises(ValueError, match=re.escape(f"distances {{{norm}}} need up to 2 line-DP ")):
             greedy_avoiding(DistanceSet.of(norm), 1)
-        bits, detected = greedy_avoiding(DistanceSet.of(norm - 1), 3)
-        assert (bits, detected) == ("111", None)
+        # 2**19 fits one shadow; the second, recorded at step 1, is where the
+        # line DP refuses too, with the same message
+        lone = DistanceSet.of(norm - 1)
+        with pytest.raises(ValueError) as line_dp:
+            LineKernel(lone).advance(3)
+        with pytest.raises(ValueError, match=re.escape(str(line_dp.value))):
+            greedy_avoiding(lone, 3)
 
 
 COUNT_CALLS = {
