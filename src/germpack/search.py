@@ -19,10 +19,11 @@ trusting the search that produced them.
 
 The germ-maximal avoiding strings are read off one cached run of the line
 kernel (`local.LineKernel`, keyed by the shadow of the 1s placed) per
-distance set, at the lengths asked for: the run jumps ahead to each new
-length, and a second, catch-up kernel serves the lengths it jumped over.
-A two-block challenger's first block is a patch (`local._patch_run`) after
-an all-zero left context.
+distance set, as int masks at the lengths asked for, up to
+MAX_EVIDENCE_BITS: the run jumps ahead to each new length, and a second,
+catch-up kernel serves the lengths it jumped over.  A two-block
+challenger's first block is a patch (`local._patch_run`) after an
+all-zero left context.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .sets import (
     _mask_avoids,
     _to_bits,
     _to_mask,
-    is_avoiding,
 )
 
 REPEATABLE_WINDOW = "RepeatableWindow"
@@ -55,8 +55,8 @@ CERTIFICATE_KINDS = (REPEATABLE_WINDOW, SYMMETRIC_OFFSET, TWO_BLOCK_INDUCTION)
 
 
 # The most evidence bits (a window, or a block pair) a certificate may hold:
-# the kernel run to length n costs time quadratic in n.  Germ-best entries keep
-# their masks up to it and, past it, only at the lengths asked for.
+# the kernel run to length n costs time quadratic in n.  Search and verify ask
+# for no longer germ-best string, so the shared runs stop at it.
 MAX_EVIDENCE_BITS = 1 << 12
 
 
@@ -67,33 +67,30 @@ class _LineRun:
     the best entry there only.  A length it passed unasked falls to a
     catch-up kernel, which also only moves forward and records the best
     entry of every length it passes, so it runs at most once over the
-    lengths the front skipped.  One lock guards both kernels and the table.
+    lengths the front skipped.  No length passes MAX_EVIDENCE_BITS, so every
+    mask is kept.  One lock guards both kernels and the table.
     """
 
     def __init__(self, distances: DistanceSet):
         self.front = LineKernel(distances)
         self.catch_up = LineKernel(distances)
-        self.bests = {0: (0, 0, 0)}  # length -> (mask or None, ones, position-sum)
+        self.bests = {0: (0, 0, 0)}  # length -> germ-best (mask, ones, position-sum)
         self.lock = threading.Lock()
 
     def entry(self, length: int) -> tuple:
-        """The length's germ-best (mask, ones, position-sum); mask None if the
-        catch-up kernel passed it unasked past MAX_EVIDENCE_BITS."""
+        """The length's germ-best (mask, ones, position-sum)."""
         with self.lock:
             if length not in self.bests:
                 if length >= self.front.length:
-                    self._record(self.front.advance(length - self.front.length), length)
+                    self._record(self.front.advance(length - self.front.length))
                 else:  # every length up to the catch-up kernel's is recorded
                     while self.catch_up.length < length:
-                        self._record(self.catch_up.advance(1), length)
+                        self._record(self.catch_up.advance(1))
             return self.bests[length]
 
-    def _record(self, kernel: LineKernel, asked: int) -> None:
-        length = kernel.length
-        if length not in self.bests:
-            mask, ones, possum = kernel.best()
-            kept = length <= MAX_EVIDENCE_BITS or length == asked
-            self.bests[length] = (mask if kept else None, ones, possum)
+    def _record(self, kernel: LineKernel) -> None:
+        if kernel.length not in self.bests:
+            self.bests[kernel.length] = kernel.best()
 
 
 @lru_cache(maxsize=16)
@@ -102,10 +99,9 @@ def _line_run(distances: DistanceSet) -> _LineRun:
 
 
 def _best_mask(distances: DistanceSet, length: int) -> int:
-    mask = _line_run(distances).entry(length)[0]
-    if mask is None:  # passed without being asked for
-        mask = LineKernel(distances).advance(length).best()[0]
-    return mask
+    if length > MAX_EVIDENCE_BITS:  # only a public best_string asks past the cap
+        return LineKernel(distances).advance(length).best()[0]
+    return _line_run(distances).entry(length)[0]
 
 
 def best_string(distances: DistanceSet, length: int) -> str:
@@ -152,13 +148,11 @@ class Certificate:
             return self._verify_window(check_offset=offset)
         block_a = self.evidence.get("block_a")
         block_b = self.evidence.get("block_b")
-        if not isinstance(block_a, str) or not isinstance(block_b, str):
-            return False
-        try:
-            _check_blocks(self.distances, block_a, block_b)
+        try:  # _check_bits refuses a block that is not a str
+            masks = _check_blocks(self.distances, block_a, block_b)
         except ValueError:
             return False
-        cert = certify_two_block(self.distances, block_a, block_b)
+        cert = _two_block(self.distances, *masks, len(block_a))
         return cert is not None and cert.winner == self.winner
 
     def _verify_window(self, check_offset):
@@ -291,12 +285,10 @@ def symmetric_winner(distances: DistanceSet) -> Certificate | None:
     )
 
 
-def certify_two_block(
-    distances: DistanceSet, block_a: str, block_b: str
-) -> Certificate | None:
+def certify_two_block(distances: DistanceSet, block_a: str, block_b: str) -> Certificate | None:
     """Try to certify block_a followed by block_b forever as the winner.
 
-    Checks, all exact:
+    Checks, all exact (`_two_block`):
 
     * block_a and block_a+block_b are the germ-maximal avoiding strings of
       their lengths (first: the line kernel refuses a norm over its cap
@@ -309,39 +301,45 @@ def certify_two_block(
     partition of its positions into one- and two-block spans on which the
     candidate never loses, and the finitely many per-span differences share
     a neighborhood of 1 where none is negative.  Returns None when any check
-    fails; raises on malformed inputs and distance sets over the cap.
+    fails; raises on malformed inputs, on blocks past MAX_EVIDENCE_BITS // 2
+    (verify refuses them) and on distance sets over the kernel's cap.
     """
-    _check_blocks(distances, block_a, block_b)
-    size = len(block_a)
-    if block_a != best_string(distances, size):
-        return None
-    if block_a + block_b != best_string(distances, 2 * size):
-        return None
-    winner = RationalSet(block_a, block_b)
-    if not is_avoiding(winner, distances):
-        return None
-    if _two_block_challenger(distances, block_b) is not None:
-        return None
-    return Certificate(
-        TWO_BLOCK_INDUCTION,
-        distances,
-        winner,
-        {"block_a": block_a, "block_b": block_b},
-    )
+    return _two_block(distances, *_check_blocks(distances, block_a, block_b), len(block_a))
 
 
-def _check_blocks(distances: DistanceSet, block_a: str, block_b: str) -> None:
-    """Raise ValueError unless the blocks are equal-length avoiding bit strings."""
+def _check_blocks(distances: DistanceSet, block_a: str, block_b: str) -> tuple[int, int]:
+    """The blocks' masks; ValueError unless equal-length avoiding bit strings within the cap."""
     _check_bits(block_a, "block_a")
     _check_bits(block_b, "block_b")
     if not block_a or len(block_a) != len(block_b):
         raise ValueError("blocks must be nonempty and of equal length")
-    if not is_avoiding(block_a, distances) or not is_avoiding(block_b, distances):
+    cap = MAX_EVIDENCE_BITS // 2  # verify's cap on a block pair
+    if len(block_a) > cap:
+        raise ValueError(f"blocks of {len(block_a)} bits are over the cap of {cap}")
+    a, b = _to_mask(block_a), _to_mask(block_b)
+    if not _mask_avoids(a, distances) or not _mask_avoids(b, distances):
         raise ValueError("blocks must themselves avoid the distances")
+    return a, b
 
 
-def _two_block_challenger(distances: DistanceSet, block_b: str):
-    """An avoiding QR with R germ-greater than B and QR than BB, or None.
+def _two_block(distances: DistanceSet, a: int, b: int, size: int) -> Certificate | None:
+    """`certify_two_block` on the masks of two avoiding blocks of `size` bits."""
+    if a != _best_mask(distances, size) or a | b << size != _best_mask(distances, 2 * size):
+        return None
+    # A B B ...: a clash moved into the first B ends within norm bits past it;
+    # B repeated as a string, since summing shifted masks is quadratic
+    block_b = _to_bits(b, size)
+    candidate = a | _to_mask(block_b * (-(-distances.norm // size) + 1)) << size
+    if not _mask_avoids(candidate, distances) or _two_block_challenger(distances, b, size):
+        return None
+    block_a = _to_bits(a, size)
+    evidence = {"block_a": block_a, "block_b": block_b}
+    return Certificate(TWO_BLOCK_INDUCTION, distances, RationalSet(block_a, block_b), evidence)
+
+
+def _two_block_challenger(distances: DistanceSet, b: int, size: int):
+    """An avoiding QR with R germ-greater than B and QR than BB, as the
+    masks (Q, R), or None; B is the mask b of `size` bits.
 
     Branch and bound over R.  For a fixed R, QR - Q'R = Q - Q' as
     polynomials, so only the germ-best Q that fits before R can beat BB.  Q
@@ -353,9 +351,8 @@ def _two_block_challenger(distances: DistanceSet, block_b: str):
     t-coefficient), so a prefix of R is cut once even the fullest avoiding
     tail cannot reach that count.
     """
-    size = len(block_b)
-    b_entry = _entry(_to_mask(block_b))
-    bb_entry = _entry(b_entry[0] | b_entry[0] << size)
+    b_entry = _entry(b)
+    bb_entry = _entry(b | b << size)
     run = None
     firsts: dict[int, tuple[int, int, int]] = {}
     for second in _avoiding_with_ones(distances, size, b_entry[1]):
@@ -369,7 +366,7 @@ def _two_block_challenger(distances: DistanceSet, block_b: str):
         mask, ones, possum = second
         joined = (first[0] | mask << size, first[1] + ones, first[2] + possum + size * ones)
         if germ_greater(joined, bb_entry):
-            return _to_bits(first[0], size), _to_bits(mask, size)
+            return first[0], mask
     return None
 
 
@@ -465,8 +462,8 @@ def find_winner(distances: DistanceSet, budget: SearchBudget | None = None) -> S
 
     max_block = budget.block_bound(distances)
     for size in range(1, max_block + 1):
-        doubled = best_string(distances, 2 * size)
-        cert = certify_two_block(distances, doubled[:size], doubled[size:])
+        doubled = _best_mask(distances, 2 * size)
+        cert = _two_block(distances, doubled & ((1 << size) - 1), doubled >> size, size)
         if cert:
             return SearchResult(cert, tuple(attempts))
     attempts.append(f"two-block induction failed for block lengths 1..{max_block}")

@@ -57,10 +57,10 @@ def _mask_avoids(mask: int, distances: DistanceSet) -> bool:
     return not any(mask & (mask >> d) for d in distances)
 
 
-# The most window bits a line DP may hold: 2**16 windows of 16 bits, so every
-# norm up to 16 fits whole (a DP holds at most 2**norm windows).  A distance
+# The most shadow bits a line DP may hold: 2**16 shadows of 16 bits, so every
+# norm up to 16 fits whole (a DP holds at most 2**norm shadows).  A distance
 # set that could pass it (a lone large distance forbids almost nothing, and
-# each window is a norm-bit int) is refused before the step that might.
+# each shadow is a norm-bit int) is refused before the step that might.
 MAX_WINDOW_BITS = 16 << 16
 
 
@@ -86,12 +86,12 @@ class _WindowModel:
             self.refuse(1, 1)
         self.grow = sum(1 << (d - 1) for d in distances)
 
-    def refuse(self, windows: int, length: int):
-        """Raise the cap's ValueError for `windows` windows stepping to `length`."""
+    def refuse(self, shadows: int, length: int):
+        """Raise the cap's ValueError for `shadows` shadows stepping to `length`."""
         raise ValueError(
-            f"distances {{{self.distances.to_text()}}} need up to {2 * windows} line-DP "
-            f"windows of {self.norm} bits at length {length}, over the cap of "
-            f"{MAX_WINDOW_BITS} window bits"
+            f"distances {{{self.distances.to_text()}}} need up to {2 * shadows} line-DP "
+            f"shadows of {self.norm} bits at length {length}, over the cap of "
+            f"{MAX_WINDOW_BITS} shadow bits"
         )
 
     def live(self, remaining: int) -> int:

@@ -344,6 +344,49 @@ def cantor_gordon_density(a, b):
     return Fraction(s // 2, s)
 
 
+def karp_density(distances):
+    """The largest density of a set avoiding the distances, as the maximum
+    mean weight of a cycle (Karp, 1978) in the shadow graph reachable from 0.
+
+    Bit j of a shadow is set when the position j ahead lies a forbidden
+    distance after a 1 placed.  Every shadow s steps to s >> 1 emitting a 0;
+    one with bit 0 clear may also step to s >> 1 | bit d - 1 for each d,
+    emitting a 1.  The emitted bit is the edge's weight.  With best[k][v] the
+    heaviest walk of k edges from 0 to v over n shadows, the answer is the
+    max over v of the min over k < n of (best[n][v] - best[k][v]) / (n - k).
+    """
+    grow = sum(1 << (d - 1) for d in distances)
+
+    def moves(shadow):
+        yield shadow >> 1, 0
+        if not shadow & 1:
+            yield shadow >> 1 | grow, 1
+
+    reachable, todo = {0}, [0]
+    while todo:
+        for nxt, _ in moves(todo.pop()):
+            if nxt not in reachable:
+                reachable.add(nxt)
+                todo.append(nxt)
+    n = len(reachable)
+    best = [{0: 0}]
+    for _ in range(n):
+        walks = {}
+        for shadow, weight in best[-1].items():
+            for nxt, bit in moves(shadow):
+                walks[nxt] = max(walks.get(nxt, -1), weight + bit)
+        best.append(walks)
+    density = Fraction(0)
+    for v, top in best[n].items():
+        gain = steps = None  # a shortest walk to v has fewer than n edges
+        for k in range(n):  # fractions compared in ints, one built per v
+            weight = best[k].get(v)
+            if weight is not None and (gain is None or (top - weight) * steps < gain * (n - k)):
+                gain, steps = top - weight, n - k
+        density = max(density, Fraction(gain, steps))
+    return density
+
+
 def string_greedy(distances, horizon):
     """First-fit avoiding string and its detected period, on string windows:
     the reference for `greedy_avoiding`'s bits, and for its set wherever the

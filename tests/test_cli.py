@@ -329,7 +329,7 @@ class TestCertifyFuzz:
             for _ in range(rng.randrange(1, 4)):
                 document = mutate(rng, document)
             documents.append(document)
-        for huge in (10**6, 3 * 10**8):  # every line-DP window becomes a huge int
+        for huge in (10**6, 3 * 10**8):  # every line-DP shadow becomes a huge int
             documents.append({**valid, "distances": valid["distances"] + [huge]})
         documents.append(LONG_WINDOW_DOCUMENT)
         documents.append({**LONG_WINDOW_DOCUMENT, "distances": valid["distances"]})

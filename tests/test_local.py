@@ -352,8 +352,8 @@ class TestImproveAt:
     def test_a_patch_whose_bits_stay_live_meets_the_cap(self):
         # over 80 positions, every bit of {40} stays live for 40 steps
         message = (
-            "distances {40} need up to 32768 line-DP windows of 40 bits at length 15, "
-            "over the cap of 1048576 window bits"
+            "distances {40} need up to 32768 line-DP shadows of 40 bits at length 15, "
+            "over the cap of 1048576 shadow bits"
         )
         with pytest.raises(ValueError, match=re.escape(message)):
             improve_at("0" * 160, 40, 80, DistanceSet.of(40))

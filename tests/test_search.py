@@ -4,6 +4,7 @@ import json
 import random
 import sys
 import threading
+import time
 import warnings
 
 import pytest
@@ -42,8 +43,14 @@ from germpack.search import (
     _line_run,
     _two_block_challenger,
 )
-from germpack.sets import _to_bits
-from helpers import all_distance_sets, brute_two_block, cantor_gordon_density, random_bits
+from germpack.sets import _to_bits, _to_mask
+from helpers import (
+    all_distance_sets,
+    brute_two_block,
+    cantor_gordon_density,
+    karp_density,
+    random_bits,
+)
 
 D35 = DistanceSet.of(3, 5)
 
@@ -93,8 +100,9 @@ class TestBestString:
                 best_string(D35, length)
 
     def test_lengths_past_the_kept_masks(self, monkeypatch):
-        # past MAX_EVIDENCE_BITS the run keeps masks only at the lengths asked for;
-        # a length it passed unasked is recomputed on its own
+        # search and verify ask for no length past MAX_EVIDENCE_BITS; a public
+        # best_string past it runs a kernel of its own, and the shared run's
+        # table never holds such a length
         monkeypatch.setattr(search, "MAX_EVIDENCE_BITS", 4)
         _line_run.cache_clear()
         distances = DistanceSet.of(2, 4, 7)
@@ -102,8 +110,8 @@ class TestBestString:
             for length in (12, 3, 9, 15, 11, 1, 14):
                 assert best_string(distances, length) == brute_best(distances, length)
             run = _line_run(distances)
-            entries = [run.entry(n) for n in range(16)]
-            assert entries[12][0] is not None and entries[10][0] is None
+            assert max(run.bests) <= 4 and run.front.length <= 4
+            assert all(isinstance(entry[0], int) for entry in run.bests.values())
         finally:
             _line_run.cache_clear()
 
@@ -330,6 +338,28 @@ class TestTwoBlock:
         with pytest.raises(ValueError):
             certify_two_block(D35, "10010000", "10101010")  # left block clashes
 
+    def test_blocks_past_the_evidence_cap_are_refused(self):
+        # verify refuses evidence over MAX_EVIDENCE_BITS, so no certificate
+        # may hold a block pair it could not check
+        cap = search.MAX_EVIDENCE_BITS // 2
+        block = "0" * (cap + 1)
+        with pytest.raises(ValueError, match=f"blocks of {cap + 1} bits are over the cap of {cap}"):
+            certify_two_block(D35, block, block)
+        assert certify_two_block(D35, block[:cap], block[:cap]) is None  # checked, and loses
+
+    def test_repeated_block_of_a_huge_norm_is_checked_in_linear_work(self):
+        # A B B ... avoids {2**18} only if no 1 lies 2**18 after another: 2**18
+        # copies of B are built, once and not by a quadratic sum of shifts
+        doc = {
+            "kind": TWO_BLOCK_INDUCTION,
+            "distances": [262144],
+            "winner": {"preperiod": "", "repetend": "1"},
+            "evidence": {"block_a": "1", "block_b": "1"},
+        }
+        start = time.perf_counter()
+        assert not Certificate.from_json_dict(doc).verify()
+        assert time.perf_counter() - start < 1
+
 
 def _germ_greater(a, b):
     return poly_germ_compare(IntPolynomial.from_bits(a), IntPolynomial.from_bits(b)) == GREATER
@@ -358,11 +388,12 @@ TWO_BLOCK_POOL = (
 
 def _challenger_free(distances, block_b):
     """The branch and bound and the oracle's exhaustive pairing agree."""
-    fast = _two_block_challenger(distances, block_b)
+    size = len(block_b)
+    fast = _two_block_challenger(distances, _to_mask(block_b), size)
     slow = brute_two_block(distances, block_b)
     assert (fast is None) == (slow is None), (distances, block_b)
     if fast is not None:
-        assert _is_challenger(distances, block_b, fast)
+        assert _is_challenger(distances, block_b, [_to_bits(mask, size) for mask in fast])
     return fast is None
 
 
@@ -448,8 +479,9 @@ class TestTwoBlockBranchAndBound:
     def test_finds_a_challenger_for_a_weak_second_block(self):
         # any R holding a 1 beats an all-zero B, and so does QR beat BB
         distances = DistanceSet.of(2, 4, 7)
-        pair = _two_block_challenger(distances, "000000")
-        assert pair is not None and _is_challenger(distances, "000000", pair)
+        pair = _two_block_challenger(distances, 0, 6)
+        assert pair is not None
+        assert _is_challenger(distances, "000000", [_to_bits(mask, 6) for mask in pair])
 
 
 class TestHardTwoBlockCases:
@@ -615,6 +647,24 @@ class TestWinnerIntegration:
             assert cert is not None, distances
             want = cantor_gordon_density(*distances)
             assert valuation(cert.winner).density == want, distances
+
+    def test_winners_have_the_karp_maximum_mean_cycle_density(self):
+        # every D inside {1..9} with at most three distances: the densest
+        # avoiding set's density is the heaviest mean cycle of the shadow
+        # graph, found without germ arithmetic; three sets stay undecided
+        # under the larger budget, and none may fail
+        undecided = []
+        for distances in all_distance_sets(9):
+            if len(distances) > 3:
+                continue
+            norm = distances.norm
+            budget = SearchBudget(max_window=24 * norm, max_block=4 * norm)
+            cert = find_winner(distances, budget).certificate
+            if cert is None:
+                undecided.append(distances.distances)
+                continue
+            assert valuation(cert.winner).density == karp_density(distances), distances
+        assert sorted(undecided) == [(1, 5, 8), (5, 6, 9), (5, 8, 9)]
 
 
 class TestCertificate:

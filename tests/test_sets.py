@@ -309,9 +309,9 @@ class TestGreedy:
         assert greedy_avoiding(DistanceSet(), 4) == ("1111", RationalSet.naturals())
 
     def test_refuses_norms_the_line_dp_refuses(self):
-        # one window of 2**19 + 1 bits would pass MAX_WINDOW_BITS at its first step
+        # one shadow of 2**19 + 1 bits would pass MAX_WINDOW_BITS at its first step
         norm = (sets.MAX_WINDOW_BITS >> 1) + 1
-        with pytest.raises(ValueError, match=re.escape(f"distances {{{norm}}} need up to 2 line-DP ")):
+        with pytest.raises(ValueError, match=re.escape(f"distances {{{norm}}} need up to 2 line-DP shadows ")):
             greedy_avoiding(DistanceSet.of(norm), 1)
         # 2**19 fits one shadow; the second, recorded at step 1, is where the
         # line DP refuses too, with the same message
