@@ -8,7 +8,8 @@ the patch cannot clash with it.  Sweeping the rewrite over all positions
 terminates (every change is a strict, exact germ increase over finitely
 many strings, which the sweep checks at each change) in a string no single
 patch rewrite can improve.  One sweep computes the best filling of each
-distinct pair of contexts once and reuses it for the rest of the call.
+distinct pair of contexts once, and runs the kernel once for each distinct
+shadow those pairs cast, reusing both for the rest of the call.
 It runs on an int mask: bit strings appear only at the API boundary.
 
 Fixpoints of the sweep are not known to be winners, but certified winners
@@ -184,9 +185,10 @@ def best_patch(context: PatchContext, distances: DistanceSet) -> str:
 
 def _patch_filler(distances: DistanceSet, patch_length: int):
     """`refill(mask, position)`: the patch at `position` rewritten to the best
-    filling for its contexts, the norm bits either side, each pair computed once.
+    filling for its contexts, the norm bits either side, each distinct pair
+    computed once and each distinct start shadow run once (`_patch_run`).
 
-    Checks the patch length up front.  The memo lives only as long as the
+    Checks the patch length up front.  The memos live only as long as the
     returned function, which serves one call of the functions below.
     Nothing of patch-length size is built before the first miss, so a
     string too short for a patch of any length costs nothing.
@@ -227,15 +229,24 @@ def _patch_run(distances: DistanceSet, length: int):
     as the run goes; a 0 needs no such mask, since a shadow that fits the
     positions left still fits them after the shift.  No bit is live after
     the last step, so one entry is left.
+
+    Pairs that cast one start shadow allow the same fillings (those that
+    avoid within the patch with no 1 on the shadow), so each distinct start
+    shadow is run once, for as long as `run` lives.
     """
     model, norm, whole = distances._windows, distances.norm, (1 << length) - 1
     grown_bits = [model.grow & model.live(length - pos - 1) for pos in range(length)]
+    runs: dict[int, tuple[int, int, int]] = {}
 
     def run(left: int, right: int) -> tuple[int, int, int]:
         start = 0
         for d in distances:  # bit p is set iff p - d is in `left` or p + d in `right`
             start |= (left << d) >> norm | (right << length) >> d
-        return _run_line(model, {start & whole: (0, 0, 0)}, 0, grown_bits)[0]
+        start &= whole
+        entry = runs.get(start)
+        if entry is None:
+            entry = runs[start] = _run_line(model, {start: (0, 0, 0)}, 0, grown_bits)[0]
+        return entry
 
     return run
 
@@ -262,8 +273,8 @@ def sweep_to_fixpoint(bits: str, patch_length: int, distances: DistanceSet) -> s
 
     Round-robin over every position with full contexts.  The result is
     patch-maximal: no single rewrite at any such position can improve it,
-    and its germ dominates the input's.  Each context's best filling is
-    computed once.
+    and its germ dominates the input's.  Each context pair's best filling is
+    computed once, by one kernel run per distinct start shadow.
     """
     current = _to_mask(_check_bits(bits, "indicator string"))
     if not _mask_avoids(current, distances):

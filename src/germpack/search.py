@@ -346,7 +346,7 @@ def _two_block_challenger(distances: DistanceSet, b: int, size: int):
     meets R only through R[:norm] (all of R when the blocks are shorter
     than norm), so Q is the best filling of a patch of |B| positions
     between an all-zero left context and that head (`local._patch_run`),
-    computed once per head.
+    whose run computes each distinct start shadow the heads cast once.
     R > B needs at least as many 1s as B (the count is the leading
     t-coefficient), so a prefix of R is cut once even the fullest avoiding
     tail cannot reach that count.
@@ -354,15 +354,11 @@ def _two_block_challenger(distances: DistanceSet, b: int, size: int):
     b_entry = _entry(b)
     bb_entry = _entry(b | b << size)
     run = None
-    firsts: dict[int, tuple[int, int, int]] = {}
     for second in _avoiding_with_ones(distances, size, b_entry[1]):
         if not germ_greater(second, b_entry):
             continue
-        head = second[0] & ((1 << distances.norm) - 1)
-        first = firsts.get(head)
-        if first is None:
-            run = run or _patch_run(distances, size)
-            first = firsts[head] = run(0, head)
+        run = run or _patch_run(distances, size)
+        first = run(0, second[0] & ((1 << distances.norm) - 1))
         mask, ones, possum = second
         joined = (first[0] | mask << size, first[1] + ones, first[2] + possum + size * ones)
         if germ_greater(joined, bb_entry):

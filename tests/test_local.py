@@ -174,14 +174,22 @@ class TestPatchRun:
 
     @pytest.mark.parametrize("distances", all_distance_sets(6), ids=lambda d: d.to_text())
     def test_matches_the_dp_that_keeps_every_window(self, distances):
+        # pairs that cast one start shadow share one filling, the premise of
+        # the run's memo; an all-zero left context with every length from 1
+        # is how the two-block challenger calls the run
         norm = distances.norm
-        contexts = [_to_mask(c) for c in enumerate_avoiding(distances, norm)]
-        for length in range(norm, 2 * norm + 2):
-            run = local._patch_run(distances, length)
-            for left in contexts:
+        contexts = list(enumerate_avoiding(distances, norm))
+        shared = 0
+        for length in range(1, 2 * norm + 2):
+            run, by_shadow = local._patch_run(distances, length), {}
+            for left in contexts if length >= norm else ["0" * norm]:
                 for right in contexts:
-                    want = unpruned_best(distances, length, left, right)
-                    assert run(left, right) == want, (length, left, right)
+                    want = unpruned_best(distances, length, _to_mask(left), _to_mask(right))
+                    shadow = start_shadow(distances, left, right, length)
+                    shared += shadow in by_shadow
+                    assert by_shadow.setdefault(shadow, want) == want, (length, left, right)
+                    assert run(_to_mask(left), _to_mask(right)) == want, (length, left, right)
+        assert shared > 0
 
     def test_patch_runs_pick_the_best_of_every_filling(self):
         # a patch of length norm between every pair of avoiding contexts,
@@ -375,6 +383,27 @@ def lying_run(filling, calls):
     return make
 
 
+def start_shadow(distances, left, right, length):
+    """The patch positions a forbidden distance from a 1 of the left or the
+    right context, bit strings of norm bits, as a mask: bit p is position p."""
+    norm = distances.norm
+    ones = {i - norm for i, bit in enumerate(left) if bit == "1"}
+    ones |= {length + j for j, bit in enumerate(right) if bit == "1"}
+    shadowed = {p for p in range(length) for d in distances if p - d in ones or p + d in ones}
+    return sum(1 << p for p in shadowed)
+
+
+def counting_line(starts):
+    """`local._run_line`, recording the shadows every run starts from in `starts`."""
+    real = local._run_line
+
+    def run_line(model, states, start, grown_bits):
+        starts.extend(states)
+        return real(model, states, start, grown_bits)
+
+    return run_line
+
+
 def counting_run(calls):
     """`local._patch_run`, recording the (left, right) contexts of every run
     in `calls` as bit strings."""
@@ -524,6 +553,27 @@ class TestSweepMemo:
                 assert sweep_to_fixpoint(w, d.norm, d) == expected
             assert len(calls) == len(set(calls)) == len(contexts)
             assert set(calls) == contexts
+
+    def test_each_start_shadow_reaches_the_kernel_once(self, monkeypatch):
+        # {5,10} on zeros: 29 context pairs cast 24 start shadows
+        rng = random.Random(50)
+        cases = [(DistanceSet.of(5, 10), "0" * 60, 10)]
+        for shape in SWEEP_SHAPES:
+            d = DistanceSet(shape)
+            w = random_avoiding(rng, d, rng.randrange(60, 121))
+            cases.append((d, w, d.norm + rng.randrange(3)))
+        sizes = []
+        for d, w, length in cases:
+            expected, contexts = reference_sweep(w, length, d)
+            shadows = {start_shadow(d, left, right, length) for left, right in contexts}
+            starts = []
+            with monkeypatch.context() as patch:
+                patch.setattr(local, "_run_line", counting_line(starts))
+                assert sweep_to_fixpoint(w, length, d) == expected
+            assert len(starts) == len(set(starts)) == len(shadows)
+            assert set(starts) == shadows
+            sizes.append((len(contexts), len(shadows)))
+        assert sizes[0] == (29, 24)
 
     def test_winner_check_computes_each_context_once(self, monkeypatch):
         calls = []
