@@ -17,20 +17,18 @@ Three certification strategies, in the order a search tries them:
 All certificates re-verify from their recorded evidence alone, without
 trusting the search that produced them.
 
-The germ-maximal avoiding strings are read off one cached run of the line
-kernel (`local.LineKernel`, keyed by the shadow of the 1s placed) per
-distance set, as int masks at the lengths asked for, up to
-MAX_EVIDENCE_BITS: the run jumps ahead to each new length, and a second,
-catch-up kernel serves the lengths it jumped over.  A two-block
-challenger's first block is a patch (`local._patch_run`) after an
-all-zero left context.
+Every public entry point reads its germ-best strings, as int masks at
+the lengths it asks for, off one run of the line kernel (`local.LineKernel`,
+keyed by the shadow of the 1s placed) that it builds for the call and hands
+down, so the module keeps nothing between calls.  The run jumps ahead to
+each new length, and a second, catch-up kernel serves the lengths it
+jumped over.  A two-block challenger's first block is a patch
+(`local._patch_run`) after an all-zero left context.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .local import LineKernel, _entry, _patch_run, germ_greater
 from .sets import (
@@ -56,52 +54,40 @@ CERTIFICATE_KINDS = (REPEATABLE_WINDOW, SYMMETRIC_OFFSET, TWO_BLOCK_INDUCTION)
 
 # The most evidence bits (a window, or a block pair) a certificate may hold:
 # the kernel run to length n costs time quadratic in n.  Search and verify ask
-# for no longer germ-best string, so the shared runs stop at it.
+# for no longer germ-best string.
 MAX_EVIDENCE_BITS = 1 << 12
 
 
 class _LineRun:
     """Germ-best entries of one distance set, each length's computed when first asked.
 
-    The front kernel jumps straight to each length asked past it and reads
-    the best entry there only.  A length it passed unasked falls to a
-    catch-up kernel, which also only moves forward and records the best
-    entry of every length it passes, so it runs at most once over the
-    lengths the front skipped.  No length passes MAX_EVIDENCE_BITS, so every
-    mask is kept.  One lock guards both kernels and the table.
+    One run serves one public call.  The front kernel jumps straight to each
+    length asked past it and reads the best entry there only.  A length it
+    passed unasked falls to a catch-up kernel, which also only moves forward
+    and records the best entry of every length it passes, so it runs at most
+    once over the lengths the front skipped.  A run asked for one length
+    records one mask, however long.
     """
 
     def __init__(self, distances: DistanceSet):
+        self.distances = distances
         self.front = LineKernel(distances)
         self.catch_up = LineKernel(distances)
         self.bests = {0: (0, 0, 0)}  # length -> germ-best (mask, ones, position-sum)
-        self.lock = threading.Lock()
 
     def entry(self, length: int) -> tuple:
         """The length's germ-best (mask, ones, position-sum)."""
-        with self.lock:
-            if length not in self.bests:
-                if length >= self.front.length:
-                    self._record(self.front.advance(length - self.front.length))
-                else:  # every length up to the catch-up kernel's is recorded
-                    while self.catch_up.length < length:
-                        self._record(self.catch_up.advance(1))
-            return self.bests[length]
+        if length not in self.bests:
+            if length >= self.front.length:
+                self._record(self.front.advance(length - self.front.length))
+            else:  # every length up to the catch-up kernel's is recorded
+                while self.catch_up.length < length:
+                    self._record(self.catch_up.advance(1))
+        return self.bests[length]
 
     def _record(self, kernel: LineKernel) -> None:
         if kernel.length not in self.bests:
             self.bests[kernel.length] = kernel.best()
-
-
-@lru_cache(maxsize=16)
-def _line_run(distances: DistanceSet) -> _LineRun:
-    return _LineRun(distances)
-
-
-def _best_mask(distances: DistanceSet, length: int) -> int:
-    if length > MAX_EVIDENCE_BITS:  # only a public best_string asks past the cap
-        return LineKernel(distances).advance(length).best()[0]
-    return _line_run(distances).entry(length)[0]
 
 
 def best_string(distances: DistanceSet, length: int) -> str:
@@ -110,7 +96,8 @@ def best_string(distances: DistanceSet, length: int) -> str:
     Unique: distinct equal-length strings have distinct indicator
     polynomials, so the germ order never ties.
     """
-    return _to_bits(_best_mask(distances, _check_natural(length, "length")), length)
+    length = _check_natural(length, "length")
+    return _to_bits(_LineRun(distances).entry(length)[0], length)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +139,7 @@ class Certificate:
             masks = _check_blocks(self.distances, block_a, block_b)
         except ValueError:
             return False
-        cert = _two_block(self.distances, *masks, len(block_a))
+        cert = _two_block(_LineRun(self.distances), *masks, len(block_a))
         return cert is not None and cert.winner == self.winner
 
     def _verify_window(self, check_offset):
@@ -166,7 +153,8 @@ class Certificate:
         if check_offset is not None:
             if check_offset != length or not _is_symmetry_offset(d, check_offset):
                 return False
-        return window == _repeating_best(d, length) and self.winner == RationalSet("", window)
+        best = _repeating_best(_LineRun(d), length)
+        return window == best and self.winner == RationalSet("", window)
 
     def to_json_dict(self) -> dict:
         return {
@@ -212,11 +200,11 @@ def is_repeatable(window: str, distances: DistanceSet) -> bool:
     return _mask_avoids(mask | mask << len(window), distances)
 
 
-def _repeating_best(distances: DistanceSet, length: int) -> str | None:
-    """The germ-best window of the length (past the norm) if it stays
+def _repeating_best(run: _LineRun, length: int) -> str | None:
+    """The run's germ-best window of the length (past the norm) if it stays
     avoiding when doubled, else None."""
-    mask = _best_mask(distances, length)
-    return _to_bits(mask, length) if _mask_avoids(mask | mask << length, distances) else None
+    mask = run.entry(length)[0]
+    return _to_bits(mask, length) if _mask_avoids(mask | mask << length, run.distances) else None
 
 
 def _pair_sums(distances: DistanceSet) -> set[int]:
@@ -230,7 +218,11 @@ def find_repeatable_winner(distances: DistanceSet, max_window: int) -> Certifica
     case we know), then the remaining lengths in increasing order.  Any hit
     certifies the winner outright.
     """
-    norm = distances.norm
+    return _repeatable_winner(_LineRun(distances), max_window)
+
+
+def _repeatable_winner(run: _LineRun, max_window: int) -> Certificate | None:
+    distances, norm = run.distances, run.distances.norm
     if not norm < max_window <= MAX_EVIDENCE_BITS:
         raise ValueError(f"max window must be in (norm, cap] = ({norm}, {MAX_EVIDENCE_BITS}]")
 
@@ -238,7 +230,7 @@ def find_repeatable_winner(distances: DistanceSet, max_window: int) -> Certifica
     skip = set(preferred)
     rest = [m for m in range(norm + 1, max_window + 1) if m not in skip]
     for m in preferred + rest:
-        window = _repeating_best(distances, m)
+        window = _repeating_best(run, m)
         if window is not None:
             return Certificate(
                 REPEATABLE_WINDOW,
@@ -274,7 +266,7 @@ def symmetric_winner(distances: DistanceSet) -> Certificate | None:
     offset = symmetry_offset(distances)
     if offset is None:
         return None
-    window = _repeating_best(distances, offset)
+    window = _repeating_best(_LineRun(distances), offset)
     if window is None:
         raise AssertionError("symmetric window failed the repeatability check")
     return Certificate(
@@ -304,7 +296,8 @@ def certify_two_block(distances: DistanceSet, block_a: str, block_b: str) -> Cer
     fails; raises on malformed inputs, on blocks past MAX_EVIDENCE_BITS // 2
     (verify refuses them) and on distance sets over the kernel's cap.
     """
-    return _two_block(distances, *_check_blocks(distances, block_a, block_b), len(block_a))
+    masks = _check_blocks(distances, block_a, block_b)
+    return _two_block(_LineRun(distances), *masks, len(block_a))
 
 
 def _check_blocks(distances: DistanceSet, block_a: str, block_b: str) -> tuple[int, int]:
@@ -322,22 +315,23 @@ def _check_blocks(distances: DistanceSet, block_a: str, block_b: str) -> tuple[i
     return a, b
 
 
-def _two_block(distances: DistanceSet, a: int, b: int, size: int) -> Certificate | None:
-    """`certify_two_block` on the masks of two avoiding blocks of `size` bits."""
-    if a != _best_mask(distances, size) or a | b << size != _best_mask(distances, 2 * size):
+def _two_block(run: _LineRun, a: int, b: int, size: int) -> Certificate | None:
+    """`certify_two_block` on the run and the masks of two avoiding blocks of `size` bits."""
+    if a != run.entry(size)[0] or a | b << size != run.entry(2 * size)[0]:
         return None
     # A B B ...: a clash moved into the first B ends within norm bits past it;
     # B repeated as a string, since summing shifted masks is quadratic
     block_b = _to_bits(b, size)
-    candidate = a | _to_mask(block_b * (-(-distances.norm // size) + 1)) << size
-    if not _mask_avoids(candidate, distances) or _two_block_challenger(distances, b, size):
+    candidate = a | _to_mask(block_b * (-(-run.distances.norm // size) + 1)) << size
+    if not _mask_avoids(candidate, run.distances) or _two_block_challenger(run, b, size):
         return None
     block_a = _to_bits(a, size)
     evidence = {"block_a": block_a, "block_b": block_b}
-    return Certificate(TWO_BLOCK_INDUCTION, distances, RationalSet(block_a, block_b), evidence)
+    winner = RationalSet(block_a, block_b)
+    return Certificate(TWO_BLOCK_INDUCTION, run.distances, winner, evidence)
 
 
-def _two_block_challenger(distances: DistanceSet, b: int, size: int):
+def _two_block_challenger(run: _LineRun, b: int, size: int):
     """An avoiding QR with R germ-greater than B and QR than BB, as the
     masks (Q, R), or None; B is the mask b of `size` bits.
 
@@ -353,12 +347,12 @@ def _two_block_challenger(distances: DistanceSet, b: int, size: int):
     """
     b_entry = _entry(b)
     bb_entry = _entry(b | b << size)
-    run = None
-    for second in _avoiding_with_ones(distances, size, b_entry[1]):
+    fill = None
+    for second in _avoiding_with_ones(run, size, b_entry[1]):
         if not germ_greater(second, b_entry):
             continue
-        run = run or _patch_run(distances, size)
-        first = run(0, second[0] & ((1 << distances.norm) - 1))
+        fill = fill or _patch_run(run.distances, size)
+        first = fill(0, second[0] & ((1 << run.distances.norm) - 1))
         mask, ones, possum = second
         joined = (first[0] | mask << size, first[1] + ones, first[2] + possum + size * ones)
         if germ_greater(joined, bb_entry):
@@ -366,30 +360,29 @@ def _two_block_challenger(distances: DistanceSet, b: int, size: int):
     return None
 
 
-def _avoiding_with_ones(distances: DistanceSet, length: int, need: int):
+def _avoiding_with_ones(run: _LineRun, length: int, need: int):
     """The entry of every avoiding string of the given length with >= `need` 1s.
 
-    Depth first, 1 before 0, carrying the shadow of `sets._WindowModel`; a
-    prefix is cut as soon as even the fullest avoiding tail of the remaining
-    length cannot bring it up to `need`.
+    Depth first, 1 before 0, carrying the shadow of `sets._WindowModel`, on
+    an explicit stack, so any length within the cap walks; a prefix is cut
+    as soon as even the fullest avoiding tail of the remaining length cannot
+    bring it up to `need`.
     """
     # the germ-best string of each length has the most 1s: the count is the
     # leading t-coefficient
-    run = _line_run(distances)
     most = [run.entry(n)[1] for n in range(length + 1)]
-    grow = distances._windows.grow
-
-    def extend(pos, shadow, mask, ones, possum):
+    grow = run.distances._windows.grow
+    stack = [(0, 0, 0, 0, 0)]  # position, shadow, mask, ones, position-sum
+    while stack:
+        pos, shadow, mask, ones, possum = stack.pop()
         if ones + most[length - pos] < need:
-            return
+            continue
         if pos == length:
             yield mask, ones, possum
-            return
+            continue
+        stack.append((pos + 1, shadow >> 1, mask, ones, possum))  # popped after the 1's walk
         if not shadow & 1:
-            yield from extend(pos + 1, shadow >> 1 | grow, mask | 1 << pos, ones + 1, possum + pos)
-        yield from extend(pos + 1, shadow >> 1, mask, ones, possum)
-
-    yield from extend(0, 0, 0, 0, 0)
+            stack.append((pos + 1, shadow >> 1 | grow, mask | 1 << pos, ones + 1, possum + pos))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +441,8 @@ def find_winner(distances: DistanceSet, budget: SearchBudget | None = None) -> S
         )
 
     max_window = budget.window_bound(distances)
-    cert = max_window > distances.norm and find_repeatable_winner(distances, max_window)
+    run = _LineRun(distances)  # shared by the window scan and the two blocks
+    cert = max_window > distances.norm and _repeatable_winner(run, max_window)
     if cert:
         return SearchResult(cert, tuple(attempts))
     attempts.append(  # an empty range when max_window is at or below the norm
@@ -458,8 +452,8 @@ def find_winner(distances: DistanceSet, budget: SearchBudget | None = None) -> S
 
     max_block = budget.block_bound(distances)
     for size in range(1, max_block + 1):
-        doubled = _best_mask(distances, 2 * size)
-        cert = _two_block(distances, doubled & ((1 << size) - 1), doubled >> size, size)
+        doubled = run.entry(2 * size)[0]
+        cert = _two_block(run, doubled & ((1 << size) - 1), doubled >> size, size)
         if cert:
             return SearchResult(cert, tuple(attempts))
     attempts.append(f"two-block induction failed for block lengths 1..{max_block}")

@@ -84,12 +84,18 @@ class _WindowModel:
         self.most = 1 << norm if norm <= 16 else MAX_WINDOW_BITS // (2 * norm)
         if not self.most:  # before the norm-bit ints below
             self.refuse(1, 1)
-        self.grow = sum(1 << (d - 1) for d in distances)
+        ahead = bytearray(b"0") * norm  # position d - 1: a forbidden distance ahead
+        for d in distances:
+            ahead[d - 1] = ord("1")
+        self.grow = _to_mask(ahead.decode())  # linear, where a sum of shifted bits is quadratic
 
     def refuse(self, shadows: int, length: int):
         """Raise the cap's ValueError for `shadows` shadows stepping to `length`."""
+        d = self.distances.distances  # past eight, elided, so the message stays short
+        listed = f"{{{self.distances.to_text()}}}" if len(d) <= 8 else (
+            f"{{{d[0]},{d[1]},...,{d[-1]}}} ({len(d)} in all)")
         raise ValueError(
-            f"distances {{{self.distances.to_text()}}} need up to {2 * shadows} line-DP "
+            f"distances {listed} need up to {2 * shadows} line-DP "
             f"shadows of {self.norm} bits at length {length}, over the cap of "
             f"{MAX_WINDOW_BITS} shadow bits"
         )

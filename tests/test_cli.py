@@ -262,6 +262,22 @@ class TestCertifyCommand:
         code, verdict = run_json(capsys, "certify", "--file", str(path), "--json")
         assert code == 1 and not verdict["valid"]
 
+    @pytest.mark.parametrize("size", [1000, 2048])
+    def test_blocks_up_to_the_cap_verify(self, capsys, tmp_path, size):
+        # a {3,5} block pair of (10)^(size/2) each: the challenger walk used
+        # to nest one generator per bit and end in a RecursionError traceback
+        block = "10" * (size // 2)
+        document = {
+            "kind": "TwoBlockInduction",
+            "distances": [3, 5],
+            "winner": {"preperiod": "", "repetend": "10"},
+            "evidence": {"block_a": block, "block_b": block},
+        }
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(document))
+        code, verdict = run_json(capsys, "certify", "--file", str(path), "--json")
+        assert code == 0 and verdict["valid"] is True
+
     def test_missing_file_is_invalid_input(self, capsys):
         code = main(["certify", "--file", "/nonexistent/cert.json"])
         assert code == 1
@@ -443,6 +459,23 @@ class TestErrors:
         assert main(["certify", "--file", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {bits} bits of evidence are over the cap of 4096\n"
+
+    def test_a_dense_distance_list_is_refused_briefly(self, capsys, tmp_path):
+        # distances 1..500,000 (a 3.9 MB document): the window model is built
+        # in linear time and the cap's error names a few of them, where it
+        # took seconds and wrote every distance to stderr
+        document = {
+            "kind": "TwoBlockInduction",
+            "distances": list(range(1, 500_001)),
+            "winner": {"preperiod": "", "repetend": "1"},
+            "evidence": {"block_a": "1", "block_b": "1"},
+        }
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(document))
+        assert main(["certify", "--file", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: distances {1,2,...,500000} (500000 in all) need ")
+        assert len(err) < 1024 and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "text",

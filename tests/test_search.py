@@ -35,12 +35,12 @@ from germpack import (
     symmetry_offset,
     valuation,
 )
-from germpack import search, sets
+from germpack import local, search, sets
 from germpack.local import LineKernel
 from germpack.search import (
     _avoiding_with_ones,
     _entry,
-    _line_run,
+    _LineRun,
     _two_block_challenger,
 )
 from germpack.sets import _to_bits, _to_mask
@@ -99,35 +99,34 @@ class TestBestString:
             with pytest.raises(ValueError, match="length must be a positive integer"):
                 best_string(D35, length)
 
-    def test_lengths_past_the_kept_masks(self, monkeypatch):
-        # search and verify ask for no length past MAX_EVIDENCE_BITS; a public
-        # best_string past it runs a kernel of its own, and the shared run's
-        # table never holds such a length
-        monkeypatch.setattr(search, "MAX_EVIDENCE_BITS", 4)
-        _line_run.cache_clear()
+    def test_lengths_past_the_kept_masks(self):
+        # search and verify ask for no length past MAX_EVIDENCE_BITS, but a
+        # public best_string may; each call builds a run of its own, which
+        # asked for one length records that length's mask alone, however long
         distances = DistanceSet.of(2, 4, 7)
-        try:
-            for length in (12, 3, 9, 15, 11, 1, 14):
-                assert best_string(distances, length) == brute_best(distances, length)
-            run = _line_run(distances)
-            assert max(run.bests) <= 4 and run.front.length <= 4
+        for length in (12, 3, 9, 15, 11, 1, 14):
+            assert best_string(distances, length) == brute_best(distances, length)
+            run = _LineRun(distances)
+            assert _to_bits(run.entry(length)[0], length) == brute_best(distances, length)
+            assert sorted(run.bests) == [0, length] and run.catch_up.length == 0
             assert all(isinstance(entry[0], int) for entry in run.bests.values())
-        finally:
-            _line_run.cache_clear()
+        past = search.MAX_EVIDENCE_BITS + 5
+        kernel = LineKernel(distances).advance(past)
+        assert best_string(distances, past) == _to_bits(kernel.best()[0], past)
 
     def test_threads_share_one_growing_run(self):
-        # every thread extends the same cached run; a lost or doubled step
-        # would hand some length the best string of another
+        # the search keeps no run between calls, so each call grows a run of
+        # its own and threads share none; any state shared by accident, a
+        # lost or doubled step, would hand some length the best string of
+        # another
         distances = DistanceSet.of(3, 7, 12)
         lengths = range(1, 61)
         want = {n: best_string(distances, n) for n in lengths}
-        _line_run.cache_clear()
         start = threading.Barrier(6)
         got, errors = [], []
 
         def ask(stride):
-            # a negative stride asks in descending order, which leaves most
-            # lengths to the catch-up kernel
+            # a negative stride asks in descending order
             try:
                 start.wait(timeout=60)
                 got.extend((n, best_string(distances, n)) for n in lengths[::stride])
@@ -151,7 +150,7 @@ class TestBestString:
 
 
 class TestLazyRun:
-    """The cached run gives each length its germ-best string in any ask order."""
+    """A run gives each length its germ-best string in any ask order."""
 
     @staticmethod
     def _orders(distances, top):
@@ -178,23 +177,18 @@ class TestLazyRun:
         monkeypatch.setattr(search, "LineKernel", CountedKernel)
         census = [DistanceSet.of(*d) for d in ((12,), (5, 12), (1, 7, 12), (4, 9, 12))]
         top = 60
-        try:
-            for distances in all_distance_sets(6) + census:
-                kernel = LineKernel(distances)  # advanced one step at a time, from scratch
-                fresh = [None] + [
-                    _to_bits(kernel.advance(1).best()[0], n) for n in range(1, top + 1)
-                ]
-                brute = {n: brute_best(distances, n) for n in range(1, 15)}
-                assert all(fresh[n] == bits for n, bits in brute.items())
-                for name, order in self._orders(distances, top).items():
-                    _line_run.cache_clear()
-                    built.clear()
-                    for n in order:
-                        assert best_string(distances, n) == fresh[n], (distances, name, n)
-                    # one front kernel and one catch-up kernel, nothing rebuilt
-                    assert len(built) == 2 and _line_run(distances).front.length == top
-        finally:
-            _line_run.cache_clear()
+        for distances in all_distance_sets(6) + census:
+            kernel = LineKernel(distances)  # advanced one step at a time, from scratch
+            fresh = [None] + [_to_bits(kernel.advance(1).best()[0], n) for n in range(1, top + 1)]
+            brute = {n: brute_best(distances, n) for n in range(1, 15)}
+            assert all(fresh[n] == bits for n, bits in brute.items())
+            for name, order in self._orders(distances, top).items():
+                built.clear()
+                run = _LineRun(distances)
+                for n in order:
+                    assert _to_bits(run.entry(n)[0], n) == fresh[n], (distances, name, n)
+                # one front kernel and one catch-up kernel, nothing rebuilt
+                assert len(built) == 2 and run.front.length == top
 
 
 class TestPrefixExtension:
@@ -347,6 +341,17 @@ class TestTwoBlock:
             certify_two_block(D35, block, block)
         assert certify_two_block(D35, block[:cap], block[:cap]) is None  # checked, and loses
 
+    @pytest.mark.parametrize("size", [1000, 2048])
+    def test_blocks_up_to_the_cap_are_walked_without_recursion(self, size):
+        # the challenger enumeration walks one position per stack entry, not
+        # one nested generator per bit: 996 bits or more used to raise
+        # RecursionError under the default limit
+        block = "10" * (size // 2)
+        cert = certify_two_block(D35, block, block)
+        assert cert is not None and cert.winner == RationalSet("", "10")
+        again = Certificate.from_json_dict(json.loads(json.dumps(cert.to_json_dict())))
+        assert again.verify()
+
     def test_repeated_block_of_a_huge_norm_is_checked_in_linear_work(self):
         # A B B ... avoids {2**18} only if no 1 lies 2**18 after another: 2**18
         # copies of B are built, once and not by a quadratic sum of shifts
@@ -389,7 +394,7 @@ TWO_BLOCK_POOL = (
 def _challenger_free(distances, block_b):
     """The branch and bound and the oracle's exhaustive pairing agree."""
     size = len(block_b)
-    fast = _two_block_challenger(distances, _to_mask(block_b), size)
+    fast = _two_block_challenger(_LineRun(distances), _to_mask(block_b), size)
     slow = brute_two_block(distances, block_b)
     assert (fast is None) == (slow is None), (distances, block_b)
     if fast is not None:
@@ -414,7 +419,7 @@ def _agree_with_oracle(distances, block_a, block_b):
 class TestTwoBlockBranchAndBound:
     def test_max_ones_matches_enumeration(self):
         for distances in all_distance_sets(5):
-            run = _line_run(distances)
+            run = _LineRun(distances)
             entries = [run.entry(n) for n in range(11)]
             for length in range(11):
                 want = max(s.count("1") for s in enumerate_avoiding(distances, length))
@@ -425,11 +430,13 @@ class TestTwoBlockBranchAndBound:
         for distances in all_distance_sets(5):
             length = rng.randrange(1, 12)
             need = rng.randrange(0, length + 1)
-            entries = list(_avoiding_with_ones(distances, length, need))
+            entries = list(_avoiding_with_ones(_LineRun(distances), length, need))
             assert all(entry == _entry(entry[0]) for entry in entries)
-            got = {_to_bits(mask, length) for mask, _, _ in entries}
+            got = [_to_bits(mask, length) for mask, _, _ in entries]
             want = {s for s in enumerate_avoiding(distances, length) if s.count("1") >= need}
-            assert len(entries) == len(want) and got == want
+            assert len(entries) == len(want) and set(got) == want
+            # depth first, 1 before 0: the strings read from position 0 descend
+            assert got == sorted(want, reverse=True)
 
     def test_agrees_with_oracle_on_small_distance_sets(self):
         # every D inside {1..6}, every block from norm to min(2 norm, 12)
@@ -479,7 +486,7 @@ class TestTwoBlockBranchAndBound:
     def test_finds_a_challenger_for_a_weak_second_block(self):
         # any R holding a 1 beats an all-zero B, and so does QR beat BB
         distances = DistanceSet.of(2, 4, 7)
-        pair = _two_block_challenger(distances, 0, 6)
+        pair = _two_block_challenger(_LineRun(distances), 0, 6)
         assert pair is not None
         assert _is_challenger(distances, "000000", [_to_bits(mask, 6) for mask in pair])
 
@@ -529,6 +536,36 @@ class TestFindWinner:
                 "no symmetry offset in (7, 9]",
                 f"no repeatable germ-maximal window for lengths 8..{max_window}",
             )
+
+    def test_repeated_calls_do_the_same_line_work(self, monkeypatch):
+        # each call builds its own line run and keeps none: the second of two
+        # identical searches, or verifies, makes every `_run_line` state-step
+        # the first made, where a run kept between calls would start it warm
+        steps = []
+        run_line = local._run_line
+
+        def counted(model, states, start, grown_bits):
+            for pos, grown in enumerate(grown_bits, start):
+                steps[-1] += len(states)
+                states = run_line(model, states, pos, (grown,))
+            return states
+
+        monkeypatch.setattr(local, "_run_line", counted)
+
+        def work(call):
+            steps.append(0)
+            call()
+            return steps[-1]
+
+        budget = SearchBudget(max_window=48, max_block=14)
+        for dset in ((3, 5), (2, 3, 6), (2, 4, 7), (2, 4, 6, 7), (1, 5, 6)):
+            distances = DistanceSet.of(*dset)
+            searches = [work(lambda: find_winner(distances, budget)) for _ in range(2)]
+            assert searches[0] == searches[1] > 0, dset
+            cert = find_winner(distances, budget).certificate
+            if cert is not None:
+                verifies = [work(cert.verify) for _ in range(2)]
+                assert verifies[0] == verifies[1] > 0, dset
 
     def test_empty_distances_give_naturals(self):
         result = find_winner(DistanceSet())

@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -70,6 +71,40 @@ class TestDistanceSet:
         assert DistanceSet.from_text("") == DistanceSet()
         with pytest.raises(ValueError):
             DistanceSet.from_text("3,x")
+
+
+class TestWindowModel:
+    def test_grow_sets_the_shadow_bit_of_each_distance(self):
+        # a 1 forbids the position d ahead, which is bit d - 1 of the shadow
+        for distances in all_distance_sets(9) + [DistanceSet(), DistanceSet.of(1, 100)]:
+            assert distances._windows.grow == sum(1 << (d - 1) for d in distances)
+
+    def test_a_dense_distance_set_is_modelled_in_linear_time(self):
+        # 500,000 distances: a sum of their shifted bits is quadratic and
+        # took seconds; one string of digits read as one int takes a blink
+        distances = DistanceSet(tuple(range(1, 500_001)))
+        start = time.perf_counter()
+        model = sets._WindowModel(distances)
+        assert time.perf_counter() - start < 1
+        assert model.grow == (1 << 500_000) - 1 and model.most == 1
+
+    def test_the_cap_message_elides_a_long_distance_list(self):
+        # eight distances or fewer are named in full, as before; past that
+        # the first two and the largest, and how many there are
+        message = "need up to 4 line-DP shadows of {} bits at length 2, over the cap"
+        for count, named in ((8, "{1,2,3,4,5,6,7,8}"), (9, "{1,2,...,9} (9 in all)")):
+            distances = DistanceSet(tuple(range(1, count + 1)))
+            with pytest.raises(ValueError) as refused:
+                distances._windows.refuse(2, 2)
+            want = f"distances {named} {message.format(count)}"
+            assert str(refused.value).startswith(want)
+        dense = DistanceSet(tuple(range(1, 500_001)))
+        with pytest.raises(ValueError) as refused:
+            LineKernel(dense).advance(2)
+        assert str(refused.value) == (
+            "distances {1,2,...,500000} (500000 in all) need up to 4 line-DP shadows "
+            "of 500000 bits at length 2, over the cap of 1048576 shadow bits"
+        )
 
 
 class TestNormalize:
