@@ -18,18 +18,19 @@ best filling for its contexts, which `winner_windows_consistent` checks.
 
 `LineKernel` is the one germ-best-string dynamic program in the library,
 over the shadows of `sets._WindowModel` (the positions ahead that the 1s
-placed forbid); `search` reads its germ-best strings off it.  A patch,
-whose length and right context are known, runs the kernel's step loop
-(`_run_line`, one for both, sibling cut and all), bounded at both ends
+placed forbid); `search` reads the strings of many lengths off it.  A
+patch, whose length and right context are known, runs the kernel's step
+loop (`_run_line`, one for both, sibling cut and all), bounded at both ends
 (`_patch_run`): it starts from the shadow both contexts cast on the patch,
 so no 1 meets either, and a 1 sets no shadow bit past the patch's last
-position, so one entry is left.
+position, so one entry is left.  `search` reads the string of one length
+off a patch between all-zero contexts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 from .germs import EQUAL, GREATER, _sign_near_one
 from .sets import (
@@ -232,19 +233,29 @@ def _patch_run(distances: DistanceSet, length: int):
 
     Pairs that cast one start shadow allow the same fillings (those that
     avoid within the patch with no 1 on the shadow), so each distinct start
-    shadow is run once, for as long as `run` lives.
+    shadow is run once, for as long as `run` lives.  The first run makes
+    its grown bits as it steps, so a one-length ask (`search` reads
+    `run(0, 0)`) lists none of them, however long; later runs share a list.
     """
     model, norm, whole = distances._windows, distances.norm, (1 << length) - 1
-    grown_bits = [model.grow & model.live(length - pos - 1) for pos in range(length)]
+    full = max(length - norm, 0)  # the steps that keep every shadow bit live
     runs: dict[int, tuple[int, int, int]] = {}
+    listed = None  # every step's grown bits, listed by the second run
 
     def run(left: int, right: int) -> tuple[int, int, int]:
+        nonlocal listed
         start = 0
         for d in distances:  # bit p is set iff p - d is in `left` or p + d in `right`
             start |= (left << d) >> norm | (right << length) >> d
         start &= whole
         entry = runs.get(start)
         if entry is None:
+            grown_bits = listed
+            if grown_bits is None:
+                grown_bits = chain(repeat(model.grow, full), (
+                    model.grow & model.live(length - pos - 1) for pos in range(full, length)))
+                if runs:
+                    listed = grown_bits = list(grown_bits)
             entry = runs[start] = _run_line(model, {start: (0, 0, 0)}, 0, grown_bits)[0]
         return entry
 

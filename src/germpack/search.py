@@ -18,12 +18,14 @@ All certificates re-verify from their recorded evidence alone, without
 trusting the search that produced them.
 
 Every public entry point reads its germ-best strings, as int masks at
-the lengths it asks for, off one run of the line kernel (`local.LineKernel`,
-keyed by the shadow of the 1s placed) that it builds for the call and hands
-down, so the module keeps nothing between calls.  The run jumps ahead to
-each new length, and a second, catch-up kernel serves the lengths it
-jumped over.  A two-block challenger's first block is a patch
-(`local._patch_run`) after an all-zero left context.
+the lengths it asks for, off runs of the line kernel's step loop (keyed by
+the shadow of the 1s placed) that it builds for the call, so the module
+keeps nothing between calls.  A call that asks many lengths hands one
+`_LineRun` down.  One that asks one length (`best_string`, `symmetric_winner`,
+a window certificate's verify) reads a patch run (`local._patch_run`)
+between all-zero contexts: a 1 sets no shadow bit past the last position,
+so shadows merge over the last norm steps, and one entry is left.  A
+two-block challenger's first block is a patch after an all-zero left context.
 """
 
 from __future__ import annotations
@@ -61,12 +63,13 @@ MAX_EVIDENCE_BITS = 1 << 12
 class _LineRun:
     """Germ-best entries of one distance set, each length's computed when first asked.
 
-    One run serves one public call.  The front kernel jumps straight to each
-    length asked past it and reads the best entry there only.  A length it
-    passed unasked falls to a catch-up kernel, which also only moves forward
-    and records the best entry of every length it passes, so it runs at most
-    once over the lengths the front skipped.  A run asked for one length
-    records one mask, however long.
+    One run serves one public call that asks many lengths (the window scan,
+    the block loop, a two-block check).  The front kernel jumps straight to
+    each length asked past it and reads the best entry there only.  A length
+    it passed unasked falls to a catch-up kernel, which also only moves
+    forward and records the best entry of every length it passes, so it runs
+    at most once over the lengths the front skipped.  Both keep every shadow
+    bit live for the lengths to come: a one-length ask reads a patch run.
     """
 
     def __init__(self, distances: DistanceSet):
@@ -97,7 +100,7 @@ def best_string(distances: DistanceSet, length: int) -> str:
     polynomials, so the germ order never ties.
     """
     length = _check_natural(length, "length")
-    return _to_bits(_LineRun(distances).entry(length)[0], length)
+    return _to_bits(_patch_run(distances, length)(0, 0)[0], length)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +156,7 @@ class Certificate:
         if check_offset is not None:
             if check_offset != length or not _is_symmetry_offset(d, check_offset):
                 return False
-        best = _repeating_best(_LineRun(d), length)
+        best = _repeating_best(d, _patch_run(d, length)(0, 0)[0], length)
         return window == best and self.winner == RationalSet("", window)
 
     def to_json_dict(self) -> dict:
@@ -200,11 +203,10 @@ def is_repeatable(window: str, distances: DistanceSet) -> bool:
     return _mask_avoids(mask | mask << len(window), distances)
 
 
-def _repeating_best(run: _LineRun, length: int) -> str | None:
-    """The run's germ-best window of the length (past the norm) if it stays
-    avoiding when doubled, else None."""
-    mask = run.entry(length)[0]
-    return _to_bits(mask, length) if _mask_avoids(mask | mask << length, run.distances) else None
+def _repeating_best(distances: DistanceSet, mask: int, length: int) -> str | None:
+    """The germ-best window `mask` of the length (past the norm) as bits if
+    it stays avoiding when doubled, else None."""
+    return _to_bits(mask, length) if _mask_avoids(mask | mask << length, distances) else None
 
 
 def _pair_sums(distances: DistanceSet) -> set[int]:
@@ -230,7 +232,7 @@ def _repeatable_winner(run: _LineRun, max_window: int) -> Certificate | None:
     skip = set(preferred)
     rest = [m for m in range(norm + 1, max_window + 1) if m not in skip]
     for m in preferred + rest:
-        window = _repeating_best(run, m)
+        window = _repeating_best(distances, run.entry(m)[0], m)
         if window is not None:
             return Certificate(
                 REPEATABLE_WINDOW,
@@ -266,7 +268,7 @@ def symmetric_winner(distances: DistanceSet) -> Certificate | None:
     offset = symmetry_offset(distances)
     if offset is None:
         return None
-    window = _repeating_best(_LineRun(distances), offset)
+    window = _repeating_best(distances, _patch_run(distances, offset)(0, 0)[0], offset)
     if window is None:
         raise AssertionError("symmetric window failed the repeatability check")
     return Certificate(
@@ -317,6 +319,8 @@ def _check_blocks(distances: DistanceSet, block_a: str, block_b: str) -> tuple[i
 
 def _two_block(run: _LineRun, a: int, b: int, size: int) -> Certificate | None:
     """`certify_two_block` on the run and the masks of two avoiding blocks of `size` bits."""
+    for n in range(1, size):  # ascending: a fresh run's catch-up kernel never starts
+        run.entry(n)
     if a != run.entry(size)[0] or a | b << size != run.entry(2 * size)[0]:
         return None
     # A B B ...: a clash moved into the first B ends within norm bits past it;

@@ -64,6 +64,12 @@ def _mask_avoids(mask: int, distances: DistanceSet) -> bool:
 MAX_WINDOW_BITS = 16 << 16
 
 
+def _brief(n: int) -> str:
+    """n in decimal up to 64 bits, past that its bit length: a message with a
+    huge number stays short, and no decimal string of it is ever made."""
+    return str(n) if n.bit_length() <= 64 else f"<{n.bit_length()}-bit number>"
+
+
 class _WindowModel:
     """The avoidance automaton, whose state is the shadow of the 1s placed.
 
@@ -92,11 +98,11 @@ class _WindowModel:
     def refuse(self, shadows: int, length: int):
         """Raise the cap's ValueError for `shadows` shadows stepping to `length`."""
         d = self.distances.distances  # past eight, elided, so the message stays short
-        listed = f"{{{self.distances.to_text()}}}" if len(d) <= 8 else (
-            f"{{{d[0]},{d[1]},...,{d[-1]}}} ({len(d)} in all)")
+        listed = f"{{{','.join(map(_brief, d))}}}" if len(d) <= 8 else (
+            f"{{{_brief(d[0])},{_brief(d[1])},...,{_brief(d[-1])}}} ({len(d)} in all)")
         raise ValueError(
             f"distances {listed} need up to {2 * shadows} line-DP "
-            f"shadows of {self.norm} bits at length {length}, over the cap of "
+            f"shadows of {_brief(self.norm)} bits at length {length}, over the cap of "
             f"{MAX_WINDOW_BITS} shadow bits"
         )
 

@@ -409,7 +409,7 @@ class TestErrors:
     @pytest.mark.parametrize(
         "kind,evidence,winner",
         [
-            ("RepeatableWindow", {"window": "1" + "0" * 40}, ("", "1" + "0" * 40)),
+            ("RepeatableWindow", {"window": "1" + "0" * 79}, ("", "1" + "0" * 79)),
             (
                 "TwoBlockInduction",
                 {"block_a": "1" + "0" * 34, "block_b": "1" + "0" * 34},
@@ -421,7 +421,9 @@ class TestErrors:
         self, capsys, tmp_path, kind, evidence, winner
     ):
         # nothing is forbidden below distance 40, so the line DP would hold
-        # 2**k windows after k steps; it stops at the cap instead
+        # 2**k windows after k steps; it stops at the cap instead.  An 80-bit
+        # window keeps every bit live for 40 steps, so its one-length run
+        # meets the cap too
         document = {
             "kind": kind,
             "distances": [40],
@@ -434,6 +436,42 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: distances {40} need ")
         assert "over the cap" in err and "Traceback" not in err
+
+    def test_a_lone_large_distance_window_is_decided(self, capsys, tmp_path):
+        # a 41-bit window under {40}: a 1 past position 0 sets no live bit,
+        # so the one-length run holds one or two shadows and is decided (the
+        # best window is "1" * 40 + "0"), where a run keeping every bit live
+        # stops at the cap at length 15
+        window = "1" + "0" * 40
+        document = {
+            "kind": "RepeatableWindow",
+            "distances": [40],
+            "winner": {"preperiod": "", "repetend": window},
+            "evidence": {"window": window},
+        }
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(document))
+        assert main(["certify", "--file", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "certificate INVALID\n" and err == ""
+
+    def test_a_huge_distance_in_the_cap_error_is_brief(self, capsys, tmp_path):
+        # 10**4000 has 4,001 digits, and the error named it twice (8,111
+        # bytes); past 64 bits a number is named by its bit length
+        document = {
+            "kind": "TwoBlockInduction",
+            "distances": [3, 10**4000],
+            "winner": {"preperiod": "", "repetend": "1"},
+            "evidence": {"block_a": "1", "block_b": "1"},
+        }
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(document))
+        assert main(["certify", "--file", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: distances {3,<13288-bit number>} need up to 2 line-DP shadows of "
+            "<13288-bit number> bits at length 1, over the cap of 1048576 shadow bits\n"
+        )
 
     @pytest.mark.parametrize(
         "document,bits",

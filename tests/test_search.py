@@ -1,5 +1,6 @@
 """Winner search: dynamic programs, repeatable windows, symmetry, certificates."""
 
+import itertools
 import json
 import random
 import sys
@@ -511,6 +512,83 @@ class TestHardTwoBlockCases:
             assert len(cert.evidence["block_a"]) == len(cert.evidence["block_b"]) == size
             again = Certificate.from_json_dict(json.loads(json.dumps(cert.to_json_dict())))
             assert again.verify()
+
+
+class TestOneLengthRun:
+    """A call that asks one length reads it off a run bounded at both ends."""
+
+    def test_matches_the_lazy_run_at_every_length(self):
+        # the bounded run masks the bits no 1 can still meet, so its shadows
+        # merge; the entry it leaves is the lazy run's, mask, count and
+        # position sum alike
+        for distances in all_distance_sets(9):
+            if len(distances) > 3:
+                continue
+            run = _LineRun(distances)
+            for n in range(1, 4 * distances.norm + 2):
+                assert local._patch_run(distances, n)(0, 0) == run.entry(n), (distances, n)
+
+    def test_a_long_ask_makes_its_grown_bits_as_it_steps(self, monkeypatch):
+        # only the last norm steps mask their grown bits; the steps before
+        # repeat `grow`, so a 5,000-bit string lists no 5,000 masks, and a
+        # patch run asked for more start shadows lists them once, at its
+        # second run
+        calls = []
+        live = sets._WindowModel.live
+
+        def counted(self, remaining):
+            calls.append(remaining)
+            return live(self, remaining)
+
+        monkeypatch.setattr(sets._WindowModel, "live", counted)
+        distances = DistanceSet.of(3, 5)
+        kernel = LineKernel(distances).advance(5000)
+        assert best_string(distances, 5000) == _to_bits(kernel.best()[0], 5000)
+        assert calls == [4, 3, 2, 1, 0]
+        calls.clear()
+        run = local._patch_run(distances, 8)
+        entries = {run(left, 0) for left in range(32)}
+        assert len(entries) > 2 and calls == [4, 3, 2, 1, 0] * 2
+
+    @staticmethod
+    def _built_runs(monkeypatch):
+        built = []
+
+        class CountedRun(_LineRun):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(search, "_LineRun", CountedRun)
+        return built
+
+    def test_no_window_verify_builds_a_lazy_run(self, monkeypatch):
+        built = self._built_runs(monkeypatch)
+        verified = 0
+        for size in (1, 2, 3):
+            for dset in itertools.combinations(range(1, 13), size):
+                cert = find_winner(DistanceSet(dset)).certificate
+                if cert is None or cert.kind == TWO_BLOCK_INDUCTION:
+                    continue
+                again = Certificate.from_json_dict(json.loads(json.dumps(cert.to_json_dict())))
+                built.clear()
+                assert again.verify() and not built, dset
+                verified += 1
+        assert verified == 263  # 108 SymmetricOffset and 155 RepeatableWindow
+
+    @pytest.mark.parametrize("dset,max_block", TWO_BLOCK_POOL)
+    def test_a_two_block_verify_never_starts_the_catch_up_kernel(
+        self, monkeypatch, dset, max_block
+    ):
+        # the check asks lengths 1..|B| in increasing order, then 2|B|, so a
+        # fresh run's front records each length the challenger's bound reads
+        cert = find_winner(DistanceSet(dset), SearchBudget(max_block=max_block)).certificate
+        assert cert.kind == TWO_BLOCK_INDUCTION
+        built = self._built_runs(monkeypatch)
+        assert cert.verify()
+        assert len(built) == 1 and built[0].catch_up.length == 0
+        size = len(cert.evidence["block_a"])
+        assert sorted(built[0].bests) == list(range(size + 1)) + [2 * size]
 
 
 class TestFindWinner:

@@ -106,6 +106,24 @@ class TestWindowModel:
             "of 500000 bits at length 2, over the cap of 1048576 shadow bits"
         )
 
+    def test_the_cap_message_names_a_huge_number_by_its_bit_length(self):
+        # up to 64 bits a number is written in full, as before; past that by
+        # its bit length, so 10**4000 takes 19 characters, not 4,001
+        for n, named in ((2**64 - 1, "18446744073709551615"), (2**64, "<65-bit number>")):
+            with pytest.raises(ValueError) as refused:
+                DistanceSet.of(3, n)._windows
+            assert str(refused.value) == (
+                f"distances {{3,{named}}} need up to 2 line-DP shadows of {named} bits "
+                "at length 1, over the cap of 1048576 shadow bits"
+            )
+        many = DistanceSet((10**4000, *range(1, 10)))
+        with pytest.raises(ValueError) as refused:
+            many._windows
+        assert str(refused.value).startswith(
+            "distances {1,2,...,<13288-bit number>} (10 in all) need up to 2 line-DP "
+            "shadows of <13288-bit number> bits at length 1"
+        )
+
 
 class TestNormalize:
     def test_primitive_reduction(self):
