@@ -233,29 +233,24 @@ def _patch_run(distances: DistanceSet, length: int):
 
     Pairs that cast one start shadow allow the same fillings (those that
     avoid within the patch with no 1 on the shadow), so each distinct start
-    shadow is run once, for as long as `run` lives.  The first run makes
-    its grown bits as it steps, so a one-length ask (`search` reads
-    `run(0, 0)`) lists none of them, however long; later runs share a list.
+    shadow is run once, for as long as `run` lives.  Every step before the
+    last norm keeps the whole of `grow`, so only the masked tail, at most
+    norm steps, is listed, and a long one-length ask lists nothing of its
+    length.
     """
     model, norm, whole = distances._windows, distances.norm, (1 << length) - 1
     full = max(length - norm, 0)  # the steps that keep every shadow bit live
+    tail = [model.grow & model.live(length - pos - 1) for pos in range(full, length)]
     runs: dict[int, tuple[int, int, int]] = {}
-    listed = None  # every step's grown bits, listed by the second run
 
     def run(left: int, right: int) -> tuple[int, int, int]:
-        nonlocal listed
         start = 0
         for d in distances:  # bit p is set iff p - d is in `left` or p + d in `right`
             start |= (left << d) >> norm | (right << length) >> d
         start &= whole
         entry = runs.get(start)
         if entry is None:
-            grown_bits = listed
-            if grown_bits is None:
-                grown_bits = chain(repeat(model.grow, full), (
-                    model.grow & model.live(length - pos - 1) for pos in range(full, length)))
-                if runs:
-                    listed = grown_bits = list(grown_bits)
+            grown_bits = chain(repeat(model.grow, full), tail)
             entry = runs[start] = _run_line(model, {start: (0, 0, 0)}, 0, grown_bits)[0]
         return entry
 

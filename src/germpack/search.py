@@ -36,6 +36,7 @@ from .local import LineKernel, _entry, _patch_run, germ_greater
 from .sets import (
     DistanceSet,
     RationalSet,
+    _brief,
     _check_bits,
     _check_natural,
     _mask_avoids,
@@ -264,10 +265,14 @@ def symmetric_winner(distances: DistanceSet) -> Certificate | None:
 
     With offset k every avoiding window of length k is repeatable, so the
     best one wins; repeatability is verified anyway rather than assumed.
+    Raises ValueError for an offset past MAX_EVIDENCE_BITS.
     """
     offset = symmetry_offset(distances)
     if offset is None:
         return None
+    if offset > MAX_EVIDENCE_BITS:  # verify would refuse the window
+        raise ValueError(
+            f"{_brief(offset)} bits of evidence are over the cap of {MAX_EVIDENCE_BITS}")
     window = _repeating_best(distances, _patch_run(distances, offset)(0, 0)[0], offset)
     if window is None:
         raise AssertionError("symmetric window failed the repeatability check")

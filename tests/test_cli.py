@@ -498,6 +498,12 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == f"error: {bits} bits of evidence are over the cap of 4096\n"
 
+    def test_a_symmetric_window_over_the_length_cap_is_an_error(self, capsys):
+        # offset 5,001: the search refuses the window its own verify would
+        assert main(["winner", "--d", "1,5000"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: 5001 bits of evidence are over the cap of 4096\n"
+
     def test_a_dense_distance_list_is_refused_briefly(self, capsys, tmp_path):
         # distances 1..500,000 (a 3.9 MB document): the window model is built
         # in linear time and the cap's error names a few of them, where it

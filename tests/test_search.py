@@ -102,8 +102,8 @@ class TestBestString:
 
     def test_lengths_past_the_kept_masks(self):
         # search and verify ask for no length past MAX_EVIDENCE_BITS, but a
-        # public best_string may; each call builds a run of its own, which
-        # asked for one length records that length's mask alone, however long
+        # public best_string may; it reads a bounded patch run, and a lazy
+        # run asked for one length records that length's mask alone
         distances = DistanceSet.of(2, 4, 7)
         for length in (12, 3, 9, 15, 11, 1, 14):
             assert best_string(distances, length) == brute_best(distances, length)
@@ -116,9 +116,9 @@ class TestBestString:
         assert best_string(distances, past) == _to_bits(kernel.best()[0], past)
 
     def test_threads_share_one_growing_run(self):
-        # the search keeps no run between calls, so each call grows a run of
-        # its own and threads share none; any state shared by accident, a
-        # lost or doubled step, would hand some length the best string of
+        # the search keeps no run between calls, so each best_string call
+        # reads a bounded patch run of its own and threads share none; any
+        # state shared by accident would hand some length the best string of
         # another
         distances = DistanceSet.of(3, 7, 12)
         lengths = range(1, 61)
@@ -302,6 +302,23 @@ class TestSymmetry:
 
     def test_absent_without_offset(self):
         assert symmetric_winner(DistanceSet.of(2, 4, 7)) is None
+
+    def test_offset_past_the_evidence_cap_is_refused(self):
+        # the bounded run would fill a window of any offset, but verify
+        # refuses one over MAX_EVIDENCE_BITS, so the search must not emit it
+        cap = search.MAX_EVIDENCE_BITS
+        cert = symmetric_winner(DistanceSet.of(1, cap - 1))
+        assert cert.evidence["offset"] == cap and cert.verify()
+        for distances in (DistanceSet.of(1, cap), DistanceSet.of(1, 5000)):
+            offset = distances.norm + 1
+            with pytest.raises(ValueError, match=f"^{offset} bits of evidence are over the cap"):
+                find_winner(distances)
+            evidence = {"offset": offset, "window": "0" * offset}
+            cert = Certificate(SYMMETRIC_OFFSET, distances, RationalSet("", "0"), evidence)
+            with pytest.raises(ValueError, match=f"^{offset} bits of evidence are over the cap"):
+                cert.verify()
+        with pytest.raises(ValueError, match=r"^<13288-bit number> bits of evidence"):
+            symmetric_winner(DistanceSet.of(1, 10**4000))
 
 
 class TestTwoBlock:
@@ -528,11 +545,10 @@ class TestOneLengthRun:
             for n in range(1, 4 * distances.norm + 2):
                 assert local._patch_run(distances, n)(0, 0) == run.entry(n), (distances, n)
 
-    def test_a_long_ask_makes_its_grown_bits_as_it_steps(self, monkeypatch):
+    def test_a_long_ask_lists_only_its_masked_tail(self, monkeypatch):
         # only the last norm steps mask their grown bits; the steps before
         # repeat `grow`, so a 5,000-bit string lists no 5,000 masks, and a
-        # patch run asked for more start shadows lists them once, at its
-        # second run
+        # patch run asked for more start shadows lists its tail once
         calls = []
         live = sets._WindowModel.live
 
@@ -548,7 +564,7 @@ class TestOneLengthRun:
         calls.clear()
         run = local._patch_run(distances, 8)
         entries = {run(left, 0) for left in range(32)}
-        assert len(entries) > 2 and calls == [4, 3, 2, 1, 0] * 2
+        assert len(entries) > 2 and calls == [4, 3, 2, 1, 0]
 
     @staticmethod
     def _built_runs(monkeypatch):
