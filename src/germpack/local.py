@@ -18,9 +18,10 @@ best filling for its contexts, which `winner_windows_consistent` checks.
 
 `LineKernel` is the one germ-best-string dynamic program in the library,
 over the shadows of `sets._WindowModel` (the positions ahead that the 1s
-placed forbid); `search` reads the strings of many lengths off it.  A
-patch, whose length and right context are known, runs the kernel's step
-loop (`_run_line`, one for both, sibling cut and all), bounded at both ends
+placed forbid); it records the best string of every length it steps
+through, and `search` reads the strings of many lengths off it.  A patch,
+whose length and right context are known, runs the kernel's step loop
+(`_run_line`, one for both, sibling cut and all), bounded at both ends
 (`_patch_run`): it starts from the shadow both contexts cast on the patch,
 so no 1 meets either, and a 1 sets no shadow bit past the patch's last
 position, so one entry is left.  `search` reads the string of one length
@@ -116,25 +117,30 @@ def _run_line(model, states: dict, start: int, grown_bits) -> dict:
 
 
 class LineKernel:
-    """The germ-best avoiding filling of every shadow, grown bit by bit.
+    """The germ-best avoiding string of every length, grown bit by bit.
 
     `_run_line` from shadow 0 (no 1s before position 0), with every shadow
-    bit kept, so any continuation may follow.  A shadow has norm bits, so
-    2**norm of them is a ceiling.  A patch, whose length and right context
-    are known, runs `_patch_run` instead.
+    bit kept, so any continuation may follow.  `bests[n]` is the germ-best
+    (mask, ones, position-sum) entry after n positions, recorded as the run
+    steps past n, so one kernel serves a call that asks many lengths in any
+    order.  A shadow has norm bits, so 2**norm of them is a ceiling.  A
+    patch, whose length and right context are known, runs `_patch_run`
+    instead.
     """
 
     def __init__(self, distances: DistanceSet):
+        self.distances = distances
         self.model = distances._windows
-        self.length = 0
         self.states = {0: (0, 0, 0)}
+        self.bests = [(0, 0, 0)]
 
-    def advance(self, steps: int) -> LineKernel:
-        """Append `steps` positions; raises ValueError before passing MAX_WINDOW_BITS."""
-        grown_bits = repeat(self.model.grow, steps)
-        self.states = _run_line(self.model, self.states, self.length, grown_bits)
-        self.length += steps
-        return self
+    def entry(self, length: int) -> tuple[int, int, int]:
+        """The length's germ-best entry; raises ValueError before passing MAX_WINDOW_BITS."""
+        while len(self.bests) <= length:
+            grown_bits = (self.model.grow,)
+            self.states = _run_line(self.model, self.states, len(self.bests) - 1, grown_bits)
+            self.bests.append(self.best())
+        return self.bests[length]
 
     def best(self) -> tuple[int, int, int]:
         """The germ-best entry over every shadow."""

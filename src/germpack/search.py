@@ -21,11 +21,12 @@ Every public entry point reads its germ-best strings, as int masks at
 the lengths it asks for, off runs of the line kernel's step loop (keyed by
 the shadow of the 1s placed) that it builds for the call, so the module
 keeps nothing between calls.  A call that asks many lengths hands one
-`_LineRun` down.  One that asks one length (`best_string`, `symmetric_winner`,
-a window certificate's verify) reads a patch run (`local._patch_run`)
-between all-zero contexts: a 1 sets no shadow bit past the last position,
-so shadows merge over the last norm steps, and one entry is left.  A
-two-block challenger's first block is a patch after an all-zero left context.
+`local.LineKernel` down, which records every length it steps through.  One
+that asks one length (`best_string`, `symmetric_winner`, a window
+certificate's verify) reads a patch run (`local._patch_run`) between
+all-zero contexts: a 1 sets no shadow bit past the last position, so
+shadows merge over the last norm steps, and one entry is left.  A two-block
+challenger's first block is a patch after an all-zero left context.
 """
 
 from __future__ import annotations
@@ -59,39 +60,6 @@ CERTIFICATE_KINDS = (REPEATABLE_WINDOW, SYMMETRIC_OFFSET, TWO_BLOCK_INDUCTION)
 # the kernel run to length n costs time quadratic in n.  Search and verify ask
 # for no longer germ-best string.
 MAX_EVIDENCE_BITS = 1 << 12
-
-
-class _LineRun:
-    """Germ-best entries of one distance set, each length's computed when first asked.
-
-    One run serves one public call that asks many lengths (the window scan,
-    the block loop, a two-block check).  The front kernel jumps straight to
-    each length asked past it and reads the best entry there only.  A length
-    it passed unasked falls to a catch-up kernel, which also only moves
-    forward and records the best entry of every length it passes, so it runs
-    at most once over the lengths the front skipped.  Both keep every shadow
-    bit live for the lengths to come: a one-length ask reads a patch run.
-    """
-
-    def __init__(self, distances: DistanceSet):
-        self.distances = distances
-        self.front = LineKernel(distances)
-        self.catch_up = LineKernel(distances)
-        self.bests = {0: (0, 0, 0)}  # length -> germ-best (mask, ones, position-sum)
-
-    def entry(self, length: int) -> tuple:
-        """The length's germ-best (mask, ones, position-sum)."""
-        if length not in self.bests:
-            if length >= self.front.length:
-                self._record(self.front.advance(length - self.front.length))
-            else:  # every length up to the catch-up kernel's is recorded
-                while self.catch_up.length < length:
-                    self._record(self.catch_up.advance(1))
-        return self.bests[length]
-
-    def _record(self, kernel: LineKernel) -> None:
-        if kernel.length not in self.bests:
-            self.bests[kernel.length] = kernel.best()
 
 
 def best_string(distances: DistanceSet, length: int) -> str:
@@ -143,7 +111,7 @@ class Certificate:
             masks = _check_blocks(self.distances, block_a, block_b)
         except ValueError:
             return False
-        cert = _two_block(_LineRun(self.distances), *masks, len(block_a))
+        cert = _two_block(LineKernel(self.distances), *masks, len(block_a))
         return cert is not None and cert.winner == self.winner
 
     def _verify_window(self, check_offset):
@@ -221,11 +189,11 @@ def find_repeatable_winner(distances: DistanceSet, max_window: int) -> Certifica
     case we know), then the remaining lengths in increasing order.  Any hit
     certifies the winner outright.
     """
-    return _repeatable_winner(_LineRun(distances), max_window)
+    return _repeatable_winner(LineKernel(distances), max_window)
 
 
-def _repeatable_winner(run: _LineRun, max_window: int) -> Certificate | None:
-    distances, norm = run.distances, run.distances.norm
+def _repeatable_winner(kernel: LineKernel, max_window: int) -> Certificate | None:
+    distances, norm = kernel.distances, kernel.distances.norm
     if not norm < max_window <= MAX_EVIDENCE_BITS:
         raise ValueError(f"max window must be in (norm, cap] = ({norm}, {MAX_EVIDENCE_BITS}]")
 
@@ -233,7 +201,7 @@ def _repeatable_winner(run: _LineRun, max_window: int) -> Certificate | None:
     skip = set(preferred)
     rest = [m for m in range(norm + 1, max_window + 1) if m not in skip]
     for m in preferred + rest:
-        window = _repeating_best(distances, run.entry(m)[0], m)
+        window = _repeating_best(distances, kernel.entry(m)[0], m)
         if window is not None:
             return Certificate(
                 REPEATABLE_WINDOW,
@@ -304,7 +272,7 @@ def certify_two_block(distances: DistanceSet, block_a: str, block_b: str) -> Cer
     (verify refuses them) and on distance sets over the kernel's cap.
     """
     masks = _check_blocks(distances, block_a, block_b)
-    return _two_block(_LineRun(distances), *masks, len(block_a))
+    return _two_block(LineKernel(distances), *masks, len(block_a))
 
 
 def _check_blocks(distances: DistanceSet, block_a: str, block_b: str) -> tuple[int, int]:
@@ -322,25 +290,23 @@ def _check_blocks(distances: DistanceSet, block_a: str, block_b: str) -> tuple[i
     return a, b
 
 
-def _two_block(run: _LineRun, a: int, b: int, size: int) -> Certificate | None:
-    """`certify_two_block` on the run and the masks of two avoiding blocks of `size` bits."""
-    for n in range(1, size):  # ascending: a fresh run's catch-up kernel never starts
-        run.entry(n)
-    if a != run.entry(size)[0] or a | b << size != run.entry(2 * size)[0]:
+def _two_block(kernel: LineKernel, a: int, b: int, size: int) -> Certificate | None:
+    """`certify_two_block` on the kernel and the masks of two avoiding blocks of `size` bits."""
+    if a != kernel.entry(size)[0] or a | b << size != kernel.entry(2 * size)[0]:
         return None
     # A B B ...: a clash moved into the first B ends within norm bits past it;
     # B repeated as a string, since summing shifted masks is quadratic
     block_b = _to_bits(b, size)
-    candidate = a | _to_mask(block_b * (-(-run.distances.norm // size) + 1)) << size
-    if not _mask_avoids(candidate, run.distances) or _two_block_challenger(run, b, size):
+    candidate = a | _to_mask(block_b * (-(-kernel.distances.norm // size) + 1)) << size
+    if not _mask_avoids(candidate, kernel.distances) or _two_block_challenger(kernel, b, size):
         return None
     block_a = _to_bits(a, size)
     evidence = {"block_a": block_a, "block_b": block_b}
     winner = RationalSet(block_a, block_b)
-    return Certificate(TWO_BLOCK_INDUCTION, run.distances, winner, evidence)
+    return Certificate(TWO_BLOCK_INDUCTION, kernel.distances, winner, evidence)
 
 
-def _two_block_challenger(run: _LineRun, b: int, size: int):
+def _two_block_challenger(kernel: LineKernel, b: int, size: int):
     """An avoiding QR with R germ-greater than B and QR than BB, as the
     masks (Q, R), or None; B is the mask b of `size` bits.
 
@@ -357,11 +323,11 @@ def _two_block_challenger(run: _LineRun, b: int, size: int):
     b_entry = _entry(b)
     bb_entry = _entry(b | b << size)
     fill = None
-    for second in _avoiding_with_ones(run, size, b_entry[1]):
+    for second in _avoiding_with_ones(kernel, size, b_entry[1]):
         if not germ_greater(second, b_entry):
             continue
-        fill = fill or _patch_run(run.distances, size)
-        first = fill(0, second[0] & ((1 << run.distances.norm) - 1))
+        fill = fill or _patch_run(kernel.distances, size)
+        first = fill(0, second[0] & ((1 << kernel.distances.norm) - 1))
         mask, ones, possum = second
         joined = (first[0] | mask << size, first[1] + ones, first[2] + possum + size * ones)
         if germ_greater(joined, bb_entry):
@@ -369,7 +335,7 @@ def _two_block_challenger(run: _LineRun, b: int, size: int):
     return None
 
 
-def _avoiding_with_ones(run: _LineRun, length: int, need: int):
+def _avoiding_with_ones(kernel: LineKernel, length: int, need: int):
     """The entry of every avoiding string of the given length with >= `need` 1s.
 
     Depth first, 1 before 0, carrying the shadow of `sets._WindowModel`, on
@@ -379,8 +345,8 @@ def _avoiding_with_ones(run: _LineRun, length: int, need: int):
     """
     # the germ-best string of each length has the most 1s: the count is the
     # leading t-coefficient
-    most = [run.entry(n)[1] for n in range(length + 1)]
-    grow = run.distances._windows.grow
+    most = [kernel.entry(n)[1] for n in range(length + 1)]
+    grow = kernel.model.grow
     stack = [(0, 0, 0, 0, 0)]  # position, shadow, mask, ones, position-sum
     while stack:
         pos, shadow, mask, ones, possum = stack.pop()
@@ -450,8 +416,8 @@ def find_winner(distances: DistanceSet, budget: SearchBudget | None = None) -> S
         )
 
     max_window = budget.window_bound(distances)
-    run = _LineRun(distances)  # shared by the window scan and the two blocks
-    cert = max_window > distances.norm and _repeatable_winner(run, max_window)
+    kernel = LineKernel(distances)  # shared by the window scan and the two blocks
+    cert = max_window > distances.norm and _repeatable_winner(kernel, max_window)
     if cert:
         return SearchResult(cert, tuple(attempts))
     attempts.append(  # an empty range when max_window is at or below the norm
@@ -461,8 +427,8 @@ def find_winner(distances: DistanceSet, budget: SearchBudget | None = None) -> S
 
     max_block = budget.block_bound(distances)
     for size in range(1, max_block + 1):
-        doubled = run.entry(2 * size)[0]
-        cert = _two_block(run, doubled & ((1 << size) - 1), doubled >> size, size)
+        doubled = kernel.entry(2 * size)[0]
+        cert = _two_block(kernel, doubled & ((1 << size) - 1), doubled >> size, size)
         if cert:
             return SearchResult(cert, tuple(attempts))
     attempts.append(f"two-block induction failed for block lengths 1..{max_block}")

@@ -70,13 +70,14 @@ class TestGermGreater:
 
 
 def kernel_keeps(first, second):
-    """The entries LineKernel.advance and .best keep of two, in both arrival orders."""
+    """The entries LineKernel.entry and .best keep of two, in both arrival orders."""
     kept = []
     for a, b in ((first, second), (second, first)):
         kernel = LineKernel(DistanceSet.of(1))
         kernel.states = {0: a, 1: b}  # a 0 shifts both shadows to shadow 0
         kept.append(kernel.best())
-        kept.append(kernel.advance(1).states[0])
+        kernel.entry(1)
+        kept.append(kernel.states[0])
     return kept
 
 
@@ -126,7 +127,7 @@ class TestShadowKeys:
         norm = distances.norm
         kernel = LineKernel(distances)
         for length in range(1, 4 * norm + 1):
-            kernel.advance(1)
+            kernel.entry(length)
             for key, (mask, _, _) in kernel.states.items():
                 ones = [p for p in range(length) if mask >> p & 1]
                 want = sum({1 << (p + d - length) for p in ones for d in distances
@@ -149,7 +150,7 @@ class TestSiblingCut:
         rights = range(1 << norm) if norm <= 6 else [rng.getrandbits(norm) for _ in range(64)]
         kernel = LineKernel(distances)
         for length in range(1, 4 * norm + 1):
-            assert kernel.advance(1).best() == unpruned_best(distances, length, 0, 0), length
+            assert kernel.entry(length) == unpruned_best(distances, length, 0, 0), length
             if length <= 2 * norm + 1:
                 run = local._patch_run(distances, length)
                 for right in rights:
@@ -165,7 +166,9 @@ class TestSiblingCut:
          ((4, 7, 11), 132, 130)],
     )
     def test_window_counts(self, dset, length, windows):
-        assert len(LineKernel(DistanceSet.of(*dset)).advance(length).states) == windows
+        kernel = LineKernel(DistanceSet.of(*dset))
+        kernel.entry(length)
+        assert len(kernel.states) == windows
 
 
 class TestPatchRun:

@@ -41,7 +41,6 @@ from germpack.local import LineKernel
 from germpack.search import (
     _avoiding_with_ones,
     _entry,
-    _LineRun,
     _two_block_challenger,
 )
 from germpack.sets import _to_bits, _to_mask
@@ -102,18 +101,18 @@ class TestBestString:
 
     def test_lengths_past_the_kept_masks(self):
         # search and verify ask for no length past MAX_EVIDENCE_BITS, but a
-        # public best_string may; it reads a bounded patch run, and a lazy
-        # run asked for one length records that length's mask alone
+        # public best_string may; it reads a bounded patch run, and a kernel
+        # asked for one length records every length up to it
         distances = DistanceSet.of(2, 4, 7)
         for length in (12, 3, 9, 15, 11, 1, 14):
             assert best_string(distances, length) == brute_best(distances, length)
-            run = _LineRun(distances)
-            assert _to_bits(run.entry(length)[0], length) == brute_best(distances, length)
-            assert sorted(run.bests) == [0, length] and run.catch_up.length == 0
-            assert all(isinstance(entry[0], int) for entry in run.bests.values())
+            kernel = LineKernel(distances)
+            assert _to_bits(kernel.entry(length)[0], length) == brute_best(distances, length)
+            assert len(kernel.bests) == length + 1
+            assert all(isinstance(entry[0], int) for entry in kernel.bests)
         past = search.MAX_EVIDENCE_BITS + 5
-        kernel = LineKernel(distances).advance(past)
-        assert best_string(distances, past) == _to_bits(kernel.best()[0], past)
+        kernel = LineKernel(distances)
+        assert best_string(distances, past) == _to_bits(kernel.entry(past)[0], past)
 
     def test_threads_share_one_growing_run(self):
         # the search keeps no run between calls, so each best_string call
@@ -179,17 +178,17 @@ class TestLazyRun:
         census = [DistanceSet.of(*d) for d in ((12,), (5, 12), (1, 7, 12), (4, 9, 12))]
         top = 60
         for distances in all_distance_sets(6) + census:
-            kernel = LineKernel(distances)  # advanced one step at a time, from scratch
-            fresh = [None] + [_to_bits(kernel.advance(1).best()[0], n) for n in range(1, top + 1)]
+            kernel = LineKernel(distances)  # asked in ascending order, from scratch
+            fresh = [None] + [_to_bits(kernel.entry(n)[0], n) for n in range(1, top + 1)]
             brute = {n: brute_best(distances, n) for n in range(1, 15)}
             assert all(fresh[n] == bits for n, bits in brute.items())
             for name, order in self._orders(distances, top).items():
                 built.clear()
-                run = _LineRun(distances)
+                kernel = search.LineKernel(distances)
                 for n in order:
-                    assert _to_bits(run.entry(n)[0], n) == fresh[n], (distances, name, n)
-                # one front kernel and one catch-up kernel, nothing rebuilt
-                assert len(built) == 2 and run.front.length == top
+                    assert _to_bits(kernel.entry(n)[0], n) == fresh[n], (distances, name, n)
+                # one kernel, nothing rebuilt, every length recorded once
+                assert len(built) == 1 and len(kernel.bests) == top + 1
 
 
 class TestPrefixExtension:
@@ -412,7 +411,7 @@ TWO_BLOCK_POOL = (
 def _challenger_free(distances, block_b):
     """The branch and bound and the oracle's exhaustive pairing agree."""
     size = len(block_b)
-    fast = _two_block_challenger(_LineRun(distances), _to_mask(block_b), size)
+    fast = _two_block_challenger(LineKernel(distances), _to_mask(block_b), size)
     slow = brute_two_block(distances, block_b)
     assert (fast is None) == (slow is None), (distances, block_b)
     if fast is not None:
@@ -437,8 +436,8 @@ def _agree_with_oracle(distances, block_a, block_b):
 class TestTwoBlockBranchAndBound:
     def test_max_ones_matches_enumeration(self):
         for distances in all_distance_sets(5):
-            run = _LineRun(distances)
-            entries = [run.entry(n) for n in range(11)]
+            kernel = LineKernel(distances)
+            entries = [kernel.entry(n) for n in range(11)]
             for length in range(11):
                 want = max(s.count("1") for s in enumerate_avoiding(distances, length))
                 assert entries[length][1] == want
@@ -448,7 +447,7 @@ class TestTwoBlockBranchAndBound:
         for distances in all_distance_sets(5):
             length = rng.randrange(1, 12)
             need = rng.randrange(0, length + 1)
-            entries = list(_avoiding_with_ones(_LineRun(distances), length, need))
+            entries = list(_avoiding_with_ones(LineKernel(distances), length, need))
             assert all(entry == _entry(entry[0]) for entry in entries)
             got = [_to_bits(mask, length) for mask, _, _ in entries]
             want = {s for s in enumerate_avoiding(distances, length) if s.count("1") >= need}
@@ -504,7 +503,7 @@ class TestTwoBlockBranchAndBound:
     def test_finds_a_challenger_for_a_weak_second_block(self):
         # any R holding a 1 beats an all-zero B, and so does QR beat BB
         distances = DistanceSet.of(2, 4, 7)
-        pair = _two_block_challenger(_LineRun(distances), 0, 6)
+        pair = _two_block_challenger(LineKernel(distances), 0, 6)
         assert pair is not None
         assert _is_challenger(distances, "000000", [_to_bits(mask, 6) for mask in pair])
 
@@ -536,14 +535,14 @@ class TestOneLengthRun:
 
     def test_matches_the_lazy_run_at_every_length(self):
         # the bounded run masks the bits no 1 can still meet, so its shadows
-        # merge; the entry it leaves is the lazy run's, mask, count and
+        # merge; the entry it leaves is the kernel's, mask, count and
         # position sum alike
         for distances in all_distance_sets(9):
             if len(distances) > 3:
                 continue
-            run = _LineRun(distances)
+            kernel = LineKernel(distances)
             for n in range(1, 4 * distances.norm + 2):
-                assert local._patch_run(distances, n)(0, 0) == run.entry(n), (distances, n)
+                assert local._patch_run(distances, n)(0, 0) == kernel.entry(n), (distances, n)
 
     def test_a_long_ask_lists_only_its_masked_tail(self, monkeypatch):
         # only the last norm steps mask their grown bits; the steps before
@@ -558,8 +557,8 @@ class TestOneLengthRun:
 
         monkeypatch.setattr(sets._WindowModel, "live", counted)
         distances = DistanceSet.of(3, 5)
-        kernel = LineKernel(distances).advance(5000)
-        assert best_string(distances, 5000) == _to_bits(kernel.best()[0], 5000)
+        kernel = LineKernel(distances)
+        assert best_string(distances, 5000) == _to_bits(kernel.entry(5000)[0], 5000)
         assert calls == [4, 3, 2, 1, 0]
         calls.clear()
         run = local._patch_run(distances, 8)
@@ -570,12 +569,12 @@ class TestOneLengthRun:
     def _built_runs(monkeypatch):
         built = []
 
-        class CountedRun(_LineRun):
+        class CountedKernel(LineKernel):
             def __init__(self, *args):
                 super().__init__(*args)
                 built.append(self)
 
-        monkeypatch.setattr(search, "_LineRun", CountedRun)
+        monkeypatch.setattr(search, "LineKernel", CountedKernel)
         return built
 
     def test_no_window_verify_builds_a_lazy_run(self, monkeypatch):
@@ -596,15 +595,15 @@ class TestOneLengthRun:
     def test_a_two_block_verify_never_starts_the_catch_up_kernel(
         self, monkeypatch, dset, max_block
     ):
-        # the check asks lengths 1..|B| in increasing order, then 2|B|, so a
-        # fresh run's front records each length the challenger's bound reads
+        # there is no catch-up kernel to start: one kernel steps to 2|B| and
+        # records every length on the way, so the challenger's bound reads
+        # lengths 1..|B| off it
         cert = find_winner(DistanceSet(dset), SearchBudget(max_block=max_block)).certificate
         assert cert.kind == TWO_BLOCK_INDUCTION
         built = self._built_runs(monkeypatch)
         assert cert.verify()
-        assert len(built) == 1 and built[0].catch_up.length == 0
         size = len(cert.evidence["block_a"])
-        assert sorted(built[0].bests) == list(range(size + 1)) + [2 * size]
+        assert len(built) == 1 and len(built[0].bests) == 2 * size + 1
 
 
 class TestFindWinner:
@@ -708,14 +707,16 @@ class TestFindWinner:
         for distances in all_distance_sets(8):
             kernel = LineKernel(distances)
             for n in range(1, distances.norm + 1):
-                assert len(kernel.advance(1).states) >= n + 1, (distances, n)
+                kernel.entry(n)
+                assert len(kernel.states) >= n + 1, (distances, n)
         cap = sets.MAX_WINDOW_BITS
         refused = next(n for n in range(17, cap) if 2 * (n + 1) * n > cap)
         assert max(refused, 4 * (refused - 1)) <= search.MAX_EVIDENCE_BITS
         # the fewest a norm can have: D = {1..norm} allows one 1 per window
-        kernel = LineKernel(DistanceSet(tuple(range(1, refused + 1)))).advance(refused)
+        kernel = LineKernel(DistanceSet(tuple(range(1, refused + 1))))
+        kernel.entry(refused)
         with pytest.raises(ValueError, match="over the cap"):
-            kernel.advance(1)
+            kernel.entry(refused + 1)
 
     def test_strategies_name_the_same_winner(self):
         # any two certificates for one distance set must agree on the set

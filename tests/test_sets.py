@@ -100,7 +100,7 @@ class TestWindowModel:
             assert str(refused.value).startswith(want)
         dense = DistanceSet(tuple(range(1, 500_001)))
         with pytest.raises(ValueError) as refused:
-            LineKernel(dense).advance(2)
+            LineKernel(dense).entry(2)
         assert str(refused.value) == (
             "distances {1,2,...,500000} (500000 in all) need up to 4 line-DP shadows "
             "of 500000 bits at length 2, over the cap of 1048576 shadow bits"
@@ -370,7 +370,7 @@ class TestGreedy:
         # line DP refuses too, with the same message
         lone = DistanceSet.of(norm - 1)
         with pytest.raises(ValueError) as line_dp:
-            LineKernel(lone).advance(3)
+            LineKernel(lone).entry(3)
         with pytest.raises(ValueError, match=re.escape(str(line_dp.value))):
             greedy_avoiding(lone, 3)
 
