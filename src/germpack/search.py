@@ -318,8 +318,11 @@ def _two_block_challenger(kernel: LineKernel, b: int, size: int):
     whose run computes each distinct start shadow the heads cast once.
     R > B needs at least as many 1s as B (the count is the leading
     t-coefficient), so a prefix of R is cut once even the fullest avoiding
-    tail cannot reach that count.
+    tail cannot reach that count.  No R beats a germ-best B, so then no R
+    is walked at all.
     """
+    if b == kernel.entry(size)[0]:
+        return None
     b_entry = _entry(b)
     bb_entry = _entry(b | b << size)
     fill = None

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from germpack import DistanceSet, find_winner
+from germpack import DistanceSet, find_winner, search
 from germpack.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -454,6 +454,29 @@ class TestErrors:
         assert main(["certify", "--file", str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == "certificate INVALID\n" and err == ""
+
+    @pytest.mark.parametrize("blocks", [3, 4])
+    def test_two_blocks_under_a_lone_distance_skip_the_challenger_walk(
+        self, capsys, tmp_path, monkeypatch, blocks
+    ):
+        # B = (1^12 0^12)^k is the germ-best string of its length under {12},
+        # so no R beats it; the walk over R would visit 4**12 candidates at
+        # 72 bits and 5**12 at 96 before answering
+        def walk(*args):
+            raise AssertionError("the challenger walk started")
+
+        monkeypatch.setattr(search, "_avoiding_with_ones", walk)
+        block = ("1" * 12 + "0" * 12) * blocks
+        document = {
+            "kind": "TwoBlockInduction",
+            "distances": [12],
+            "winner": {"preperiod": "", "repetend": "1" * 12 + "0" * 12},
+            "evidence": {"block_a": block, "block_b": block},
+        }
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(document))
+        code, verdict = run_json(capsys, "certify", "--file", str(path), "--json")
+        assert code == 0 and verdict["valid"] is True
 
     def test_a_huge_distance_in_the_cap_error_is_brief(self, capsys, tmp_path):
         # 10**4000 has 4,001 digits, and the error named it twice (8,111
