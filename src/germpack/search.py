@@ -213,7 +213,9 @@ def _repeatable_winner(kernel: LineKernel, max_window: int) -> Certificate | Non
 
 
 def _is_symmetry_offset(distances: DistanceSet, k: int) -> bool:
-    return k > distances.norm and all((k - d) in distances for d in distances)
+    # d -> k-d maps the distances onto themselves only by reversing their order
+    d = distances.distances
+    return k > distances.norm and all(x + y == k for x, y in zip(d, reversed(d)))
 
 
 def symmetry_offset(distances: DistanceSet) -> int | None:

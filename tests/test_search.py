@@ -266,6 +266,16 @@ class TestSymmetry:
             assert symmetry_offset(distances) == (scan[0] if scan else None)
             assert len(scan) <= 1
 
+    def test_offset_test_matches_its_definition(self):
+        # k - d in D for every d, tested as the sorted distances paired with
+        # their reversal; a membership scan per distance made 20,000
+        # distances take seconds
+        for distances in all_distance_sets(9):
+            for k in range(1, 2 * distances.norm + 1):
+                want = k > distances.norm and all((k - d) in distances.distances for d in distances)
+                assert search._is_symmetry_offset(distances, k) == want, (distances, k)
+        assert symmetry_offset(DistanceSet(tuple(range(1, 20001)))) == 20001
+
     def test_offset_checks_one_candidate(self, monkeypatch):
         # a lone huge distance must not be scanned k by k up to twice its size
         checked = []
