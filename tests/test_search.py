@@ -268,8 +268,7 @@ class TestSymmetry:
 
     def test_offset_test_matches_its_definition(self):
         # k - d in D for every d, tested as the sorted distances paired with
-        # their reversal; a membership scan per distance made 20,000
-        # distances take seconds
+        # their reversal, in time linear in the number of distances
         for distances in all_distance_sets(9):
             for k in range(1, 2 * distances.norm + 1):
                 want = k > distances.norm and all((k - d) in distances.distances for d in distances)
@@ -605,9 +604,8 @@ class TestOneLengthRun:
     def test_a_two_block_verify_never_starts_the_catch_up_kernel(
         self, monkeypatch, dset, max_block
     ):
-        # there is no catch-up kernel to start: one kernel steps to 2|B| and
-        # records every length on the way, so the challenger's bound reads
-        # lengths 1..|B| off it
+        # one kernel steps to 2|B| and records every length on the way, so
+        # the challenger's bound reads lengths 1..|B| off it
         cert = find_winner(DistanceSet(dset), SearchBudget(max_block=max_block)).certificate
         assert cert.kind == TWO_BLOCK_INDUCTION
         built = self._built_runs(monkeypatch)
