@@ -88,12 +88,12 @@ class IntPolynomial:
     _BITS = {(str, "0"): 0, (str, "1"): 1, (int, 0): 0, (int, 1): 1}
 
     def __post_init__(self):
-        c = tuple(self.coeffs)
+        c = list(self.coeffs)
         if any(type(x) is not int for x in c):
             raise ValueError(f"coefficients must be ints, got {self.coeffs!r}")
         while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+            c.pop()
+        object.__setattr__(self, "coeffs", tuple(c))
 
     @classmethod
     def from_bits(cls, bits) -> IntPolynomial:

@@ -185,9 +185,10 @@ def best_patch(context: PatchContext, distances: DistanceSet) -> str:
     if len(context.left) != norm:
         raise ValueError(f"context width {len(context.left)} != largest distance {norm}")
     length = context.patch_length
-    refill = _patch_filler(distances, length)
-    whole = _to_mask(context.left + "0" * length + context.right)
-    return _to_bits(refill(whole, norm), length + 2 * norm)[norm: norm + length]
+    if length < norm:
+        raise ValueError("patch length must be at least the largest distance")
+    run = _patch_run(distances, length)
+    return _to_bits(run(_to_mask(context.left), _to_mask(context.right))[0], length)
 
 
 def _patch_filler(distances: DistanceSet, patch_length: int):

@@ -37,6 +37,7 @@ from .local import LineKernel, _entry, _patch_run, germ_greater
 from .sets import (
     DistanceSet,
     RationalSet,
+    _avoids_forever,
     _brief,
     _check_bits,
     _check_natural,
@@ -160,22 +161,21 @@ def _is_int(value) -> bool:
 
 
 def is_repeatable(window: str, distances: DistanceSet) -> bool:
-    """True iff the window stays avoiding when doubled (hence when repeated).
+    """True iff the window stays avoiding when repeated forever.
 
     Only defined for windows longer than the largest distance, where a
     violation in the infinite repetition crosses at most one junction and so
-    already shows up in the doubled window.
+    already shows up in the doubled window (`sets._avoids_forever`).
     """
     if len(_check_bits(window, "window")) <= distances.norm:
         raise ValueError("window must be longer than the largest distance")
-    mask = _to_mask(window)
-    return _mask_avoids(mask | mask << len(window), distances)
+    return _repeating_best(distances, _to_mask(window), len(window)) is not None
 
 
 def _repeating_best(distances: DistanceSet, mask: int, length: int) -> str | None:
-    """The germ-best window `mask` of the length (past the norm) as bits if
-    it stays avoiding when doubled, else None."""
-    return _to_bits(mask, length) if _mask_avoids(mask | mask << length, distances) else None
+    """The germ-best window `mask` of the length as bits if it stays avoiding
+    when repeated, else None."""
+    return _to_bits(mask, length) if _avoids_forever(0, 0, mask, length, distances) else None
 
 
 def _pair_sums(distances: DistanceSet) -> set[int]:
@@ -296,73 +296,53 @@ def _two_block(kernel: LineKernel, a: int, b: int, size: int) -> Certificate | N
     """`certify_two_block` on the kernel and the masks of two avoiding blocks of `size` bits."""
     if a != kernel.entry(size)[0] or a | b << size != kernel.entry(2 * size)[0]:
         return None
-    # A B B ...: a clash moved into the first B ends within norm bits past it;
-    # B repeated as a string, since summing shifted masks is quadratic
-    block_b = _to_bits(b, size)
-    candidate = a | _to_mask(block_b * (-(-kernel.distances.norm // size) + 1)) << size
-    if not _mask_avoids(candidate, kernel.distances) or _two_block_challenger(kernel, b, size):
+    distances = kernel.distances
+    if not _avoids_forever(a, size, b, size, distances) or _two_block_challenger(kernel, b, size):
         return None
-    block_a = _to_bits(a, size)
+    block_a, block_b = _to_bits(a, size), _to_bits(b, size)
     evidence = {"block_a": block_a, "block_b": block_b}
     winner = RationalSet(block_a, block_b)
-    return Certificate(TWO_BLOCK_INDUCTION, kernel.distances, winner, evidence)
+    return Certificate(TWO_BLOCK_INDUCTION, distances, winner, evidence)
 
 
 def _two_block_challenger(kernel: LineKernel, b: int, size: int):
     """An avoiding QR with R germ-greater than B and QR than BB, as the
     masks (Q, R), or None; B is the mask b of `size` bits.
 
-    Branch and bound over R.  For a fixed R, QR - Q'R = Q - Q' as
-    polynomials, so only the germ-best Q that fits before R can beat BB.  Q
-    meets R only through R[:norm] (all of R when the blocks are shorter
-    than norm), so Q is the best filling of a patch of |B| positions
-    between an all-zero left context and that head (`local._patch_run`),
-    whose run computes each distinct start shadow the heads cast once.
-    R > B needs at least as many 1s as B (the count is the leading
-    t-coefficient), so a prefix of R is cut once even the fullest avoiding
-    tail cannot reach that count.  No R beats a germ-best B, so then no R
-    is walked at all.
+    Branch and bound over R, depth first, 1 before 0, carrying the shadow of
+    `sets._WindowModel` on an explicit stack, so any length within the cap
+    walks.  R > B needs at least as many 1s as B (the count is the leading
+    t-coefficient), and the germ-best string of each length has the most
+    1s, so a prefix of R is cut once even the germ-best tail of the
+    remaining length cannot bring it up to that count.  No R beats a
+    germ-best B, so then no R is walked at all.  For a fixed R, QR - Q'R =
+    Q - Q' as polynomials, so only the germ-best Q that fits before R can
+    beat BB.  Q meets R only through R[:norm] (all of R when the blocks are
+    shorter than norm), so Q is the best filling of a patch of |B|
+    positions between an all-zero left context and that head
+    (`local._patch_run`), whose run computes each distinct start shadow the
+    heads cast once.
     """
     if b == kernel.entry(size)[0]:
         return None
-    b_entry = _entry(b)
-    bb_entry = _entry(b | b << size)
-    fill = None
-    for second in _avoiding_with_ones(kernel, size, b_entry[1]):
-        if not germ_greater(second, b_entry):
-            continue
-        fill = fill or _patch_run(kernel.distances, size)
-        first = fill(0, second[0] & ((1 << kernel.distances.norm) - 1))
-        mask, ones, possum = second
-        joined = (first[0] | mask << size, first[1] + ones, first[2] + possum + size * ones)
-        if germ_greater(joined, bb_entry):
-            return first[0], mask
-    return None
-
-
-def _avoiding_with_ones(kernel: LineKernel, length: int, need: int):
-    """The entry of every avoiding string of the given length with >= `need` 1s.
-
-    Depth first, 1 before 0, carrying the shadow of `sets._WindowModel`, on
-    an explicit stack, so any length within the cap walks; a prefix is cut
-    as soon as even the fullest avoiding tail of the remaining length cannot
-    bring it up to `need`.
-    """
-    # the germ-best string of each length has the most 1s: the count is the
-    # leading t-coefficient
-    most = [kernel.entry(n)[1] for n in range(length + 1)]
-    grow = kernel.model.grow
+    b_entry, bb_entry = _entry(b), _entry(b | b << size)
+    most = [kernel.entry(n)[1] for n in range(size + 1)]
+    grow, head, fill = kernel.model.grow, (1 << kernel.distances.norm) - 1, None
     stack = [(0, 0, 0, 0, 0)]  # position, shadow, mask, ones, position-sum
     while stack:
         pos, shadow, mask, ones, possum = stack.pop()
-        if ones + most[length - pos] < need:
+        if ones + most[size - pos] < b_entry[1]:
             continue
-        if pos == length:
-            yield mask, ones, possum
-            continue
-        stack.append((pos + 1, shadow >> 1, mask, ones, possum))  # popped after the 1's walk
-        if not shadow & 1:
-            stack.append((pos + 1, shadow >> 1 | grow, mask | 1 << pos, ones + 1, possum + pos))
+        if pos < size:
+            stack.append((pos + 1, shadow >> 1, mask, ones, possum))  # popped after the 1's walk
+            if not shadow & 1:
+                stack.append((pos + 1, shadow >> 1 | grow, mask | 1 << pos, ones + 1, possum + pos))
+        elif germ_greater((mask, ones, possum), b_entry):
+            fill = fill or _patch_run(kernel.distances, size)
+            first = fill(0, mask & head)[0]
+            if germ_greater(_entry(first | mask << size), bb_entry):
+                return first, mask
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,22 @@ def _mask_avoids(mask: int, distances: DistanceSet) -> bool:
     return not any(mask & (mask >> d) for d in distances)
 
 
+def _avoids_forever(pre: int, start: int, rep: int, period: int, distances: DistanceSet) -> bool:
+    """The set with the bits `pre` below `start`, then the `period` bits `rep`
+    repeated forever, avoids the distances.
+
+    A clash i < j with i at or past `start` + `period` moves back a period to
+    a clash, so the first clash has i below `start` + `period` and j below
+    that plus the norm: norm + period bits of repeats hold it.  They are built
+    by doubling, linear in their length.
+    """
+    tail, width = rep, period
+    while width < distances.norm + period:
+        tail |= tail << width
+        width *= 2
+    return _mask_avoids(pre | tail << start, distances)
+
+
 # The most shadow bits a line DP may hold: 2**16 shadows of 16 bits, so every
 # norm up to 16 fits whole (a DP holds at most 2**norm shadows).  A distance
 # set that could pass it (a lone large distance forbids almost nothing, and
@@ -155,14 +171,8 @@ class DistanceSet:
     def __iter__(self):
         return iter(self.distances)
 
-    def __contains__(self, d) -> bool:
-        return d in self.distances
-
     def __len__(self) -> int:
         return len(self.distances)
-
-    def __bool__(self) -> bool:
-        return bool(self.distances)
 
     @cached_property
     def _windows(self) -> _WindowModel:
@@ -171,12 +181,8 @@ class DistanceSet:
 
 
 def _primitive_root(word: str) -> str:
-    """Shortest u with word == u * k."""
-    n = len(word)
-    for d in range(1, n + 1):
-        if n % d == 0 and word == word[:d] * (n // d):
-            return word[:d]
-    return word
+    """Shortest u with word == u * k: word first recurs in word + word at |u|."""
+    return word[:(word + word).find(word, 1)]
 
 
 @dataclass(frozen=True)
@@ -288,16 +294,12 @@ def generating_function(s: RationalSet) -> RationalGF:
 def is_avoiding(subject, distances: DistanceSet) -> bool:
     """True iff no two members differ by a forbidden distance.
 
-    `subject` is a finite indicator string or a RationalSet.  For a set, the
-    check runs on the window preperiod + repetend repeated ceil(norm/|rep|)+2
-    times: any violating pair sits within one period of the preperiod once
-    the tail is periodic, so with distances capped by the norm this window
-    already exhibits it.
+    `subject` is a finite indicator string or a RationalSet, whose check is
+    `_avoids_forever`.
     """
     if isinstance(subject, RationalSet):
-        reps = -(-distances.norm // len(subject.repetend)) + 2
-        window = subject.preperiod + subject.repetend * reps
-        return _mask_avoids(_to_mask(window), distances)
+        pre, rep = subject.preperiod, subject.repetend
+        return _avoids_forever(_to_mask(pre), len(pre), _to_mask(rep), len(rep), distances)
     return _mask_avoids(_to_mask(_check_bits(subject, "indicator string")), distances)
 
 

@@ -465,7 +465,7 @@ class TestErrors:
         def walk(*args):
             raise AssertionError("the challenger walk started")
 
-        monkeypatch.setattr(search, "_avoiding_with_ones", walk)
+        monkeypatch.setattr(search, "_entry", walk)  # read only past the shortcut
         block = ("1" * 12 + "0" * 12) * blocks
         document = {
             "kind": "TwoBlockInduction",

@@ -66,6 +66,12 @@ class TestDistanceSet:
         empty = DistanceSet()
         assert empty.norm == 0 and not empty
 
+    def test_membership(self):
+        # `in` comes from iteration
+        assert 3 in D35 and 5 in D35
+        assert 4 not in D35 and 0 not in D35 and "3" not in D35
+        assert 1 not in DistanceSet()
+
     def test_text_round_trip(self):
         assert DistanceSet.from_text("5,3").to_text() == "3,5"
         assert DistanceSet.from_text("") == DistanceSet()
@@ -299,6 +305,31 @@ class TestIsAvoiding:
             assert is_avoiding(s, d) == (not pairs_clash(s.bits(span), d))
             bits = random_bits(rng, rng.randrange(0, 24), rng.choice((0.2, 0.5)))
             assert is_avoiding(bits, d) == (not pairs_clash(bits, d))
+
+    def test_periodic_check_matches_a_long_window(self):
+        # every D inside {1..7}; periods below and past the norm, empty
+        # preperiods and all-zero repetends among the seeded draws
+        rng = random.Random(23)
+        for d in all_distance_sets(7):
+            draws = [("", "0"), ("", "1"), ("1", "0" * d.norm)]
+            for _ in range(12):
+                pre = random_bits(rng, rng.choice((0, rng.randrange(1, 12))), 0.3)
+                draws.append((pre, random_bits(rng, rng.randrange(1, 13), rng.choice((0.0, 0.3)))))
+            for pre, rep in draws:
+                window = pre + rep * (d.norm + 3)
+                got = sets._avoids_forever(
+                    sets._to_mask(pre), len(pre), sets._to_mask(rep), len(rep), d)
+                assert got == (not pairs_clash(window, d)), (d, pre, rep)
+
+    def test_a_million_bit_repetend_in_linear_time(self):
+        # the repeats are built by doubling shifts; a product with the
+        # repunit (2**(p*k) - 1) // (2**p - 1) divides in quadratic time
+        d = DistanceSet.of(3, 7)
+        lone = RationalSet("", "1" + "0" * 999_999)
+        junction = RationalSet("", "1" + "0" * 999_996 + "100")  # 999,997 + 3 = 1,000,000
+        began = time.perf_counter()
+        assert is_avoiding(lone, d) and not is_avoiding(junction, d)
+        assert time.perf_counter() - began < 1.0
 
 
 class TestGreedy:
