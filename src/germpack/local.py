@@ -26,6 +26,13 @@ whose length and right context are known, runs the kernel's step loop
 so no 1 meets either, and a 1 sets no shadow bit past the patch's last
 position, so one entry is left.  `search` reads the string of one length
 off a patch between all-zero contexts.
+
+No distance links positions in different residue classes mod g = gcd(D),
+so when g > 1 a D-avoiding set is g independent D/g-avoiding sets, and the
+germ-best string of D interleaves those of D/g (`_interleave`): the
+kernel and the one-length run (`_best_entry`) step D/g.  Patch runs
+between other contexts stay on D: a context pair would split into g runs
+per miss, which costs more than the short bounded runs it saves.
 """
 
 from __future__ import annotations
@@ -126,6 +133,11 @@ class LineKernel:
     order.  A shadow has norm bits, so 2**norm of them is a ceiling.  A
     patch, whose length and right context are known, runs `_patch_run`
     instead.
+
+    When g = gcd(D) > 1 no distance links positions in different residue
+    classes mod g, so D's germ-best strings interleave those of D/g
+    (`_interleave`), which `classes`, a kernel of D/g, steps; `bests`,
+    `entry` and `model` (the two-block walk reads its `grow`) stay D's.
     """
 
     def __init__(self, distances: DistanceSet):
@@ -133,12 +145,17 @@ class LineKernel:
         self.model = distances._windows
         self.states = {0: (0, 0, 0)}
         self.bests = [(0, 0, 0)]
+        g, reduced = distances._classes
+        self.classes = LineKernel(reduced) if g > 1 else None
 
     def entry(self, length: int) -> tuple[int, int, int]:
         """The length's germ-best entry; raises ValueError before passing MAX_WINDOW_BITS."""
         while len(self.bests) <= length:
-            grown_bits = (self.model.grow,)
-            self.states = _run_line(self.model, self.states, len(self.bests) - 1, grown_bits)
+            n = len(self.bests)
+            if self.classes:
+                self.bests.append(_interleave(self.distances, n, self.classes.entry))
+                continue
+            self.states = _run_line(self.model, self.states, n - 1, (self.model.grow,))
             self.bests.append(self.best())
         return self.bests[length]
 
@@ -153,6 +170,33 @@ class LineKernel:
             ):
                 best = entry
         return best
+
+
+def _interleave(distances: DistanceSet, length: int, reduced_entry) -> tuple[int, int, int]:
+    """D's germ-best entry of `length` positions from `reduced_entry(m)`,
+    D/g's of m positions, g = gcd(D): class r, the positions r + g·i, holds
+    D/g's best of ceil((length - r) / g) positions (q + 1 for r < rem, else
+    q), spread to stride g, and adds r·ones + g·position-sum."""
+    g = distances._classes[0]
+    if g == 1:
+        return reduced_entry(length)
+    q, rem = divmod(length, g)
+    mask = ones = possum = 0
+    for first, count, m in ((0, rem, q + 1), (rem, g - rem, q)):  # classes first..first+count-1
+        if count and m:
+            sub_mask, sub_ones, sub_possum = reduced_entry(m)
+            spread = int(("0" * (g - 1)).join(format(sub_mask, "b")), 2)  # bit i to bit g·i
+            mask |= spread * ((1 << count) - 1) << first  # count <= g: no carries
+            ones += count * sub_ones
+            possum += count * g * sub_possum + sub_ones * count * (2 * first + count - 1) // 2
+    return mask, ones, possum
+
+
+def _best_entry(distances: DistanceSet, length: int) -> tuple[int, int, int]:
+    """The germ-best entry of one length: D/g's patch runs between all-zero
+    contexts (`_patch_run`), interleaved (`_interleave`)."""
+    reduced = distances._classes[1]
+    return _interleave(distances, length, lambda m: _patch_run(reduced, m)(0, 0))
 
 
 @dataclass(frozen=True)

@@ -23,17 +23,19 @@ the shadow of the 1s placed) that it builds for the call, so the module
 keeps nothing between calls.  A call that asks many lengths hands one
 `local.LineKernel` down, which records every length it steps through.  One
 that asks one length (`best_string`, `symmetric_winner`, a window
-certificate's verify) reads a patch run (`local._patch_run`) between
+certificate's verify) reads `local._best_entry`, a patch run between
 all-zero contexts: a 1 sets no shadow bit past the last position, so
-shadows merge over the last norm steps, and one entry is left.  A two-block
-challenger's first block is a patch after an all-zero left context.
+shadows merge over the last norm steps, and one entry is left.  Both run on
+D/g when g = gcd(D) > 1 and interleave its strings over the residue
+classes mod g.  A two-block challenger's first block is a patch of D after
+an all-zero left context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .local import LineKernel, _entry, _patch_run, germ_greater
+from .local import LineKernel, _best_entry, _entry, _patch_run, germ_greater
 from .sets import (
     DistanceSet,
     RationalSet,
@@ -62,6 +64,11 @@ CERTIFICATE_KINDS = (REPEATABLE_WINDOW, SYMMETRIC_OFFSET, TWO_BLOCK_INDUCTION)
 # for no longer germ-best string.
 MAX_EVIDENCE_BITS = 1 << 12
 
+# The most nodes a two-block challenger walk may pop, which only the block
+# length bounds otherwise.  The largest walk a search is known to make pops
+# 12,436,671 ({2,10,12}, 92-bit blocks, `max_block = 96`).
+MAX_CHALLENGER_NODES = 1 << 24
+
 
 def best_string(distances: DistanceSet, length: int) -> str:
     """The germ-maximal avoiding string of the given length.
@@ -70,7 +77,7 @@ def best_string(distances: DistanceSet, length: int) -> str:
     polynomials, so the germ order never ties.
     """
     length = _check_natural(length, "length")
-    return _to_bits(_patch_run(distances, length)(0, 0)[0], length)
+    return _to_bits(_best_entry(distances, length)[0], length)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +133,7 @@ class Certificate:
         if check_offset is not None:
             if check_offset != length or not _is_symmetry_offset(d, check_offset):
                 return False
-        best = _repeating_best(d, _patch_run(d, length)(0, 0)[0], length)
+        best = _repeating_best(d, _best_entry(d, length)[0], length)
         return window == best and self.winner == RationalSet("", window)
 
     def to_json_dict(self) -> dict:
@@ -243,7 +250,7 @@ def symmetric_winner(distances: DistanceSet) -> Certificate | None:
     if offset > MAX_EVIDENCE_BITS:  # verify would refuse the window
         raise ValueError(
             f"{_brief(offset)} bits of evidence are over the cap of {MAX_EVIDENCE_BITS}")
-    window = _repeating_best(distances, _patch_run(distances, offset)(0, 0)[0], offset)
+    window = _repeating_best(distances, _best_entry(distances, offset)[0], offset)
     if window is None:
         raise AssertionError("symmetric window failed the repeatability check")
     return Certificate(
@@ -271,7 +278,8 @@ def certify_two_block(distances: DistanceSet, block_a: str, block_b: str) -> Cer
     candidate never loses, and the finitely many per-span differences share
     a neighborhood of 1 where none is negative.  Returns None when any check
     fails; raises on malformed inputs, on blocks past MAX_EVIDENCE_BITS // 2
-    (verify refuses them) and on distance sets over the kernel's cap.
+    (verify refuses them), on distance sets over the kernel's cap and on a
+    challenger walk past MAX_CHALLENGER_NODES.
     """
     masks = _check_blocks(distances, block_a, block_b)
     return _two_block(LineKernel(distances), *masks, len(block_a))
@@ -321,27 +329,34 @@ def _two_block_challenger(kernel: LineKernel, b: int, size: int):
     shorter than norm), so Q is the best filling of a patch of |B|
     positions between an all-zero left context and that head
     (`local._patch_run`), whose run computes each distinct start shadow the
-    heads cast once.
+    heads cast once.  Raises ValueError past MAX_CHALLENGER_NODES pops.
     """
     if b == kernel.entry(size)[0]:
         return None
     b_entry, bb_entry = _entry(b), _entry(b | b << size)
+    need = b_entry[1]
     most = [kernel.entry(n)[1] for n in range(size + 1)]
     grow, head, fill = kernel.model.grow, (1 << kernel.distances.norm) - 1, None
     stack = [(0, 0, 0, 0, 0)]  # position, shadow, mask, ones, position-sum
-    while stack:
-        pos, shadow, mask, ones, possum = stack.pop()
-        if ones + most[size - pos] < b_entry[1]:
+    pop, push = stack.pop, stack.append
+    for _ in range(MAX_CHALLENGER_NODES):
+        if not stack:
+            return None
+        pos, shadow, mask, ones, possum = pop()
+        if ones + most[size - pos] < need:
             continue
         if pos < size:
-            stack.append((pos + 1, shadow >> 1, mask, ones, possum))  # popped after the 1's walk
+            push((pos + 1, shadow >> 1, mask, ones, possum))  # popped after the 1's walk
             if not shadow & 1:
-                stack.append((pos + 1, shadow >> 1 | grow, mask | 1 << pos, ones + 1, possum + pos))
+                push((pos + 1, shadow >> 1 | grow, mask | 1 << pos, ones + 1, possum + pos))
         elif germ_greater((mask, ones, possum), b_entry):
             fill = fill or _patch_run(kernel.distances, size)
             first = fill(0, mask & head)[0]
             if germ_greater(_entry(first | mask << size), bb_entry):
                 return first, mask
+    if stack:
+        cap = MAX_CHALLENGER_NODES
+        raise ValueError(f"the two-block challenger walk is over the cap of {cap} nodes")
     return None
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .germs import (
     IntPolynomial,
@@ -95,14 +96,15 @@ class _WindowModel:
     admits one set of continuations, and distinct shadows differ on a lone
     1.  A line DP may step from at most `most` shadows (of norm bits; a step
     at most doubles them), and the greedy walk record as many; a norm that
-    no step fits is refused on construction.
+    no step fits is refused on construction.  A refusal names `named`, the
+    caller's distances when these are their residue-class reduction.
     """
 
     __slots__ = ("distances", "norm", "most", "grow")
 
-    def __init__(self, distances: DistanceSet):
+    def __init__(self, distances: DistanceSet, named: DistanceSet | None = None):
         norm = distances.norm
-        self.distances, self.norm = distances, norm
+        self.distances, self.norm = named or distances, norm
         self.most = 1 << norm if norm <= 16 else MAX_WINDOW_BITS // (2 * norm)
         if not self.most:  # before the norm-bit ints below
             self.refuse(1, 1)
@@ -178,6 +180,17 @@ class DistanceSet:
     def _windows(self) -> _WindowModel:
         """The window model of these distances, built once per instance."""
         return _WindowModel(self)
+
+    @cached_property
+    def _classes(self) -> tuple[int, DistanceSet]:
+        """(g, D/g) for g the gcd of the distances (1 and D itself when it is
+        1), built once per instance; the window model of D/g names D."""
+        g = gcd(*self.distances)
+        if g <= 1:
+            return 1, self
+        reduced = DistanceSet(tuple(d // g for d in self.distances))
+        object.__setattr__(reduced, "_windows", _WindowModel(reduced, self))
+        return g, reduced
 
 
 def _primitive_root(word: str) -> str:

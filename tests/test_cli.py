@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from germpack import DistanceSet, find_winner, search
+from germpack import DistanceSet, SearchBudget, best_string, find_winner, search
 from germpack.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -420,28 +420,76 @@ class TestErrors:
     def test_certificate_over_the_state_cap_is_an_error(
         self, capsys, tmp_path, kind, evidence, winner
     ):
-        # nothing is forbidden below distance 40, so the line DP would hold
-        # 2**k windows after k steps; it stops at the cap instead.  An 80-bit
-        # window keeps every bit live for 40 steps, so its one-length run
-        # meets the cap too
+        # little is forbidden below distance 40, so the line DP holds
+        # thousands of shadows within a few dozen steps and stops at the cap.
+        # An 80-bit window keeps every bit live for 40 steps, so its
+        # one-length run meets the cap too.  Under {40} alone both documents
+        # are decided (invalid): its 40 residue classes are runs of {1}
+        def certify(distances):
+            document = {
+                "kind": kind,
+                "distances": distances,
+                "winner": {"preperiod": winner[0], "repetend": winner[1]},
+                "evidence": evidence,
+            }
+            path = tmp_path / "cert.json"
+            path.write_text(json.dumps(document))
+            return main(["certify", "--file", str(path)])
+
+        for distances in ([1, 40], [39, 40]):
+            assert certify(distances) == 1
+            out, err = capsys.readouterr()
+            listed = ",".join(map(str, distances))
+            assert err.startswith(f"error: distances {{{listed}}} need ") and not out
+            assert "over the cap" in err and "Traceback" not in err
+        assert certify([40]) == 1
+        out, err = capsys.readouterr()
+        assert out == "certificate INVALID\n" and not err
+
+    def test_a_scaled_set_over_the_cap_names_its_own_distances(self, capsys, tmp_path):
+        # {2,80} is solved on {1,40}, whose 80-bit run meets the shadow cap;
+        # the error names the distances of the document
+        window = "1" + "0" * 159
         document = {
-            "kind": kind,
-            "distances": [40],
-            "winner": {"preperiod": winner[0], "repetend": winner[1]},
-            "evidence": evidence,
+            "kind": "RepeatableWindow",
+            "distances": [2, 80],
+            "winner": {"preperiod": "", "repetend": window},
+            "evidence": {"window": window},
         }
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(document))
         assert main(["certify", "--file", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: distances {40} need ")
-        assert "over the cap" in err and "Traceback" not in err
+        assert err.startswith("error: distances {2,80} need ") and "over the cap" in err
+
+    def test_a_challenger_walk_past_its_cap_is_an_error(self, capsys, tmp_path, monkeypatch):
+        # under {2,10,12} the halves of the germ-best 172 bits pass every
+        # check before the walk, and B is not the germ-best 86 bits, so the
+        # walk runs: over 2,000,000 nodes.  Past the cap (lowered here, so
+        # the test is quick) verify raises and the search propagates it
+        distances = DistanceSet.of(2, 10, 12)
+        doubled = best_string(distances, 172)
+        document = {
+            "kind": "TwoBlockInduction",
+            "distances": list(distances),
+            "winner": {"preperiod": doubled[:86], "repetend": doubled[86:]},
+            "evidence": {"block_a": doubled[:86], "block_b": doubled[86:]},
+        }
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(document))
+        monkeypatch.setattr(search, "MAX_CHALLENGER_NODES", 10_000)
+        assert main(["certify", "--file", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == "error: the two-block challenger walk is over the cap of 10000 nodes\n"
+        with pytest.raises(ValueError, match="walk is over the cap of 10000 nodes"):
+            find_winner(distances, SearchBudget(max_window=1, max_block=96))
 
     def test_a_lone_large_distance_window_is_decided(self, capsys, tmp_path):
-        # a 41-bit window under {40}: a 1 past position 0 sets no live bit,
-        # so the one-length run holds one or two shadows and is decided (the
-        # best window is "1" * 40 + "0"), where a run keeping every bit live
-        # stops at the cap at length 15
+        # a 41-bit window under {40}: the one-length run steps the 40
+        # residue classes mod 40 as runs of {1}, of 2 positions and of 1, and
+        # is decided (the best window is "1" * 40 + "0"), where a run keeping
+        # every bit live stops at the cap at length 15
         window = "1" + "0" * 40
         document = {
             "kind": "RepeatableWindow",

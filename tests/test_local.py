@@ -1,7 +1,9 @@
 """Local patch rewriting: best fillings, monotone sweeps, fixpoints."""
 
+import itertools
 import random
 import re
+from math import gcd
 
 import pytest
 
@@ -23,7 +25,7 @@ from germpack import (
 )
 from germpack import local
 from germpack.local import LineKernel, _entry, germ_greater
-from germpack.oracle import enumerate_avoiding
+from germpack.oracle import brute_best, enumerate_avoiding
 from germpack.sets import _to_bits, _to_mask
 from helpers import (
     all_distance_sets,
@@ -250,6 +252,63 @@ class TestPatchRun:
             for right in rights:
                 mask = run(left, right)[0]
                 assert mask == ~(right | left) & 0xFFF, (left, right)
+
+
+class TestResidueClasses:
+    """D with g = gcd(D) > 1 is solved on D/g: its germ-best strings are D/g's,
+    interleaved over the residue classes mod g (`local._interleave`)."""
+
+    SCALED = [
+        DistanceSet(dset)
+        for size in (1, 2, 3)
+        for dset in itertools.combinations(range(1, 13), size)
+        if gcd(*dset) > 1
+    ]
+
+    @staticmethod
+    def _unreduced(distances, top):
+        # `_run_line` stepped from shadow 0 on D's own model, as the kernel
+        # stepped before the reduction
+        model, states, bests = distances._windows, {0: (0, 0, 0)}, [(0, 0, 0)]
+        for n in range(1, top + 1):
+            states = local._run_line(model, states, n - 1, (model.grow,))
+            best = None
+            for entry in states.values():
+                if best is None or germ_greater(entry, best):
+                    best = entry
+            bests.append(best)
+        return bests
+
+    @pytest.mark.parametrize("distances", SCALED, ids=lambda d: d.to_text())
+    def test_matches_the_unreduced_run(self, distances):
+        top = 4 * distances.norm + 1
+        want = self._unreduced(distances, top)
+        for n in range(1, min(top, 14) + 1):
+            assert _to_bits(want[n][0], n) == brute_best(distances, n), n
+            assert _entry(want[n][0]) == want[n], n
+        kernel = LineKernel(distances)
+        assert kernel.classes is not None
+        assert [kernel.entry(n) for n in range(top + 1)] == want  # ascending
+        lengths = list(range(top + 1))
+        random.Random(top).shuffle(lengths)
+        kernel = LineKernel(distances)
+        for n in lengths:
+            assert kernel.entry(n) == want[n], n
+        assert len(kernel.bests) == top + 1
+        for n in range(1, top + 1):
+            assert local._best_entry(distances, n) == want[n], n
+
+    def test_cap_errors_name_the_callers_distances(self):
+        # {2,80} runs {1,40}, whose shadows pass the cap; the error names
+        # the distances the caller gave
+        scaled = DistanceSet.of(2, 80)
+        assert scaled._classes[1] == DistanceSet.of(1, 40)
+        with pytest.raises(ValueError, match=re.escape("distances {2,80} need up to ")):
+            LineKernel(scaled).entry(80)
+        with pytest.raises(ValueError, match=re.escape("distances {2,80} need up to ")):
+            local._best_entry(scaled, 160)
+        with pytest.raises(ValueError, match=re.escape("distances {1,40} need up to ")):
+            local._best_entry(DistanceSet.of(1, 40), 80)
 
 
 class TestPatchContext:

@@ -704,18 +704,22 @@ class TestFindWinner:
             find_repeatable_winner(D35, 5)
 
     def test_default_bounds_stay_within_the_evidence_cap(self):
-        # at length n <= norm the kernel holds at least n + 1 shadows (no 1,
-        # or a last 1 at each of the n positions, which sets its own top bit;
-        # checked below for small norms), and it refuses a step once twice
-        # its shadows times norm pass MAX_WINDOW_BITS; so no norm of
-        # `refused` or more gets past length `refused`, and below it the
+        # the kernel that steps is that of D/g, g = gcd(D) (D's own when g
+        # is 1).  At length n <= its norm it holds at least n + 1 shadows (no
+        # 1, or a last 1 at each of the n positions, which sets its own top
+        # bit; checked below for small norms), and it refuses a step once
+        # twice its shadows times its norm pass MAX_WINDOW_BITS; so no D/g of
+        # norm `refused` or more gets past length `refused`.  For g = 1 the
         # defaults (windows up to 4 norm, block pairs up to 2 * 2 norm) stay
-        # within 4 (refused - 1)
+        # within 4 (refused - 1) below it; a scaled set may ask past the
+        # evidence cap, which the search refuses (the next test)
         for distances in all_distance_sets(8):
             kernel = LineKernel(distances)
-            for n in range(1, distances.norm + 1):
-                kernel.entry(n)
-                assert len(kernel.states) >= n + 1, (distances, n)
+            stepping = kernel.classes or kernel
+            g = distances.norm // stepping.distances.norm
+            for n in range(1, stepping.distances.norm + 1):
+                kernel.entry(g * n)
+                assert len(stepping.states) >= n + 1, (distances, n)
         cap = sets.MAX_WINDOW_BITS
         refused = next(n for n in range(17, cap) if 2 * (n + 1) * n > cap)
         assert max(refused, 4 * (refused - 1)) <= search.MAX_EVIDENCE_BITS
@@ -724,6 +728,22 @@ class TestFindWinner:
         kernel.entry(refused)
         with pytest.raises(ValueError, match="over the cap"):
             kernel.entry(refused + 1)
+
+    def test_scaled_sets_certify_or_refuse(self):
+        # g·D for D within {1..4}: the search runs D/g's kernel, so no
+        # shadow cap stops it; a default bound past the evidence cap, or a
+        # walk past its cap, is a ValueError, and any certificate verifies
+        refused = 0
+        for g in (*range(2, 1501, 53), 10, 100, 200, 700, 1000, 1500):
+            for distances in all_distance_sets(4):
+                scaled = DistanceSet(tuple(g * d for d in distances))
+                try:
+                    cert = find_winner(scaled).certificate
+                except ValueError:
+                    refused += 1
+                    continue
+                assert cert is not None and cert.verify(), scaled
+        assert refused
 
     def test_strategies_name_the_same_winner(self):
         # any two certificates for one distance set must agree on the set

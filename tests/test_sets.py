@@ -397,13 +397,19 @@ class TestGreedy:
         norm = (sets.MAX_WINDOW_BITS >> 1) + 1
         with pytest.raises(ValueError, match=re.escape(f"distances {{{norm}}} need up to 2 line-DP shadows ")):
             greedy_avoiding(DistanceSet.of(norm), 1)
-        # 2**19 fits one shadow; the second, recorded at step 1, is where the
-        # line DP refuses too, with the same message
-        lone = DistanceSet.of(norm - 1)
+        # 2**19 fits one shadow; under {1, 2**19} the second, recorded at
+        # step 1, is where the line DP refuses too, with the same message
+        pair = DistanceSet.of(1, norm - 1)
         with pytest.raises(ValueError) as line_dp:
-            LineKernel(lone).entry(3)
+            LineKernel(pair).entry(3)
         with pytest.raises(ValueError, match=re.escape(str(line_dp.value))):
+            greedy_avoiding(pair, 3)
+        # {2**19} alone: greedy still refuses, but the line DP steps its
+        # residue classes, 2**19 runs of {1}, and answers
+        lone = DistanceSet.of(norm - 1)
+        with pytest.raises(ValueError, match=re.escape(f"distances {{{norm - 1}}} need up to 4 ")):
             greedy_avoiding(lone, 3)
+        assert LineKernel(lone).entry(3) == (0b111, 3, 3)
 
 
 COUNT_CALLS = {
