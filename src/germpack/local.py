@@ -19,13 +19,21 @@ best filling for its contexts, which `winner_windows_consistent` checks.
 `LineKernel` is the one germ-best-string dynamic program in the library,
 over the shadows of `sets._WindowModel` (the positions ahead that the 1s
 placed forbid); it records the best string of every length it steps
-through, and `search` reads the strings of many lengths off it.  A patch,
-whose length and right context are known, runs the kernel's step loop
-(`_run_line`, one for both, sibling cut and all), bounded at both ends
+through, and `search` reads the strings of many lengths off it.  It steps
+over an automaton it compiles for itself as it goes, an int id and a tuple
+of successor ids per shadow reached, with the live entries in a list by
+id, and takes each length's best in the pass that steps to it.  A patch,
+whose length and right context are known, makes the same step, sibling
+cut and all, over a dict of shadows (`_run_line`), bounded at both ends
 (`_patch_run`): it starts from the shadow both contexts cast on the patch,
 so no 1 meets either, and a 1 sets no shadow bit past the patch's last
 position, so one entry is left.  `search` reads the string of one length
-off a patch between all-zero contexts.
+off a patch between all-zero contexts.  Patch runs keep the dict loop
+because an id table does not pay there: run through one filled on demand,
+the benchmark workloads were slower everywhere (`local_sweep` 1.28-1.39x,
+`two_block` 1.16-1.22x, `census` 1.15-1.30x), since those runs are short,
+start from arbitrary shadows and mask their tails, so a table built for
+one does not amortize.
 
 No distance links positions in different residue classes mod g = gcd(D),
 so when g > 1 a D-avoiding set is g independent D/g-avoiding sets, and the
@@ -39,44 +47,57 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
+from math import comb
 
-from .germs import EQUAL, GREATER, _sign_near_one
 from .sets import (
     DistanceSet, RationalSet, _check_bits, _check_natural, _mask_avoids, _to_bits, _to_mask,
 )
 
 
+def _positions(mask: int) -> list[int]:
+    """The positions of the 1s of a mask, bit i being position i."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
 def _entry(mask: int) -> tuple[int, int, int]:
     """The (mask, ones, position-sum) entry `germ_greater` compares."""
-    ones = [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    ones = _positions(mask)
     return mask, len(ones), sum(ones)
 
 
 def germ_greater(a, b) -> bool:
     """Germ order on equal-length (mask, ones, position-sum) entries.
 
-    Bit i of the mask is position i.  The first two t-coefficients of the
-    difference are the count gap and the negated position-sum gap, so those
-    decide almost every comparison; full polynomial comparison settles the
-    rest.
+    Bit i of the mask is position i, q**i = (1 - t)**i, so the t**k
+    coefficient of the difference is (-1)**k times the sum of C(i, k) over
+    the 1s of a only, less that over the 1s of b only.  Orders 0 and 1 are
+    the count gap and the negated position-sum gap, which decide almost
+    every comparison; a tie on both reads the later orders off the
+    differing bits alone.
     """
     if a[1] != b[1]:
         return a[1] > b[1]
     if a[2] != b[2]:
         return a[2] < b[2]
     x, y = a[0], b[0]
-    order = _sign_near_one(
-        [(x >> i & 1) - (y >> i & 1) for i in range(max(x.bit_length(), y.bit_length()))]
-    )
-    if order == EQUAL and x != y:
-        raise AssertionError("distinct strings never tie")
-    return order == GREATER
+    if x == y:
+        return False
+    plus, minus = _positions(x & ~y), _positions(y & ~x)
+    for k in range(2, max(x, y).bit_length()):
+        gap = 0
+        for i in plus:
+            gap += comb(i, k)
+        for i in minus:
+            gap -= comb(i, k)
+        if gap:
+            return (gap > 0) == (k % 2 == 0)
+    raise AssertionError("distinct strings never tie")
 
 
 def _run_line(model, states: dict, start: int, grown_bits) -> dict:
-    """The line DP's one step loop: `states`, shadow -> germ-best (mask,
-    ones, position-sum) entry, grown by one position from `start` on for
-    each item of `grown_bits`, the shadow bits a 1 there sets.
+    """The line DP's step loop over a dict: `states`, shadow -> germ-best
+    (mask, ones, position-sum) entry, grown by one position from `start` on
+    for each item of `grown_bits`, the shadow bits a 1 there sets.
 
     A 0 shifts shadow s to s >> 1 and a 1, which fits in an even s, makes
     s >> 1 | grown.  Fillings with one shadow admit the same continuations,
@@ -126,13 +147,23 @@ def _run_line(model, states: dict, start: int, grown_bits) -> dict:
 class LineKernel:
     """The germ-best avoiding string of every length, grown bit by bit.
 
-    `_run_line` from shadow 0 (no 1s before position 0), with every shadow
-    bit kept, so any continuation may follow.  `bests[n]` is the germ-best
-    (mask, ones, position-sum) entry after n positions, recorded as the run
-    steps past n, so one kernel serves a call that asks many lengths in any
+    The step loop of `_run_line` from shadow 0 (no 1s before position 0),
+    with every shadow bit kept, so any continuation may follow, but over a
+    shadow automaton the kernel compiles for itself as it goes: each shadow
+    reached gets an int id, and on its first step from there a successor
+    tuple (`_compile`): the id its 0 leads to, the id its 1 leads to (-1
+    for an odd shadow, where no 1 fits) and the id of its sibling s | 1
+    (0, an id that is never live, until that shadow is reached, when `_id`
+    patches it in).  `layer` holds the live entries by id, None elsewhere,
+    and `live` their ids.  Only the ids reached are compiled, never the
+    closure, so a norm too large for the cap costs no more than the
+    shadows visited.  `bests[n]` is the germ-best (mask, ones,
+    position-sum) entry after n positions, taken in the same pass that
+    steps to n, so one kernel serves a call that asks many lengths in any
     order.  A shadow has norm bits, so 2**norm of them is a ceiling.  A
     patch, whose length and right context are known, runs `_patch_run`
-    instead.
+    instead.  The automaton lives on the kernel, which a call builds for
+    itself, so every call compiles its own.
 
     When g = gcd(D) > 1 no distance links positions in different residue
     classes mod g, so D's germ-best strings interleave those of D/g
@@ -143,10 +174,20 @@ class LineKernel:
     def __init__(self, distances: DistanceSet):
         self.distances = distances
         self.model = distances._windows
-        self.states = {0: (0, 0, 0)}
         self.bests = [(0, 0, 0)]
+        self.ids = {0: 1}  # shadow -> id; id 0 is never live
+        self.shadows = [-1, 0]  # id -> shadow
+        self.succ: list = [None, None]  # id -> (zero, one, sibling), None until compiled
+        self.layer: list = [None, (0, 0, 0)]
+        self.spare: list = [None, None]  # the next layer, all None between steps
+        self.live = [1]
         g, reduced = distances._classes
         self.classes = LineKernel(reduced) if g > 1 else None
+
+    @property
+    def states(self) -> dict:
+        """The live entries by shadow, as `_run_line` keeps them."""
+        return {self.shadows[i]: self.layer[i] for i in self.live}
 
     def entry(self, length: int) -> tuple[int, int, int]:
         """The length's germ-best entry; raises ValueError before passing MAX_WINDOW_BITS."""
@@ -154,22 +195,91 @@ class LineKernel:
             n = len(self.bests)
             if self.classes:
                 self.bests.append(_interleave(self.distances, n, self.classes.entry))
-                continue
-            self.states = _run_line(self.model, self.states, n - 1, (self.model.grow,))
-            self.bests.append(self.best())
+            else:
+                self.bests.append(self._step(n - 1))
         return self.bests[length]
 
-    def best(self) -> tuple[int, int, int]:
-        """The germ-best entry over every shadow."""
-        best = None
-        for entry in self.states.values():
-            if best is None or (  # germ_greater, count and position sum inline
+    def _step(self, pos: int) -> tuple[int, int, int]:
+        """Grow the live entries by position `pos`, as `_run_line` does, and
+        return the germ-best of the new layer.
+
+        A 0 leaves an entry as it was, so the best that ends in a 0 is the
+        last best, and only entries that end in a new 1 can pass it.
+        """
+        live, layer, new = self.live, self.layer, self.spare
+        if len(live) > self.model.most:
+            self.model.refuse(len(live), pos + 1)
+        succ, bit, best, fresh = self.succ, 1 << pos, self.bests[-1], []
+        add = fresh.append
+        for i in live:
+            entry = layer[i]
+            zero, one, sibling = succ[i] or self._compile(i)
+            cur = new[zero]
+            if cur is None:
+                new[zero] = entry
+                add(zero)
+            elif (  # germ_greater, count and position sum inline
+                entry[1] > cur[1] if entry[1] != cur[1]
+                else entry[2] < cur[2] if entry[2] != cur[2]
+                else germ_greater(entry, cur)
+            ):
+                new[zero] = entry
+            if one < 0:
+                continue
+            mask, ones, possum = entry
+            entry = (mask | bit, ones + 1, possum + pos)
+            rival = layer[sibling]
+            if rival is not None and (  # germ_greater(rival, entry) inline
+                rival[1] > entry[1] if rival[1] != entry[1]
+                else rival[2] < entry[2] if rival[2] != entry[2]
+                else germ_greater(rival, entry)
+            ):
+                continue
+            cur = new[one]
+            if cur is None:
+                add(one)
+            elif not (  # germ_greater, count and position sum inline
+                entry[1] > cur[1] if entry[1] != cur[1]
+                else entry[2] < cur[2] if entry[2] != cur[2]
+                else germ_greater(entry, cur)
+            ):
+                continue
+            new[one] = entry
+            if (  # germ_greater, count and position sum inline
                 entry[1] > best[1] if entry[1] != best[1]
                 else entry[2] < best[2] if entry[2] != best[2]
                 else germ_greater(entry, best)
             ):
                 best = entry
+        for i in live:
+            layer[i] = None
+        self.layer, self.spare, self.live = new, layer, fresh
         return best
+
+    def _compile(self, i: int) -> tuple[int, int, int]:
+        """The successor tuple of id i, giving each shadow it reaches an id."""
+        shadow = self.shadows[i]
+        step = (self._id(shadow >> 1), -1, 0) if shadow & 1 else (
+            self._id(shadow >> 1), self._id(shadow >> 1 | self.model.grow),
+            self.ids.get(shadow | 1, 0))
+        self.succ[i] = step
+        return step
+
+    def _id(self, shadow: int) -> int:
+        """The shadow's id, a new one on first sight, patched into the
+        sibling slot of its even partner when the shadow is odd."""
+        i = self.ids.get(shadow)
+        if i is None:
+            i = self.ids[shadow] = len(self.shadows)
+            self.shadows.append(shadow)
+            self.succ.append(None)
+            self.layer.append(None)
+            self.spare.append(None)
+            partner = self.ids.get(shadow ^ 1) if shadow & 1 else None
+            if partner is not None and self.succ[partner] is not None:
+                zero, one, _ = self.succ[partner]
+                self.succ[partner] = (zero, one, i)
+        return i
 
 
 def _interleave(distances: DistanceSet, length: int, reduced_entry) -> tuple[int, int, int]:
@@ -236,9 +346,10 @@ def best_patch(context: PatchContext, distances: DistanceSet) -> str:
 
 
 def _patch_filler(distances: DistanceSet, patch_length: int):
-    """`refill(mask, position)`: the patch at `position` rewritten to the best
-    filling for its contexts, the norm bits either side, each distinct pair
-    computed once and each distinct start shadow run once (`_patch_run`).
+    """`refill(window)`: a window of norm + patch + norm bits (bit j is
+    position j of the window) with the patch rewritten to the best filling
+    for its contexts, the norm bits either side, each distinct pair computed
+    once and each distinct start shadow run once (`_patch_run`).
 
     Checks the patch length up front.  The memos live only as long as the
     returned function, which serves one call of the functions below.
@@ -250,18 +361,16 @@ def _patch_filler(distances: DistanceSet, patch_length: int):
     norm = distances.norm
     width = (1 << norm) - 1
     fillings: dict[tuple[int, int], int] = {}
-    run = hole = None
+    run = None
 
-    def refill(mask: int, position: int) -> int:
-        nonlocal run, hole
-        left = mask >> (position - norm) & width
-        right = mask >> (position + patch_length) & width
+    def refill(window: int) -> int:
+        nonlocal run
+        left, right = window & width, window >> (norm + patch_length)
         patch = fillings.get((left, right))
         if patch is None:
-            if run is None:
-                run, hole = _patch_run(distances, patch_length), (1 << patch_length) - 1
+            run = run or _patch_run(distances, patch_length)
             patch = fillings[left, right] = run(left, right)[0]
-        return mask & ~(hole << position) | patch << position
+        return left | patch << norm | right << (norm + patch_length)
 
     return refill
 
@@ -320,9 +429,12 @@ def improve_at(bits: str, position: int, patch_length: int, distances: DistanceS
         raise ValueError("input string must avoid the distances")
     refill = _patch_filler(distances, patch_length)  # checks the patch length, builds nothing
     _check_natural(position, "position", 0)
-    if position < distances.norm or position + patch_length + distances.norm > len(bits):
+    norm = distances.norm
+    if position < norm or position + patch_length + norm > len(bits):
         raise ValueError(f"position {position} out of range for patch rewriting")
-    return _to_bits(refill(mask, position), len(bits))
+    start = position - norm
+    window = mask >> start & ((1 << (patch_length + 2 * norm)) - 1)
+    return _to_bits(mask ^ (window ^ refill(window)) << start, len(bits))
 
 
 def sweep_to_fixpoint(bits: str, patch_length: int, distances: DistanceSet) -> str:
@@ -331,36 +443,43 @@ def sweep_to_fixpoint(bits: str, patch_length: int, distances: DistanceSet) -> s
     Round-robin over every position with full contexts.  The result is
     patch-maximal: no single rewrite at any such position can improve it,
     and its germ dominates the input's.  Each context pair's best filling is
-    computed once, by one kernel run per distinct start shadow.
+    computed once, by one patch run per distinct start shadow.  A pass
+    slides a window of the patch and its contexts along the string, reading
+    one new bit per position and writing back only a window that changed,
+    so a pass is linear in the string's length.
     """
-    current = _to_mask(_check_bits(bits, "indicator string"))
-    if not _mask_avoids(current, distances):
+    if not _mask_avoids(_to_mask(_check_bits(bits, "indicator string")), distances):
         raise ValueError("input string must avoid the distances")
     refill = _patch_filler(distances, patch_length)
-    positions = range(distances.norm, len(bits) - patch_length - distances.norm + 1)
-    changed = True
+    norm = distances.norm
+    positions = range(norm, len(bits) - patch_length - norm + 1)
+    line, top = bytearray(bits, "ascii"), patch_length + 2 * norm - 1
+    changed = bool(positions)
     while changed:
         changed = False
+        window = _to_mask(line[:top].decode()) << 1  # the first window but its top bit
         for position in positions:
-            replaced = refill(current, position)
-            if replaced != current:
-                _check_rewrite(current, replaced, position, patch_length, distances)
-                current = replaced
+            window = window >> 1 | (line[position - norm + top] == 49) << top  # 49 is "1"
+            replaced = refill(window)
+            if replaced != window:
+                _check_rewrite(window, replaced, position, patch_length, distances)
+                line[position - norm: position - norm + top + 1] = _to_bits(replaced, top + 1).encode()
+                window = replaced
                 changed = True
-    return _to_bits(current, len(bits))
+    return line.decode()
 
 
 def _check_rewrite(old, new, position, patch_length, distances):
-    """Raise unless the rewrite raised the germ and kept the mask avoiding.
+    """Raise unless the rewrite of the window at `position` (norm + patch +
+    norm bits) raised the germ and kept the window avoiding.
 
     The strict rise is what ends the sweep.  Only pairs within norm of the
     patch can clash, so the patch and its contexts suffice.
     """
     norm, hole = distances.norm, (1 << patch_length) - 1
-    if not germ_greater(_entry(new >> position & hole), _entry(old >> position & hole)):
+    if not germ_greater(_entry(new >> norm & hole), _entry(old >> norm & hole)):
         raise AssertionError(f"patch rewrite at {position} did not raise the germ")
-    span = new >> (position - norm) & ((1 << (patch_length + 2 * norm)) - 1)
-    if not _mask_avoids(span, distances):
+    if not _mask_avoids(new, distances):
         raise AssertionError(f"patch rewrite at {position} broke avoidance")
 
 
@@ -375,8 +494,7 @@ def winner_windows_consistent(
     norm = distances.norm
     pre, rep = len(winner.preperiod), len(winner.repetend)
     span = pre + 2 * rep + patch_length + 2 * norm
-    window = _to_mask(winner.bits(span))
+    line, whole = _to_mask(winner.bits(span)), (1 << (patch_length + 2 * norm)) - 1
     refill = _patch_filler(distances, patch_length)
-    return all(
-        refill(window, position) == window for position in range(norm, pre + rep + norm + 1)
-    )
+    windows = (line >> (position - norm) & whole for position in range(norm, pre + rep + norm + 1))
+    return all(refill(window) == window for window in windows)

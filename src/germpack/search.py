@@ -18,12 +18,13 @@ All certificates re-verify from their recorded evidence alone, without
 trusting the search that produced them.
 
 Every public entry point reads its germ-best strings, as int masks at
-the lengths it asks for, off runs of the line kernel's step loop (keyed by
-the shadow of the 1s placed) that it builds for the call, so the module
-keeps nothing between calls.  A call that asks many lengths hands one
-`local.LineKernel` down, which records every length it steps through.  One
-that asks one length (`best_string`, `symmetric_winner`, a window
-certificate's verify) reads `local._best_entry`, a patch run between
+the lengths it asks for, off line-DP runs (keyed by the shadow of the 1s
+placed) that it builds for the call, so the module keeps nothing between
+calls.  A call that asks many lengths hands one `local.LineKernel` down,
+which steps over a shadow automaton it compiles for itself as it goes and
+records every length it steps through; the automaton lives on the kernel,
+so each call compiles its own.  One that asks one length (`best_string`,
+`symmetric_winner`, a window certificate's verify) reads `local._best_entry`, a patch run between
 all-zero contexts: a 1 sets no shadow bit past the last position, so
 shadows merge over the last norm steps, and one entry is left.  Both run on
 D/g when g = gcd(D) > 1 and interleave its strings over the residue

@@ -328,8 +328,23 @@ def greedy_avoiding(distances: DistanceSet, horizon: int):
     record more shadows than a line-DP step may start from is refused at the
     step the line DP refuses (none is up to norm 16, which has only 2**norm
     shadows).
+
+    When g = gcd(D) > 1 no distance links positions in different residue
+    classes mod g, and greedy fills each class as D/g's greedy fills the
+    naturals, so D's walk is D/g's with each bit repeated g times, over
+    ceil(horizon / g) steps: a lone large distance walks the two shadows of
+    {1}.
     """
     _check_natural(horizon, "horizon")
+    g, reduced = distances._classes
+    if g > 1:
+        bits, detected = greedy_avoiding(reduced, -(-horizon // g))
+
+        def spread(text: str) -> str:
+            return "".join(bit * g for bit in text)
+
+        return spread(bits)[:horizon], detected and RationalSet(
+            spread(detected.preperiod), spread(detected.repetend))
     model = distances._windows
     bits: list[str] = []
     seen: dict[int, int] = {}

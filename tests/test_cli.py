@@ -125,6 +125,12 @@ class TestGreedyCommand:
         code, data = run_json(capsys, "greedy", "--d", "3,5", "--horizon", "3", "--json")
         assert code == 0 and data["detected"] is None
 
+    def test_a_lone_large_distance(self, capsys):
+        # {2**19} walks 2**19 residue classes as {1}, where its own shadows
+        # passed the cap at step 2 (exit 1)
+        code, data = run_json(capsys, "greedy", "--d", str(1 << 19), "--horizon", "3", "--json")
+        assert code == 0 and data == {"string": "111", "detected": None}
+
 
 class TestCompareCommand:
     def test_grandi(self, capsys):
@@ -617,9 +623,13 @@ class TestErrors:
         # periodic set on, is a norm-bit int; under a 1.5 GB address-space
         # limit both used to end in a MemoryError traceback, as greedy did
         # (block None) when it kept a norm-character window per step, and
-        # then one norm-bit window per step past norm
+        # then one norm-bit window per step past norm.  Greedy walks a lone
+        # distance on its residue classes, which it answers, so its case
+        # adds the distance 1
+        named = str(norm)
         if block is None:
-            argv = ["greedy", "--d", str(norm), "--horizon", str(norm + 100_000)]
+            named = f"1,{norm}"
+            argv = ["greedy", "--d", named, "--horizon", str(norm + 100_000)]
         else:
             block_a, block_b = "1" + "0" * (block - 1), "0" * block
             document = {
@@ -641,5 +651,5 @@ class TestErrors:
             timeout=120,
         )
         assert proc.returncode == 1
-        assert proc.stderr.startswith(f"error: distances {{{norm}}} need ")
+        assert proc.stderr.startswith(f"error: distances {{{named}}} need ")
         assert "over the cap" in proc.stderr and "Traceback" not in proc.stderr

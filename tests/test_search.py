@@ -639,10 +639,12 @@ class TestFindWinner:
 
     def test_repeated_calls_do_the_same_line_work(self, monkeypatch):
         # each call builds its own line run and keeps none: the second of two
-        # identical searches, or verifies, makes every `_run_line` state-step
-        # the first made, where a run kept between calls would start it warm
+        # identical searches, or verifies, makes every state-step the first
+        # made, in patch runs (`_run_line`) and in the kernel's own loop
+        # (`LineKernel._step`), where a run kept between calls would start
+        # it warm
         steps = []
-        run_line = local._run_line
+        run_line, kernel_step = local._run_line, LineKernel._step
 
         def counted(model, states, start, grown_bits):
             for pos, grown in enumerate(grown_bits, start):
@@ -650,7 +652,12 @@ class TestFindWinner:
                 states = run_line(model, states, pos, (grown,))
             return states
 
+        def counted_step(kernel, pos):
+            steps[-1] += len(kernel.live)
+            return kernel_step(kernel, pos)
+
         monkeypatch.setattr(local, "_run_line", counted)
+        monkeypatch.setattr(LineKernel, "_step", counted_step)
 
         def work(call):
             steps.append(0)

@@ -393,10 +393,13 @@ class TestGreedy:
         assert greedy_avoiding(DistanceSet(), 4) == ("1111", RationalSet.naturals())
 
     def test_refuses_norms_the_line_dp_refuses(self):
-        # one shadow of 2**19 + 1 bits would pass MAX_WINDOW_BITS at its first step
+        # one shadow of 2**19 + 1 bits would pass MAX_WINDOW_BITS at its first
+        # step; a lone distance walks its residue classes, so the set that
+        # shows it has gcd 1
         norm = (sets.MAX_WINDOW_BITS >> 1) + 1
-        with pytest.raises(ValueError, match=re.escape(f"distances {{{norm}}} need up to 2 line-DP shadows ")):
-            greedy_avoiding(DistanceSet.of(norm), 1)
+        wide = DistanceSet.of(1, norm)
+        with pytest.raises(ValueError, match=re.escape(f"distances {{1,{norm}}} need up to 2 line-DP shadows ")):
+            greedy_avoiding(wide, 1)
         # 2**19 fits one shadow; under {1, 2**19} the second, recorded at
         # step 1, is where the line DP refuses too, with the same message
         pair = DistanceSet.of(1, norm - 1)
@@ -404,12 +407,18 @@ class TestGreedy:
             LineKernel(pair).entry(3)
         with pytest.raises(ValueError, match=re.escape(str(line_dp.value))):
             greedy_avoiding(pair, 3)
-        # {2**19} alone: greedy still refuses, but the line DP steps its
-        # residue classes, 2**19 runs of {1}, and answers
+        # {2**19} alone: greedy, like the line DP, walks its residue classes,
+        # 2**19 walks of {1}, and answers
         lone = DistanceSet.of(norm - 1)
-        with pytest.raises(ValueError, match=re.escape(f"distances {{{norm - 1}}} need up to 4 ")):
-            greedy_avoiding(lone, 3)
+        assert greedy_avoiding(lone, 3) == ("111", None)
         assert LineKernel(lone).entry(3) == (0b111, 3, 3)
+
+    def test_a_lone_huge_distance_is_walked_on_its_residue_classes(self):
+        # {100000}: 100000 walks of {1}, where D's own shadows passed the
+        # cap at step 6
+        bits, detected = greedy_avoiding(DistanceSet.of(100_000), 200_000)
+        assert bits == "1" * 100_000 + "0" * 100_000
+        assert detected == RationalSet("", bits)
 
 
 COUNT_CALLS = {
