@@ -5,7 +5,7 @@ forbidden distances are a comma list like "3,5" (empty string allowed).
 Exact rationals print as "num/den"; nothing is ever rounded.
 
 Exit status: 0 on success, 2 when a winner search ends inconclusive,
-1 on invalid input or a failed certificate check.
+1 on invalid input, input too large to hold or a failed certificate check.
 """
 
 from __future__ import annotations
@@ -238,8 +238,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return INVALID
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return INVALID
 
 

@@ -11,8 +11,9 @@ nonzero coefficient of the t-expansion.
 f = N(1)/(d t) + (N(1)(d-1) - 2N'(1))/(2d) + O(t) of f = N(q)/(1 - q^d).
 Past those two orders, one routine, `_t_series`, computes t-coefficients,
 by repeated exact division by (q - 1); every polynomial sign, every tie
-and every Laurent coefficient is read off it.  The only product
-is `_times_one_minus_power`, by 1 - q^d: `IntPolynomial` is a tuple of int
+and every Laurent coefficient here is read off it (the line kernel settles
+its ties in closed form, `local.germ_greater`).  The only product is
+`_times_one_minus_power`, by 1 - q^d: `IntPolynomial` is a tuple of int
 coefficients with no ring arithmetic of its own.
 
 Everything here is integer/rational arithmetic; no floating point is used
@@ -114,8 +115,8 @@ def _times_one_minus_power(coeffs, d: int) -> list[int]:
 
 def one_minus_power(d: int) -> IntPolynomial:
     """The polynomial 1 - q**d."""
-    if d < 1:
-        raise ValueError("power must be >= 1")
+    if type(d) is not int or d < 1:
+        raise ValueError(f"power must be a positive integer, got {d!r}")
     return IntPolynomial((1,) + (0,) * (d - 1) + (-1,))
 
 

@@ -20,9 +20,9 @@ best filling for its contexts, which `winner_windows_consistent` checks.
 over the shadows of `sets._WindowModel` (the positions ahead that the 1s
 placed forbid); it records the best string of every length it steps
 through, and `search` reads the strings of many lengths off it.  It steps
-over an automaton it compiles for itself as it goes, an int id and a tuple
-of successor ids per shadow reached, with the live entries in a list by
-id, and takes each length's best in the pass that steps to it.  A patch,
+over an automaton it compiles for itself as it goes (the ids that the 0,
+the 1 and the sibling of each shadow reached lead to), the live entries
+by id, and takes each length's best in the pass that steps to it.  A patch,
 whose length and right context are known, makes the same step, sibling
 cut and all, over a dict of shadows (`_run_line`), bounded at both ends
 (`_patch_run`): it starts from the shadow both contexts cast on the patch,
@@ -150,20 +150,19 @@ class LineKernel:
     The step loop of `_run_line` from shadow 0 (no 1s before position 0),
     with every shadow bit kept, so any continuation may follow, but over a
     shadow automaton the kernel compiles for itself as it goes: each shadow
-    reached gets an int id, and on its first step from there a successor
-    tuple (`_compile`): the id its 0 leads to, the id its 1 leads to (-1
-    for an odd shadow, where no 1 fits) and the id of its sibling s | 1
-    (0, an id that is never live, until that shadow is reached, when `_id`
-    patches it in).  `layer` holds the live entries by id, None elsewhere,
-    and `live` their ids.  Only the ids reached are compiled, never the
-    closure, so a norm too large for the cap costs no more than the
-    shadows visited.  `bests[n]` is the germ-best (mask, ones,
-    position-sum) entry after n positions, taken in the same pass that
-    steps to n, so one kernel serves a call that asks many lengths in any
-    order.  A shadow has norm bits, so 2**norm of them is a ceiling.  A
-    patch, whose length and right context are known, runs `_patch_run`
-    instead.  The automaton lives on the kernel, which a call builds for
-    itself, so every call compiles its own.
+    gets an int id when first reached or named as a sibling, and on its
+    first step a successor tuple (`_compile`): the ids its 0, its 1 and its
+    sibling s | 1 lead to (-1 for the last two when the shadow is odd, where
+    no 1 fits).  `layer` holds the live entries by id, None elsewhere, so a
+    sibling that is not live is no rival, and `live` their ids.  Only the
+    ids stepped from are compiled, never the closure, so a norm too large
+    for the cap costs no more than the shadows visited and their siblings.
+    `bests[n]` is the germ-best (mask, ones, position-sum) entry after n
+    positions, taken in the same pass that steps to n, so one kernel serves
+    a call that asks many lengths in any order.  A shadow has norm bits, so
+    2**norm of them is a ceiling.  A patch, whose length and right context
+    are known, runs `_patch_run` instead.  The automaton lives on the
+    kernel, which a call builds for itself, so every call compiles its own.
 
     When g = gcd(D) > 1 no distance links positions in different residue
     classes mod g, so D's germ-best strings interleave those of D/g
@@ -175,12 +174,13 @@ class LineKernel:
         self.distances = distances
         self.model = distances._windows
         self.bests = [(0, 0, 0)]
-        self.ids = {0: 1}  # shadow -> id; id 0 is never live
-        self.shadows = [-1, 0]  # id -> shadow
-        self.succ: list = [None, None]  # id -> (zero, one, sibling), None until compiled
-        self.layer: list = [None, (0, 0, 0)]
-        self.spare: list = [None, None]  # the next layer, all None between steps
-        self.live = [1]
+        self.ids: dict = {}  # shadow -> id
+        self.shadows: list = []  # id -> shadow
+        self.succ: list = []  # id -> (zero, one, sibling), None until compiled
+        self.layer: list = []
+        self.spare: list = []  # the next layer, all None between steps
+        self.live = [self._id(0)]
+        self.layer[0] = (0, 0, 0)
         g, reduced = distances._classes
         self.classes = LineKernel(reduced) if g > 1 else None
 
@@ -257,17 +257,15 @@ class LineKernel:
         return best
 
     def _compile(self, i: int) -> tuple[int, int, int]:
-        """The successor tuple of id i, giving each shadow it reaches an id."""
+        """The successor tuple of id i, giving each shadow it names an id."""
         shadow = self.shadows[i]
-        step = (self._id(shadow >> 1), -1, 0) if shadow & 1 else (
-            self._id(shadow >> 1), self._id(shadow >> 1 | self.model.grow),
-            self.ids.get(shadow | 1, 0))
-        self.succ[i] = step
+        zero = self._id(shadow >> 1)
+        step = self.succ[i] = (zero, -1, -1) if shadow & 1 else (
+            zero, self._id(shadow >> 1 | self.model.grow), self._id(shadow | 1))
         return step
 
     def _id(self, shadow: int) -> int:
-        """The shadow's id, a new one on first sight, patched into the
-        sibling slot of its even partner when the shadow is odd."""
+        """The shadow's id, a new one on first sight."""
         i = self.ids.get(shadow)
         if i is None:
             i = self.ids[shadow] = len(self.shadows)
@@ -275,10 +273,6 @@ class LineKernel:
             self.succ.append(None)
             self.layer.append(None)
             self.spare.append(None)
-            partner = self.ids.get(shadow ^ 1) if shadow & 1 else None
-            if partner is not None and self.succ[partner] is not None:
-                zero, one, _ = self.succ[partner]
-                self.succ[partner] = (zero, one, i)
         return i
 
 

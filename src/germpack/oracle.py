@@ -3,8 +3,8 @@
 Exhaustively enumerates avoiding strings and periodic avoiding sets and picks
 germ-maxima by direct comparison.  A reference for the test suite and the
 `germpack oracle` command: the search and certificate checks never call it,
-and it shares nothing with the line kernel in `local` except the polynomial
-comparator, so the two routes stay independent checks of each other.
+and it compares by the polynomial comparator, the line kernel in `local` by
+its own closed form, so the two routes stay independent checks of each other.
 Desk-scale only: lengths past MAX_LENGTH and periods past MAX_PERIOD are
 refused.
 """

@@ -653,3 +653,24 @@ class TestErrors:
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"error: distances {{{named}}} need ")
         assert "over the cap" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["best", "--d", "3,5", "--len", "1000000000000"],
+         ["greedy", "--d", "3,5", "--horizon", "1000000000000"]],
+        ids=["best", "greedy"],
+    )
+    def test_a_length_too_long_to_hold_is_an_error(self, argv):
+        # 10**12 bits pass the 1.5 GB address-space limit below: the patch
+        # run's length mask and the greedy string used to end in a
+        # MemoryError traceback
+        limit = 1536 << 20
+        proc = subprocess.run(
+            [sys.executable, "-m", "germpack.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1 and proc.stderr == "error: out of memory\n"

@@ -15,6 +15,7 @@ from germpack import (
     germ_compare,
     germ_gap,
     laurent_prefix,
+    one_minus_power,
     poly_germ_compare,
     poly_sign_near_one,
 )
@@ -153,6 +154,14 @@ class TestLaurentPrefix:
         # True used to give a one-term prefix, 2.5 islice's "Stop argument" error
         with pytest.raises(ValueError, match="count must be a positive integer"):
             laurent_prefix(gf((1,), 1), count)
+
+
+class TestOneMinusPower:
+    @pytest.mark.parametrize("d", [0, -2, True, False, 2.5, 3.0, "3", None])
+    def test_power_must_be_a_positive_int(self, d):
+        # True used to give 1 - q, 2.5 and "3" a TypeError
+        with pytest.raises(ValueError, match="power must be a positive integer"):
+            one_minus_power(d)
 
 
 class TestGermGap:

@@ -248,6 +248,10 @@ class TestCompiledKernel:
                         best = entry
                 assert stepping.entry(n) == best, (distances, n)
                 assert stepping.states == states, (distances, n)
+                # an even shadow's sibling gets its id when the shadow compiles
+                for shadow, step in zip(stepping.shadows, stepping.succ):
+                    if step is not None and not shadow & 1:
+                        assert step[2] == stepping.ids.get(shadow | 1), (distances, n, shadow)
             assert len(stepping.bests) == 4 * norm + 2
 
 
