@@ -69,14 +69,6 @@ def _term_sign(term) -> int:
     return EQUAL if term is None else (GREATER if term[1] > 0 else LESS)
 
 
-def _sign_near_one(coeffs) -> int:
-    """Sign of sum(coeffs[i] * q**i) on some interval (1-eps, 1), exactly.
-
-    t = 1 - q is small and positive there, so the lowest t-term decides.
-    """
-    return _term_sign(_lowest_t_term(coeffs))
-
-
 @dataclass(frozen=True)
 class IntPolynomial:
     """Polynomial with arbitrary-precision integer coefficients.
@@ -121,13 +113,16 @@ def one_minus_power(d: int) -> IntPolynomial:
 
 
 def poly_sign_near_one(p: IntPolynomial) -> int:
-    """Sign of p(q) for all q in some interval (1-eps, 1); 0 iff p == 0."""
-    return _sign_near_one(p.coeffs)
+    """Sign of p(q) for all q in some interval (1-eps, 1); 0 iff p == 0.
+
+    t = 1 - q is small and positive there, so the lowest t-term decides.
+    """
+    return _term_sign(_lowest_t_term(p.coeffs))
 
 
 def poly_germ_compare(p: IntPolynomial, r: IntPolynomial) -> int:
     """Total order on polynomials by germ at 1-: the sign of p - r there."""
-    return _sign_near_one([a - b for a, b in zip_longest(p.coeffs, r.coeffs, fillvalue=0)])
+    return _term_sign(_lowest_t_term([a - b for a, b in zip_longest(p.coeffs, r.coeffs, fillvalue=0)]))
 
 
 @dataclass(frozen=True)

@@ -1,46 +1,20 @@
-"""Local germ improvement of avoiding strings.
+"""Local germ improvement of avoiding strings, and the line DP behind every
+germ-best string.
 
 Between two fixed boundary contexts of width norm (the largest forbidden
 distance) there is a unique germ-maximal filling of any patch length at
-least norm; rewriting a patch to that filling never decreases the germ of
-the whole string and keeps it avoiding, because bits further than norm from
-the patch cannot clash with it.  Sweeping the rewrite over all positions
-terminates (every change is a strict, exact germ increase over finitely
-many strings, which the sweep checks at each change) in a string no single
-patch rewrite can improve.  One sweep computes the best filling of each
-distinct pair of contexts once, and runs the kernel once for each distinct
-shadow those pairs cast, reusing both for the rest of the call.
-It runs on an int mask: bit strings appear only at the API boundary.
+least norm; rewriting a patch to it never decreases the germ of the whole
+string and keeps it avoiding, because bits further than norm from the patch
+cannot clash with it.  Sweeping the rewrite over all positions ends (each
+change is a strict, exact germ increase, which the sweep checks) in a string
+no single patch rewrite can improve.  Certified winners are such fixpoints
+(`winner_windows_consistent`); fixpoints are not known to be winners.
 
-Fixpoints of the sweep are not known to be winners, but certified winners
-are fixpoints: every interior window of a winner must already contain the
-best filling for its contexts, which `winner_windows_consistent` checks.
-
-`LineKernel` is the one germ-best-string dynamic program in the library,
-over the shadows of `sets._WindowModel` (the positions ahead that the 1s
-placed forbid); it records the best string of every length it steps
-through, and `search` reads the strings of many lengths off it.  It steps
-over an automaton it compiles for itself as it goes (the ids that the 0,
-the 1 and the sibling of each shadow reached lead to), the live entries
-by id, and takes each length's best in the pass that steps to it.  A patch,
-whose length and right context are known, makes the same step, sibling
-cut and all, over a dict of shadows (`_run_line`), bounded at both ends
-(`_patch_run`): it starts from the shadow both contexts cast on the patch,
-so no 1 meets either, and a 1 sets no shadow bit past the patch's last
-position, so one entry is left.  `search` reads the string of one length
-off a patch between all-zero contexts.  Patch runs keep the dict loop
-because an id table does not pay there: run through one filled on demand,
-the benchmark workloads were slower everywhere (`local_sweep` 1.28-1.39x,
-`two_block` 1.16-1.22x, `census` 1.15-1.30x), since those runs are short,
-start from arbitrary shadows and mask their tails, so a table built for
-one does not amortize.
-
-No distance links positions in different residue classes mod g = gcd(D),
-so when g > 1 a D-avoiding set is g independent D/g-avoiding sets, and the
-germ-best string of D interleaves those of D/g (`_interleave`): the
-kernel and the one-length run (`_best_entry`) step D/g.  Patch runs
-between other contexts stay on D: a context pair would split into g runs
-per miss, which costs more than the short bounded runs it saves.
+The line DP steps the shadows of `sets._WindowModel`: `_run_line` is the
+step and its sibling cut, `LineKernel` the open-ended run over compiled
+shadow ids, `_patch_run` the run bounded by two contexts, and `_interleave`
+the reduction of D to D/g.  Strings are int masks inside, bit i being
+position i; bit strings appear only at the API boundary.
 """
 
 from __future__ import annotations
@@ -147,27 +121,24 @@ def _run_line(model, states: dict, start: int, grown_bits) -> dict:
 class LineKernel:
     """The germ-best avoiding string of every length, grown bit by bit.
 
-    The step loop of `_run_line` from shadow 0 (no 1s before position 0),
-    with every shadow bit kept, so any continuation may follow, but over a
-    shadow automaton the kernel compiles for itself as it goes: each shadow
-    gets an int id when first reached or named as a sibling, and on its
-    first step a successor tuple (`_compile`): the ids its 0, its 1 and its
-    sibling s | 1 lead to (-1 for the last two when the shadow is odd, where
-    no 1 fits).  `layer` holds the live entries by id, None elsewhere, so a
-    sibling that is not live is no rival, and `live` their ids.  Only the
-    ids stepped from are compiled, never the closure, so a norm too large
-    for the cap costs no more than the shadows visited and their siblings.
-    `bests[n]` is the germ-best (mask, ones, position-sum) entry after n
-    positions, taken in the same pass that steps to n, so one kernel serves
-    a call that asks many lengths in any order.  A shadow has norm bits, so
-    2**norm of them is a ceiling.  A patch, whose length and right context
-    are known, runs `_patch_run` instead.  The automaton lives on the
-    kernel, which a call builds for itself, so every call compiles its own.
+    `_run_line`'s step from shadow 0 with every shadow bit kept live, so any
+    later length may follow, over a shadow automaton the kernel compiles for
+    itself as it goes: each shadow gets an int id when first reached or named
+    as a sibling (`_id`), and on its first step a successor tuple
+    (`_compile`), the ids its 0, its 1 and its sibling s | 1 lead to (-1 for
+    the last two when s is odd, where no 1 fits).  `layer` holds the live
+    entries by id, None elsewhere, so a sibling that is not live is no rival,
+    and `live` their ids.  Only the ids stepped from are compiled, never the
+    closure, so a norm too large for the cap costs no more than the shadows
+    visited and their siblings.
 
-    When g = gcd(D) > 1 no distance links positions in different residue
-    classes mod g, so D's germ-best strings interleave those of D/g
-    (`_interleave`), which `classes`, a kernel of D/g, steps; `bests`,
-    `entry` and `model` (the two-block walk reads its `grow`) stay D's.
+    `bests[n]` is the germ-best entry after n positions, taken in the pass
+    that steps to n: a 0 leaves an entry as it was, so the best that ends in
+    a 0 is the last best, and only an entry that ends in a new 1 can pass
+    it.  So one kernel, which a call builds for itself, serves every length
+    the call asks, in any order.  When g = gcd(D) > 1, `classes`, a kernel
+    of D/g, steps instead (`_interleave`); `bests`, `entry` and `model` (the
+    two-block walk reads its `grow`) stay D's.
     """
 
     def __init__(self, distances: DistanceSet):
@@ -184,11 +155,6 @@ class LineKernel:
         g, reduced = distances._classes
         self.classes = LineKernel(reduced) if g > 1 else None
 
-    @property
-    def states(self) -> dict:
-        """The live entries by shadow, as `_run_line` keeps them."""
-        return {self.shadows[i]: self.layer[i] for i in self.live}
-
     def entry(self, length: int) -> tuple[int, int, int]:
         """The length's germ-best entry; raises ValueError before passing MAX_WINDOW_BITS."""
         while len(self.bests) <= length:
@@ -200,12 +166,7 @@ class LineKernel:
         return self.bests[length]
 
     def _step(self, pos: int) -> tuple[int, int, int]:
-        """Grow the live entries by position `pos`, as `_run_line` does, and
-        return the germ-best of the new layer.
-
-        A 0 leaves an entry as it was, so the best that ends in a 0 is the
-        last best, and only entries that end in a new 1 can pass it.
-        """
+        """Grow the live entries by position `pos` and return the germ-best."""
         live, layer, new = self.live, self.layer, self.spare
         if len(live) > self.model.most:
             self.model.refuse(len(live), pos + 1)
@@ -278,9 +239,18 @@ class LineKernel:
 
 def _interleave(distances: DistanceSet, length: int, reduced_entry) -> tuple[int, int, int]:
     """D's germ-best entry of `length` positions from `reduced_entry(m)`,
-    D/g's of m positions, g = gcd(D): class r, the positions r + g·i, holds
+    D/g's of m positions, g = gcd(D).
+
+    No distance links positions in different residue classes mod g, so a
+    D-avoiding set is g independent D/g-avoiding sets.  Class r's germ is
+    q**r F(q**g), ordered as F(q) is, and a sum of germs keeps the order, so
+    D's unique germ-best string puts on class r, the positions r + g·i,
     D/g's best of ceil((length - r) / g) positions (q + 1 for r < rem, else
-    q), spread to stride g, and adds r·ones + g·position-sum."""
+    q), spread to stride g, which adds r·ones + g·position-sum.  The kernel
+    and the one-length run (`_best_entry`) step D/g.  Patch runs between
+    other contexts stay on D: a context pair would split into g runs per
+    miss, which costs more than the short bounded runs it saves.
+    """
     g = distances._classes[0]
     if g == 1:
         return reduced_entry(length)
@@ -297,8 +267,8 @@ def _interleave(distances: DistanceSet, length: int, reduced_entry) -> tuple[int
 
 
 def _best_entry(distances: DistanceSet, length: int) -> tuple[int, int, int]:
-    """The germ-best entry of one length: D/g's patch runs between all-zero
-    contexts (`_patch_run`), interleaved (`_interleave`)."""
+    """The germ-best entry of one length: D/g's patch run between all-zero
+    contexts, interleaved."""
     reduced = distances._classes[1]
     return _interleave(distances, length, lambda m: _patch_run(reduced, m)(0, 0))
 
@@ -322,12 +292,9 @@ class PatchContext:
 def best_patch(context: PatchContext, distances: DistanceSet) -> str:
     """The unique germ-maximal filling of the gap that keeps it avoiding.
 
-    The line kernel's shadows run across the patch from the one both
-    contexts cast, never placing a 1 that meets either, and merged once
-    they agree on every bit that can still clash (`_patch_run`).  Violations
-    wholly inside a fixed context are not the patch's business and are
-    ignored, so the all-zero filling is always feasible and a best filling
-    always exists.
+    Violations wholly inside a fixed context are not the patch's business
+    and are ignored, so the all-zero filling is always feasible and a best
+    filling always exists.
     """
     norm = distances.norm
     if len(context.left) != norm:
@@ -343,7 +310,7 @@ def _patch_filler(distances: DistanceSet, patch_length: int):
     """`refill(window)`: a window of norm + patch + norm bits (bit j is
     position j of the window) with the patch rewritten to the best filling
     for its contexts, the norm bits either side, each distinct pair computed
-    once and each distinct start shadow run once (`_patch_run`).
+    once.
 
     Checks the patch length up front.  The memos live only as long as the
     returned function, which serves one call of the functions below.
@@ -375,22 +342,21 @@ def _patch_run(distances: DistanceSet, length: int):
     of norm bits, bit i of `left` being position i - norm and bit j of
     `right` position length + j; the length may be below the norm.
 
-    `_run_line`, the kernel's loop, bounded at both ends.  The run starts
-    from one shadow: the positions of the patch a forbidden distance from a
-    1 of either context.  So no 1 meets `right`, no filling is checked at
-    the end, and the sibling cut holds as in the kernel.  A 1 sets no
-    shadow bit past the patch's last position
-    (`_WindowModel.live`), so shadows that agree on the positions left merge
-    as the run goes; a 0 needs no such mask, since a shadow that fits the
-    positions left still fits them after the shift.  No bit is live after
-    the last step, so one entry is left.
+    `_run_line` bounded at both ends.  It starts from one shadow, the patch
+    positions a forbidden distance from a 1 of either context, so no 1 meets
+    `right`, no filling is checked at the end, and the sibling cut holds as
+    in the kernel.  A 1 sets no shadow bit past the patch's last position
+    (`_WindowModel.live`), so shadows that agree on the positions left merge,
+    and one entry is left after the last step; a 0 needs no mask, since a
+    shadow that fits the positions left still fits them shifted.  Only the
+    last norm steps mask `grow`, so only that tail is listed, and a long
+    one-length ask lists nothing of its length.
 
-    Pairs that cast one start shadow allow the same fillings (those that
-    avoid within the patch with no 1 on the shadow), so each distinct start
-    shadow is run once, for as long as `run` lives.  Every step before the
-    last norm keeps the whole of `grow`, so only the masked tail, at most
-    norm steps, is listed, and a long one-length ask lists nothing of its
-    length.
+    Pairs that cast one start shadow allow the same fillings, so each
+    distinct start shadow is run once, for as long as `run` lives.  The runs
+    step a dict of shadows, not the kernel's compiled ids: they are short,
+    start from arbitrary shadows and mask their tails, so an id table built
+    for one does not amortize.
     """
     model, norm, whole = distances._windows, distances.norm, (1 << length) - 1
     full = max(length - norm, 0)  # the steps that keep every shadow bit live
@@ -437,10 +403,9 @@ def sweep_to_fixpoint(bits: str, patch_length: int, distances: DistanceSet) -> s
     Round-robin over every position with full contexts.  The result is
     patch-maximal: no single rewrite at any such position can improve it,
     and its germ dominates the input's.  Each context pair's best filling is
-    computed once, by one patch run per distinct start shadow.  A pass
-    slides a window of the patch and its contexts along the string, reading
-    one new bit per position and writing back only a window that changed,
-    so a pass is linear in the string's length.
+    computed once.  A pass slides a window of the patch and its contexts
+    along the string, reading one new bit per position and writing back only
+    a window that changed, so a pass is linear in the string's length.
     """
     if not _mask_avoids(_to_mask(_check_bits(bits, "indicator string")), distances):
         raise ValueError("input string must avoid the distances")

@@ -3,33 +3,24 @@
 Three certification strategies, in the order a search tries them:
 
 * SymmetricOffset: if some k past the largest distance has d forbidden
-  exactly when k-d is forbidden, every avoiding window of length k repeats
-  safely, so the best length-k window repeated forever wins.
-* RepeatableWindow: if the germ-maximal avoiding window of any length m past
-  the largest distance stays avoiding when doubled, its infinite repetition
-  wins (it beats any challenger window by window).
-* TwoBlockInduction: blocks A and B of a common length such that A and AB are
-  germ-maximal for their lengths and every avoiding QR has R below B or QR
-  below BB.  Splitting any challenger into blocks and spans then shows A
-  followed by B forever dominates it, which certifies eventually periodic
-  winners that are not periodic from the start.
+  exactly when k-d is, every avoiding window of length k repeats safely,
+  so the best length-k window repeated forever wins.
+* RepeatableWindow: the germ-maximal avoiding window of some length past
+  the largest distance stays avoiding when doubled; its repetition wins.
+* TwoBlockInduction: blocks A and B of a common length such that A and AB
+  are germ-maximal for their lengths and every avoiding QR has R below B
+  or QR below BB; then A followed by B forever wins (`certify_two_block`).
 
-All certificates re-verify from their recorded evidence alone, without
-trusting the search that produced them.
+All certificates re-verify from their recorded evidence alone.
 
-Every public entry point reads its germ-best strings, as int masks at
-the lengths it asks for, off line-DP runs (keyed by the shadow of the 1s
-placed) that it builds for the call, so the module keeps nothing between
-calls.  A call that asks many lengths hands one `local.LineKernel` down,
-which steps over a shadow automaton it compiles for itself as it goes and
-records every length it steps through; the automaton lives on the kernel,
-so each call compiles its own.  One that asks one length (`best_string`,
-`symmetric_winner`, a window certificate's verify) reads `local._best_entry`, a patch run between
-all-zero contexts: a 1 sets no shadow bit past the last position, so
-shadows merge over the last norm steps, and one entry is left.  Both run on
-D/g when g = gcd(D) > 1 and interleave its strings over the residue
-classes mod g.  A two-block challenger's first block is a patch of D after
-an all-zero left context.
+Germ-best strings are int masks read off line-DP runs that each public
+call builds for itself, so the module keeps nothing between calls.  A call
+that asks many lengths (`find_winner`, `find_repeatable_winner`,
+`certify_two_block`, a TwoBlockInduction verify) reads one
+`local.LineKernel`; one that asks one length (`best_string`,
+`symmetric_winner`, a window certificate's verify) reads
+`local._best_entry`; a two-block challenger's Q is a `local._patch_run`
+after an all-zero left context.
 """
 
 from __future__ import annotations
@@ -70,14 +61,21 @@ MAX_EVIDENCE_BITS = 1 << 12
 # 12,436,671 ({2,10,12}, 92-bit blocks, `max_block = 96`).
 MAX_CHALLENGER_NODES = 1 << 24
 
+# The longest string `best_string` returns: each step of a run carries masks
+# as long as the string so far, so a run costs time quadratic in its length.
+# Twice the longest string that search and verify ask for.
+MAX_STRING_BITS = 2 * MAX_EVIDENCE_BITS
+
 
 def best_string(distances: DistanceSet, length: int) -> str:
     """The germ-maximal avoiding string of the given length.
 
     Unique: distinct equal-length strings have distinct indicator
-    polynomials, so the germ order never ties.
+    polynomials, so the germ order never ties.  Raises ValueError past
+    MAX_STRING_BITS.
     """
-    length = _check_natural(length, "length")
+    if _check_natural(length, "length") > MAX_STRING_BITS:
+        raise ValueError(f"length {_brief(length)} is over the cap of {MAX_STRING_BITS}")
     return _to_bits(_best_entry(distances, length)[0], length)
 
 
@@ -329,8 +327,7 @@ def _two_block_challenger(kernel: LineKernel, b: int, size: int):
     beat BB.  Q meets R only through R[:norm] (all of R when the blocks are
     shorter than norm), so Q is the best filling of a patch of |B|
     positions between an all-zero left context and that head
-    (`local._patch_run`), whose run computes each distinct start shadow the
-    heads cast once.  Raises ValueError past MAX_CHALLENGER_NODES pops.
+    (`local._patch_run`).  Raises ValueError past MAX_CHALLENGER_NODES pops.
     """
     if b == kernel.entry(size)[0]:
         return None

@@ -329,11 +329,10 @@ def greedy_avoiding(distances: DistanceSet, horizon: int):
     step the line DP refuses (none is up to norm 16, which has only 2**norm
     shadows).
 
-    When g = gcd(D) > 1 no distance links positions in different residue
-    classes mod g, and greedy fills each class as D/g's greedy fills the
-    naturals, so D's walk is D/g's with each bit repeated g times, over
-    ceil(horizon / g) steps: a lone large distance walks the two shadows of
-    {1}.
+    When g = gcd(D) > 1 greedy fills each residue class mod g as D/g's
+    greedy fills the naturals (`local._interleave`), so D's walk is D/g's
+    with each bit repeated g times, over ceil(horizon / g) steps: a lone
+    large distance walks the two shadows of {1}.
     """
     _check_natural(horizon, "horizon")
     g, reduced = distances._classes

@@ -1,5 +1,6 @@
 """Shared generators and independent mini-oracles for the test suite."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product, zip_longest
@@ -16,7 +17,8 @@ from germpack import (
     is_avoiding,
     poly_germ_compare,
 )
-from germpack.local import germ_greater
+from germpack import local
+from germpack.local import LineKernel, germ_greater
 from germpack.sets import _primitive_root
 
 
@@ -310,6 +312,33 @@ def unpruned_best(distances, length, left, right):
         if not window & blocked and (best is None or germ_greater(entry, best)):
             best = entry
     return best
+
+
+def kernel_states(kernel):
+    """A `LineKernel`'s live entries by shadow, as `_run_line` keeps them."""
+    return {kernel.shadows[i]: kernel.layer[i] for i in kernel.live}
+
+
+def counted_line_work(monkeypatch):
+    """Count line-DP state-steps in the returned Counter while the patches
+    last: "kernel" adds the live ids of each `LineKernel._step`, "patch" the
+    states at each position of a `_run_line` call."""
+    work = Counter()
+    run_line, kernel_step = local._run_line, LineKernel._step
+
+    def counted_run_line(model, states, start, grown_bits):
+        for pos, grown in enumerate(grown_bits, start):
+            work["patch"] += len(states)
+            states = run_line(model, states, pos, (grown,))
+        return states
+
+    def counted_step(kernel, pos):
+        work["kernel"] += len(kernel.live)
+        return kernel_step(kernel, pos)
+
+    monkeypatch.setattr(local, "_run_line", counted_run_line)
+    monkeypatch.setattr(LineKernel, "_step", counted_step)
+    return work
 
 
 def brute_two_block(distances, block_b):

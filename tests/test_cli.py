@@ -30,6 +30,29 @@ BEST_GOLDEN = {
 }
 
 
+# the limits a child process runs the CLI under: 1.5 GB of address space,
+# where some arguments below name 10**12-bit strings, and CPU seconds
+LIMIT_AS, LIMIT_CPU = 1536 << 20, 20
+
+
+def run_limited(*argv):
+    """The finished child process that ran the CLI on `argv` under the
+    limits above, set in the child only."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (LIMIT_AS, LIMIT_AS))
+        resource.setrlimit(resource.RLIMIT_CPU, (LIMIT_CPU, LIMIT_CPU))
+
+    return subprocess.run(
+        [sys.executable, "-m", "germpack.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=limit,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -209,18 +232,8 @@ class TestImproveCommand:
     def test_a_patch_too_long_for_the_string_leaves_it_unchanged(self, ell):
         # no position fits the patch, so nothing of patch-length size is
         # built: a mask of 10**12 bits used to end in a MemoryError
-        # traceback, and one of 2 * 10**10 bits passes the 1.5 GB
-        # address-space limit below
-        limit = 1536 << 20
-        proc = subprocess.run(
-            [sys.executable, "-m", "germpack.cli", "improve", "--d", "3,5",
-             "--w", "0" * 20, "--ell", ell, "--json"],
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        # traceback, and one of 2 * 10**10 bits passes the address-space limit
+        proc = run_limited("improve", "--d", "3,5", "--w", "0" * 20, "--ell", ell, "--json")
         assert proc.returncode == 0 and "Traceback" not in proc.stderr
         data = json.loads(proc.stdout)
         assert data["result"] == "0" * 20 and data["delta"] == "Equal"
@@ -334,6 +347,15 @@ LONG_WINDOW_DOCUMENT = {
     "distances": [3, 5],
     "winner": {"preperiod": "", "repetend": "10"},
     "evidence": {"window_length": 64_000, "window": "10" * 32_000},
+}
+
+
+# distances 1..500,000, a 3.9 MB document
+DENSE_DOCUMENT = {
+    "kind": "TwoBlockInduction",
+    "distances": list(range(1, 500_001)),
+    "winner": {"preperiod": "", "repetend": "1"},
+    "evidence": {"block_a": "1", "block_b": "1"},
 }
 
 
@@ -582,17 +604,11 @@ class TestErrors:
         assert err == "error: 5001 bits of evidence are over the cap of 4096\n"
 
     def test_a_dense_distance_list_is_refused_briefly(self, capsys, tmp_path):
-        # distances 1..500,000 (a 3.9 MB document): the window model is built
-        # in linear time and the cap's error names a few of them, where it
-        # took seconds and wrote every distance to stderr
-        document = {
-            "kind": "TwoBlockInduction",
-            "distances": list(range(1, 500_001)),
-            "winner": {"preperiod": "", "repetend": "1"},
-            "evidence": {"block_a": "1", "block_b": "1"},
-        }
+        # the window model is built in linear time and the cap's error names
+        # a few of the distances, where it took seconds and wrote every
+        # distance to stderr
         path = tmp_path / "cert.json"
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(DENSE_DOCUMENT))
         assert main(["certify", "--file", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: distances {1,2,...,500000} (500000 in all) need ")
@@ -641,36 +657,45 @@ class TestErrors:
             path = tmp_path / "cert.json"
             path.write_text(json.dumps(document))
             argv = ["certify", "--file", str(path)]
-        limit = 1536 << 20
-        proc = subprocess.run(
-            [sys.executable, "-m", "germpack.cli", *argv],
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = run_limited(*argv)
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"error: distances {{{named}}} need ")
         assert "over the cap" in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
-        "argv",
-        [["best", "--d", "3,5", "--len", "1000000000000"],
-         ["greedy", "--d", "3,5", "--horizon", "1000000000000"]],
+        "argv,err",
+        [(["best", "--d", "3,5", "--len", "1000000000000"],
+          "error: length 1000000000000 is over the cap of 8192\n"),
+         (["greedy", "--d", "3,5", "--horizon", "1000000000000"], "error: out of memory\n")],
         ids=["best", "greedy"],
     )
-    def test_a_length_too_long_to_hold_is_an_error(self, argv):
-        # 10**12 bits pass the 1.5 GB address-space limit below: the patch
-        # run's length mask and the greedy string used to end in a
-        # MemoryError traceback
-        limit = 1536 << 20
-        proc = subprocess.run(
-            [sys.executable, "-m", "germpack.cli", *argv],
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 1 and proc.stderr == "error: out of memory\n"
+    def test_a_length_too_long_to_hold_is_an_error(self, argv, err):
+        # 10**12 bits pass the address-space limit: the patch run's length
+        # mask and the greedy string used to end in a MemoryError traceback.
+        # best_string now refuses lengths past MAX_STRING_BITS first; greedy
+        # is linear and has no cap
+        proc = run_limited(*argv)
+        assert proc.returncode == 1 and proc.stderr == err
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["winner", "--d", "1,1000000"], 1),
+            (["best", "--d", "3,5", "--len", str(10**7)], 1),
+            (["greedy", "--d", "3,5", "--horizon", str(10**12)], 1),
+            (["improve", "--d", "3,5", "--w", "0" * 20, "--ell", str(10**12)], 0),
+            (["oracle", "best", "--d", "3,5", "--len", str(10**6)], 1),
+            (["oracle", "periodic", "--d", "3,5", "--max-period", str(10**6)], 1),
+            (["certify", "--file", "dense.json"], 1),
+        ],
+        ids=["winner", "best", "greedy", "improve", "oracle-best", "oracle-periodic", "certify"],
+    )
+    def test_every_command_bounds_an_outsized_argument(self, tmp_path, argv, code):
+        # each command under the child's limits ends with its documented exit
+        # code: 1 past a cap (greedy: out of memory), 0 for a patch that fits
+        # nowhere in the string; never a traceback, never killed by a limit
+        (tmp_path / "dense.json").write_text(json.dumps(DENSE_DOCUMENT))
+        argv = [str(tmp_path / arg) if arg == "dense.json" else arg for arg in argv]
+        proc = run_limited(*argv)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr

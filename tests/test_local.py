@@ -35,6 +35,7 @@ from helpers import (
     brute_refill,
     brute_sweep,
     brute_windows_consistent,
+    kernel_states,
     random_avoiding,
     random_bits,
     unpruned_best,
@@ -96,7 +97,7 @@ def kernel_keeps(first, second, length):
         kept.append((best[0] & ~bit, best[1] - 1, best[2] - length))
         kernel = seeded(D1, length, [(0, a), (1, b)])
         kernel.entry(length + 1)
-        kept.append(kernel.states[0])
+        kept.append(kernel_states(kernel)[0])
     return kept
 
 
@@ -177,7 +178,7 @@ class TestShadowKeys:
         kernel = LineKernel(distances)
         for length in range(1, 4 * norm + 1):
             kernel.entry(length)
-            for key, (mask, _, _) in kernel.states.items():
+            for key, (mask, _, _) in kernel_states(kernel).items():
                 ones = [p for p in range(length) if mask >> p & 1]
                 want = sum({1 << (p + d - length) for p in ones for d in distances
                             if p + d >= length})
@@ -217,7 +218,7 @@ class TestSiblingCut:
     def test_window_counts(self, dset, length, windows):
         kernel = LineKernel(DistanceSet.of(*dset))
         kernel.entry(length)
-        assert len(kernel.states) == windows
+        assert len(kernel_states(kernel)) == windows
 
 
 CENSUS = [
@@ -247,7 +248,7 @@ class TestCompiledKernel:
                     if best is None or germ_greater(entry, best):
                         best = entry
                 assert stepping.entry(n) == best, (distances, n)
-                assert stepping.states == states, (distances, n)
+                assert kernel_states(stepping) == states, (distances, n)
                 # an even shadow's sibling gets its id when the shadow compiles
                 for shadow, step in zip(stepping.shadows, stepping.succ):
                     if step is not None and not shadow & 1:

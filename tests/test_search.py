@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -44,7 +45,9 @@ from helpers import (
     all_distance_sets,
     brute_two_block,
     cantor_gordon_density,
+    counted_line_work,
     karp_density,
+    kernel_states,
     random_avoiding,
     random_bits,
 )
@@ -110,6 +113,16 @@ class TestBestString:
         past = search.MAX_EVIDENCE_BITS + 5
         kernel = LineKernel(distances)
         assert best_string(distances, past) == _to_bits(kernel.entry(past)[0], past)
+
+    def test_lengths_past_the_string_cap_are_refused(self):
+        # a run costs time quadratic in its length; the cap is twice the
+        # longest string search and verify ask for
+        cap = search.MAX_STRING_BITS
+        assert cap == 2 * search.MAX_EVIDENCE_BITS == 8192
+        assert best_string(D35, cap) == "10" * (cap // 2)
+        for length, named in ((cap + 1, "8193"), (10**7, "10000000"), (10**100, "<333-bit number>")):
+            with pytest.raises(ValueError, match=f"^length {named} is over the cap of 8192$"):
+                best_string(D35, length)
 
     def test_threads_share_one_growing_run(self):
         # the search keeps no run between calls, so each best_string call
@@ -643,26 +656,12 @@ class TestFindWinner:
         # made, in patch runs (`_run_line`) and in the kernel's own loop
         # (`LineKernel._step`), where a run kept between calls would start
         # it warm
-        steps = []
-        run_line, kernel_step = local._run_line, LineKernel._step
-
-        def counted(model, states, start, grown_bits):
-            for pos, grown in enumerate(grown_bits, start):
-                steps[-1] += len(states)
-                states = run_line(model, states, pos, (grown,))
-            return states
-
-        def counted_step(kernel, pos):
-            steps[-1] += len(kernel.live)
-            return kernel_step(kernel, pos)
-
-        monkeypatch.setattr(local, "_run_line", counted)
-        monkeypatch.setattr(LineKernel, "_step", counted_step)
+        counted = counted_line_work(monkeypatch)
 
         def work(call):
-            steps.append(0)
+            before = counted.total()
             call()
-            return steps[-1]
+            return counted.total() - before
 
         budget = SearchBudget(max_window=48, max_block=14)
         for dset in ((3, 5), (2, 3, 6), (2, 4, 7), (2, 4, 6, 7), (1, 5, 6)):
@@ -673,6 +672,30 @@ class TestFindWinner:
             if cert is not None:
                 verifies = [work(cert.verify) for _ in range(2)]
                 assert verifies[0] == verifies[1] > 0, dset
+
+    def test_census_line_work_is_pinned(self, monkeypatch):
+        # one cold census pass: every D with 1-3 distances and norm <= 12
+        # searched under the default budget, then each certificate verified
+        # after a JSON round trip.  tests/data/outputs.json pins the outputs;
+        # this pins the work, which a lost cut or merge raises without
+        # changing any output (without both sibling cuts the pass makes
+        # 453,692).  A change that alters the work on purpose sets the new
+        # counts here and gives the old and new ones in CHANGES.md
+        counted = counted_line_work(monkeypatch)
+        search_work, verify_work = Counter(), Counter()
+        for size in (1, 2, 3):
+            for dset in itertools.combinations(range(1, 13), size):
+                before = counted.copy()
+                cert = find_winner(DistanceSet(dset)).certificate
+                search_work.update(counted - before)
+                if cert is not None:
+                    again = Certificate.from_json_dict(json.loads(json.dumps(cert.to_json_dict())))
+                    before = counted.copy()
+                    assert again.verify(), dset
+                    verify_work.update(counted - before)
+        assert search_work == {"kernel": 209_217, "patch": 21_113}
+        assert verify_work == {"kernel": 4_048, "patch": 85_568}
+        assert counted.total() == 319_946
 
     def test_empty_distances_give_naturals(self):
         result = find_winner(DistanceSet())
@@ -726,7 +749,7 @@ class TestFindWinner:
             g = distances.norm // stepping.distances.norm
             for n in range(1, stepping.distances.norm + 1):
                 kernel.entry(g * n)
-                assert len(stepping.states) >= n + 1, (distances, n)
+                assert len(kernel_states(stepping)) >= n + 1, (distances, n)
         cap = sets.MAX_WINDOW_BITS
         refused = next(n for n in range(17, cap) if 2 * (n + 1) * n > cap)
         assert max(refused, 4 * (refused - 1)) <= search.MAX_EVIDENCE_BITS
