@@ -312,26 +312,28 @@ def _patch_filler(distances: DistanceSet, patch_length: int):
     for its contexts, the norm bits either side, each distinct pair computed
     once.
 
-    Checks the patch length up front.  The memos live only as long as the
-    returned function, which serves one call of the functions below.
-    Nothing of patch-length size is built before the first miss, so a
-    string too short for a patch of any length costs nothing.
+    The memo is keyed on one int, the window with its patch cleared, and
+    holds the replaced window.  Checks the patch length up front.  The memo
+    lives only as long as the returned function, which serves one call of
+    the functions below.  Nothing of patch-length size is built before the
+    first miss, so a string too short for a patch of any length costs nothing.
     """
     if _check_natural(patch_length, "patch length") < distances.norm:
         raise ValueError("patch length must be at least the largest distance")
-    norm = distances.norm
+    norm, high = distances.norm, distances.norm + patch_length
     width = (1 << norm) - 1
-    fillings: dict[tuple[int, int], int] = {}
-    run = None
+    fillings: dict[int, int] = {}
+    run, keep = None, 0  # keep: the context bits, from the first miss on (0 misses an empty memo)
 
     def refill(window: int) -> int:
-        nonlocal run
-        left, right = window & width, window >> (norm + patch_length)
-        patch = fillings.get((left, right))
-        if patch is None:
-            run = run or _patch_run(distances, patch_length)
-            patch = fillings[left, right] = run(left, right)[0]
-        return left | patch << norm | right << (norm + patch_length)
+        nonlocal run, keep
+        replaced = fillings.get(window & keep)
+        if replaced is None:
+            if run is None:
+                run, keep = _patch_run(distances, patch_length), width | -1 << high
+            key = window & keep
+            replaced = fillings[key] = key | run(window & width, window >> high)[0] << norm
+        return replaced
 
     return refill
 
@@ -353,10 +355,13 @@ def _patch_run(distances: DistanceSet, length: int):
     one-length ask lists nothing of its length.
 
     Pairs that cast one start shadow allow the same fillings, so each
-    distinct start shadow is run once, for as long as `run` lives.  The runs
-    step a dict of shadows, not the kernel's compiled ids: they are short,
-    start from arbitrary shadows and mask their tails, so an id table built
-    for one does not amortize.
+    distinct start shadow is run once, for as long as `run` lives, and not
+    at all when its free positions avoid D: every other avoiding filling is
+    a strict subset of them, with fewer 1s, and the run would hold one
+    shadow, so it would refuse nothing.  The runs step a dict of shadows,
+    not the kernel's compiled ids: they are short, start from arbitrary
+    shadows and mask their tails, so an id table built for one does not
+    amortize.
     """
     model, norm, whole = distances._windows, distances.norm, (1 << length) - 1
     full = max(length - norm, 0)  # the steps that keep every shadow bit live
@@ -370,8 +375,9 @@ def _patch_run(distances: DistanceSet, length: int):
         start &= whole
         entry = runs.get(start)
         if entry is None:
-            grown_bits = chain(repeat(model.grow, full), tail)
-            entry = runs[start] = _run_line(model, {start: (0, 0, 0)}, 0, grown_bits)[0]
+            free = whole ^ start  # the positions no context 1 forbids
+            entry = runs[start] = _entry(free) if _mask_avoids(free, distances) else _run_line(
+                model, {start: (0, 0, 0)}, 0, chain(repeat(model.grow, full), tail))[0]
         return entry
 
     return run
@@ -405,7 +411,10 @@ def sweep_to_fixpoint(bits: str, patch_length: int, distances: DistanceSet) -> s
     and its germ dominates the input's.  Each context pair's best filling is
     computed once.  A pass slides a window of the patch and its contexts
     along the string, reading one new bit per position and writing back only
-    a window that changed, so a pass is linear in the string's length.
+    a window that changed, so a pass is linear in the string's length.  It
+    skips a position whose window is still the one it was last refilled to
+    (the memo's int, held by reference): a refill keeps the contexts, so
+    it would change nothing.
     """
     if not _mask_avoids(_to_mask(_check_bits(bits, "indicator string")), distances):
         raise ValueError("input string must avoid the distances")
@@ -413,30 +422,36 @@ def sweep_to_fixpoint(bits: str, patch_length: int, distances: DistanceSet) -> s
     norm = distances.norm
     positions = range(norm, len(bits) - patch_length - norm + 1)
     line, top = bytearray(bits, "ascii"), patch_length + 2 * norm - 1
+    last = [None] * len(positions)
     changed = bool(positions)
     while changed:
         changed = False
         window = _to_mask(line[:top].decode()) << 1  # the first window but its top bit
-        for position in positions:
+        for i, position in enumerate(positions):
             window = window >> 1 | (line[position - norm + top] == 49) << top  # 49 is "1"
-            replaced = refill(window)
+            if window == last[i]:
+                continue
+            replaced = last[i] = refill(window)
             if replaced != window:
-                _check_rewrite(window, replaced, position, patch_length, distances)
+                _check_rewrite(window, replaced, position, distances)
                 line[position - norm: position - norm + top + 1] = _to_bits(replaced, top + 1).encode()
                 window = replaced
                 changed = True
     return line.decode()
 
 
-def _check_rewrite(old, new, position, patch_length, distances):
+def _check_rewrite(old, new, position, distances):
     """Raise unless the rewrite of the window at `position` (norm + patch +
     norm bits) raised the germ and kept the window avoiding.
 
-    The strict rise is what ends the sweep.  Only pairs within norm of the
-    patch can clash, so the patch and its contexts suffice.
+    The strict rise is what ends the sweep.  The germ order survives a
+    common shift and common bits, so only the differing bits are compared,
+    counts first.  Only pairs within norm of the patch can clash, so the
+    patch and its contexts suffice.
     """
-    norm, hole = distances.norm, (1 << patch_length) - 1
-    if not germ_greater(_entry(new >> norm & hole), _entry(old >> norm & hole)):
+    plus, minus = new & ~old, old & ~new
+    gain = plus.bit_count() - minus.bit_count()
+    if gain < 0 or not gain and not germ_greater(_entry(plus), _entry(minus)):
         raise AssertionError(f"patch rewrite at {position} did not raise the germ")
     if not _mask_avoids(new, distances):
         raise AssertionError(f"patch rewrite at {position} broke avoidance")

@@ -14,6 +14,7 @@ from germpack import (
     RationalGF,
     RationalSet,
     enumerate_avoiding,
+    improve_at,
     is_avoiding,
     poly_germ_compare,
 )
@@ -257,6 +258,25 @@ def brute_sweep(bits, patch_length, distances):
             changed |= out != bits
             bits = out
     return bits
+
+
+def reference_sweep(bits, patch_length, distances):
+    """Round-robin improve_at at every position until a pass changes nothing.
+
+    Returns the fixpoint and the (left, right) contexts of every visit.
+    """
+    norm = distances.norm
+    contexts = set()
+    changed = True
+    while changed:
+        changed = False
+        for t in range(norm, len(bits) - patch_length - norm + 1):
+            end = t + patch_length
+            contexts.add((bits[t - norm: t], bits[end: end + norm]))
+            out = improve_at(bits, t, patch_length, distances)
+            changed |= out != bits
+            bits = out
+    return bits, contexts
 
 
 def brute_windows_consistent(winner, distances, patch_length):

@@ -220,6 +220,13 @@ class TestImproveCommand:
         assert code == 0
         assert not data["changed"] and data["delta"] == "Equal"
 
+    def test_a_clashing_string_is_an_error(self, capsys):
+        # positions 0 and 3 lie 3 apart
+        code = main(["improve", "--d", "3,5", "--w", "1001000000", "--ell", "5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            1, "", "error: input string must avoid the distances\n")
+
     @pytest.mark.parametrize("ell", ["0", "-2", "2"])
     def test_bad_patch_length_is_an_error_on_a_short_string(self, capsys, ell):
         # no position fits a patch in four bits, yet the length is still checked

@@ -1,9 +1,11 @@
 """Local patch rewriting: best fillings, monotone sweeps, fixpoints."""
 
+import inspect
 import itertools
 import random
 import re
 import time
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -36,8 +38,10 @@ from helpers import (
     brute_sweep,
     brute_windows_consistent,
     kernel_states,
+    pairs_clash,
     random_avoiding,
     random_bits,
+    reference_sweep,
     unpruned_best,
 )
 
@@ -279,6 +283,33 @@ class TestPatchRun:
                     assert run(_to_mask(left), _to_mask(right)) == want, (length, left, right)
         assert shared > 0
 
+    def test_free_positions_that_avoid_are_the_best_filling(self):
+        # every D inside {1..9} with at most three distances, patch lengths
+        # norm - 2 to norm + 3 (a two-block challenger asks lengths below the
+        # norm, after an all-zero left context) and random contexts: a run
+        # equals a plain _run_line from its start shadow, which masks every
+        # step, and up to 12 bits the best of every filling
+        rng = random.Random(52)
+        fast = Counter()
+        for size in (1, 2, 3):
+            for dset in itertools.combinations(range(1, 10), size):
+                d = DistanceSet(dset)
+                norm, model = d.norm, d._windows
+                for length in range(max(norm - 2, 1), norm + 4):
+                    run, whole = local._patch_run(d, length), (1 << length) - 1
+                    every = range(1 << length) if length <= 12 else ()
+                    fillings = [m for m in every if not any(m & m >> k for k in dset)]
+                    for left in (0, rng.getrandbits(norm), rng.getrandbits(norm)):
+                        right = rng.getrandbits(norm)
+                        start = start_shadow(d, _to_bits(left, norm), _to_bits(right, norm), length)
+                        grown = (model.grow & model.live(length - pos - 1) for pos in range(length))
+                        want = local._run_line(model, {start: (0, 0, 0)}, 0, grown)
+                        assert run(left, right) == want[0], (dset, length, left, right)
+                        fast[not pairs_clash(_to_bits(whole ^ start, length), d)] += 1
+                        if fillings:
+                            assert want[0] == best_filling(fillings, d, length, left, right)
+        assert fast[True] > 1000 and fast[False] > 500
+
     def test_patch_runs_pick_the_best_of_every_filling(self):
         # a patch of length norm between every pair of avoiding contexts,
         # against every avoiding string that holds them
@@ -512,6 +543,21 @@ class TestImproveAt:
             improve_at("0" * 160, 40, 80, DistanceSet.of(40))
 
 
+def best_filling(fillings, distances, length, left, right):
+    """The germ-best of `fillings`, patch masks, that meets no 1 of the left
+    and right contexts (norm-bit masks) at a forbidden distance."""
+    norm = distances.norm
+    patch, best = ((1 << length) - 1) << norm, None
+    for mask in fillings:
+        line = left | mask << norm | right << (norm + length)
+        if any(line & line >> d & (patch | patch >> d) for d in distances):
+            continue  # a pair i, i + d of 1s, one of them in the patch
+        entry = _entry(mask)
+        if best is None or germ_greater(entry, best):
+            best = entry
+    return best
+
+
 def lying_run(filling, calls):
     """A stand-in for `local._patch_run` whose every run ends in `filling`;
     `calls` gets one entry per run."""
@@ -629,6 +675,11 @@ class TestSweep:
         with pytest.raises(AssertionError, match="broke avoidance"):
             sweep_to_fixpoint("0" * 10 + "1" + "0" * 9, 5, D35)
 
+    def test_input_must_avoid(self):
+        # 1 and 4 lie 3 apart
+        with pytest.raises(ValueError, match="^input string must avoid the distances$"):
+            sweep_to_fixpoint("0100100000" * 2, 5, D35)
+
     def test_patch_length_checked_before_any_rewrite(self):
         # a string too short for any rewrite still gets its patch length checked
         for bits in ("0000", "0" * 20):
@@ -663,25 +714,6 @@ SWEEP_SHAPES = (
 )
 
 
-def reference_sweep(bits, patch_length, distances):
-    """Round-robin improve_at at every position until a pass changes nothing.
-
-    Returns the fixpoint and the (left, right) contexts of every visit.
-    """
-    norm = distances.norm
-    contexts = set()
-    changed = True
-    while changed:
-        changed = False
-        for t in range(norm, len(bits) - patch_length - norm + 1):
-            end = t + patch_length
-            contexts.add((bits[t - norm: t], bits[end: end + norm]))
-            out = improve_at(bits, t, patch_length, distances)
-            changed |= out != bits
-            bits = out
-    return bits, contexts
-
-
 class TestSweepMemo:
     def test_matches_the_reference_sweep(self):
         rng = random.Random(45)
@@ -710,7 +742,10 @@ class TestSweepMemo:
             assert set(calls) == contexts
 
     def test_each_start_shadow_reaches_the_kernel_once(self, monkeypatch):
-        # {5,10} on zeros: 29 context pairs cast 24 start shadows
+        # a start shadow whose free positions clash is run once, and one
+        # whose free positions avoid D is filled by them and never run;
+        # {5,10} on zeros: 29 context pairs cast 24 start shadows, and the
+        # free positions of 9 of them clash
         rng = random.Random(50)
         cases = [(DistanceSet.of(5, 10), "0" * 60, 10)]
         for shape in SWEEP_SHAPES:
@@ -721,14 +756,58 @@ class TestSweepMemo:
         for d, w, length in cases:
             expected, contexts = reference_sweep(w, length, d)
             shadows = {start_shadow(d, left, right, length) for left, right in contexts}
+            whole = (1 << length) - 1
+            clashing = {s for s in shadows if pairs_clash(_to_bits(whole ^ s, length), d)}
             starts = []
             with monkeypatch.context() as patch:
                 patch.setattr(local, "_run_line", counting_line(starts))
                 assert sweep_to_fixpoint(w, length, d) == expected
-            assert len(starts) == len(set(starts)) == len(shadows)
-            assert set(starts) == shadows
-            sizes.append((len(contexts), len(shadows)))
-        assert sizes[0] == (29, 24)
+            assert len(starts) == len(set(starts))
+            assert set(starts) == clashing
+            sizes.append((len(contexts), len(shadows), len(clashing)))
+        assert sizes[0] == (29, 24, 9)
+        assert all(shadows > clashing for _, shadows, clashing in sizes)
+
+    def test_a_refill_meets_a_window_its_position_was_not_refilled_to(self, monkeypatch):
+        # each position keeps the window it was last refilled to and skips
+        # while its window still equals it, so every refill after a
+        # position's first meets a changed window; strings that take several
+        # passes still sweep to the reference's fixpoint
+        rng = random.Random(53)
+        real, refills = local._patch_filler, []
+
+        def filler(distances, patch_length):
+            refill = real(distances, patch_length)
+
+            def recorded(window):
+                replaced = refill(window)
+                position = inspect.currentframe().f_back.f_locals["position"]
+                refills.append((position, window, replaced))
+                return replaced
+
+            return recorded
+
+        monkeypatch.setattr(local, "_patch_filler", filler)
+        skipped = multi = 0
+        for shape in SWEEP_SHAPES:
+            d = DistanceSet(shape)
+            for _ in range(3):
+                w = random_avoiding(rng, d, rng.randrange(60, 121))
+                length = d.norm + rng.randrange(3)
+                expected = reference_sweep(w, length, d)[0]  # improve_at refills too
+                refills.clear()
+                assert sweep_to_fixpoint(w, length, d) == expected
+                positions = range(d.norm, len(w) - length - d.norm + 1)
+                last = {}
+                for position, window, replaced in refills:
+                    assert last.get(position) != window, (shape, w, length, position)
+                    last[position] = replaced
+                assert sorted(last) == list(positions)
+                # at least the passes the refills wrap around in
+                passes = 1 + sum(b[0] <= a[0] for a, b in zip(refills, refills[1:]))
+                multi += passes > 1
+                skipped += passes * len(positions) - len(refills)
+        assert multi == 3 * len(SWEEP_SHAPES) and skipped > 1000
 
     def test_winner_check_computes_each_context_once(self, monkeypatch):
         calls = []

@@ -194,6 +194,7 @@ class TestNormalize:
         assert RationalSet.empty().is_empty
         assert RationalSet.naturals() == RationalSet("", "1")
         assert RationalSet.from_finite([2, 0]) == RationalSet("101", "0")
+        assert RationalSet.from_finite([]) == RationalSet.empty()
         assert RationalSet.arithmetic(1, 2) == RationalSet("", "01")
 
     @pytest.mark.parametrize(
