@@ -13,8 +13,9 @@ no single patch rewrite can improve.  Certified winners are such fixpoints
 The line DP steps the shadows of `sets._WindowModel`: `_run_line` is the
 step and its sibling cut, `LineKernel` the open-ended run over compiled
 shadow ids, `_patch_run` the run bounded by two contexts, and `_interleave`
-the reduction of D to D/g.  Strings are int masks inside, bit i being
-position i; bit strings appear only at the API boundary.
+the reduction of D to D/g, which a sweep makes per class.  Strings are int
+masks inside, bit i being position i; bit strings appear only at the API
+boundary.
 """
 
 from __future__ import annotations
@@ -246,10 +247,10 @@ def _interleave(distances: DistanceSet, length: int, reduced_entry) -> tuple[int
     q**r F(q**g), ordered as F(q) is, and a sum of germs keeps the order, so
     D's unique germ-best string puts on class r, the positions r + g·i,
     D/g's best of ceil((length - r) / g) positions (q + 1 for r < rem, else
-    q), spread to stride g, which adds r·ones + g·position-sum.  The kernel
-    and the one-length run (`_best_entry`) step D/g.  Patch runs between
-    other contexts stay on D: a context pair would split into g runs per
-    miss, which costs more than the short bounded runs it saves.
+    q), spread to stride g, which adds r·ones + g·position-sum.  The kernel,
+    the one-length run (`_best_entry`) and a sweep whose patch length g
+    divides (`sweep_to_fixpoint`) step D/g; a lone patch run stays on D,
+    where each context pair would split into g runs.
     """
     g = distances._classes[0]
     if g == 1:
@@ -409,19 +410,37 @@ def sweep_to_fixpoint(bits: str, patch_length: int, distances: DistanceSet) -> s
     Round-robin over every position with full contexts.  The result is
     patch-maximal: no single rewrite at any such position can improve it,
     and its germ dominates the input's.  Each context pair's best filling is
-    computed once.  A pass slides a window of the patch and its contexts
-    along the string, reading one new bit per position and writing back only
-    a window that changed, so a pass is linear in the string's length.  It
-    skips a position whose window is still the one it was last refilled to
-    (the memo's int, held by reference): a refill keeps the contexts, so
-    it would change nothing.
+    computed once.  When g = gcd(D) > 1 divides the patch length L, each
+    residue class mod g is swept under D/g with patch length L/g, through
+    one filler: D's patch at p is class r's at ceil((p - r) / g) between
+    norm/g class bits (`_interleave`), and D's passes visit each class's
+    starts in order, where a repeat or a settled class changes nothing, so
+    the result is D's, also where D's own runs would pass the cap.  A
+    string with no D position stays on D, since a class string may hold one.
     """
     if not _mask_avoids(_to_mask(_check_bits(bits, "indicator string")), distances):
         raise ValueError("input string must avoid the distances")
-    refill = _patch_filler(distances, patch_length)
-    norm = distances.norm
-    positions = range(norm, len(bits) - patch_length - norm + 1)
-    line, top = bytearray(bits, "ascii"), patch_length + 2 * norm - 1
+    refill = _patch_filler(distances, patch_length)  # checks the patch length, builds nothing
+    (g, reduced), line = distances._classes, bytearray(bits, "ascii")
+    if g == 1 or patch_length % g or len(bits) < patch_length + 2 * distances.norm:
+        return _sweep(line, patch_length, distances, refill).decode()
+    refill = _patch_filler(reduced, patch_length // g)
+    for r in range(g):
+        line[r::g] = _sweep(line[r::g], patch_length // g, reduced, refill)
+    return line.decode()
+
+
+def _sweep(line: bytearray, patch_length: int, distances: DistanceSet, refill) -> bytearray:
+    """Sweep `line`, ASCII 0s and 1s, in place to a fixpoint of `refill`.
+
+    A pass slides the window of the patch and its contexts along the line,
+    reading one new bit per position and writing back only a changed
+    window, so it is linear in the length.  It skips a position whose
+    window is still the one it was last refilled to (the memo's int, held
+    by reference): a refill keeps the contexts, so would change nothing.
+    """
+    norm, top = distances.norm, patch_length + 2 * distances.norm - 1
+    positions = range(norm, len(line) - patch_length - norm + 1)
     last = [None] * len(positions)
     changed = bool(positions)
     while changed:
@@ -437,7 +456,7 @@ def sweep_to_fixpoint(bits: str, patch_length: int, distances: DistanceSet) -> s
                 line[position - norm: position - norm + top + 1] = _to_bits(replaced, top + 1).encode()
                 window = replaced
                 changed = True
-    return line.decode()
+    return line
 
 
 def _check_rewrite(old, new, position, distances):

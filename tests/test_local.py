@@ -584,6 +584,17 @@ def start_shadow(distances, left, right, length):
     return sum(1 << p for p in shadowed)
 
 
+def swept_strings(bits, length, distances):
+    """The (string, patch length, distances) sweeps `sweep_to_fixpoint` makes
+    of `bits`: each residue class string mod g = gcd(D) under D/g with patch
+    length L/g when g > 1 divides L and the string holds a D position, else
+    `bits` itself under D."""
+    g, reduced = distances._classes
+    if length % g or len(bits) < length + 2 * distances.norm:
+        g, reduced = 1, distances
+    return [(bits[r::g], length // g, reduced) for r in range(g)]
+
+
 def counting_line(starts):
     """`local._run_line`, recording the shadows every run starts from in `starts`."""
     real = local._run_line
@@ -729,35 +740,47 @@ class TestSweepMemo:
         assert changed > 2 * len(SWEEP_SHAPES)
 
     def test_each_context_reaches_the_kernel_once(self, monkeypatch):
+        # on a class path, once across all the classes, which share a filler
         rng = random.Random(46)
+        classes = 0
         for shape in SWEEP_SHAPES:
             d = DistanceSet(shape)
             w = random_avoiding(rng, d, rng.randrange(60, 121))
-            expected, contexts = reference_sweep(w, d.norm, d)
+            expected = reference_sweep(w, d.norm, d)[0]
+            sweeps = swept_strings(w, d.norm, d)
+            contexts = set().union(*(reference_sweep(*sweep)[1] for sweep in sweeps))
             calls = []
             with monkeypatch.context() as patch:
                 patch.setattr(local, "_patch_run", counting_run(calls))
                 assert sweep_to_fixpoint(w, d.norm, d) == expected
             assert len(calls) == len(set(calls)) == len(contexts)
             assert set(calls) == contexts
+            classes += len(sweeps) > 1
+        assert classes == 11
 
     def test_each_start_shadow_reaches_the_kernel_once(self, monkeypatch):
-        # a start shadow whose free positions clash is run once, and one
-        # whose free positions avoid D is filled by them and never run;
-        # {5,10} on zeros: 29 context pairs cast 24 start shadows, and the
-        # free positions of 9 of them clash
+        # a start shadow whose free positions clash is run once, across all
+        # the classes on a class path, and one whose free positions avoid is
+        # filled by them and never run; {5,10} on zeros: at ell 11, on D, 29
+        # context pairs cast 25 start shadows, and the free positions of 10
+        # of them clash; at ell 10, on the five classes under {1,2} with
+        # patch length 2, 5 context pairs cast 4 shadows, and 1 clashes
         rng = random.Random(50)
-        cases = [(DistanceSet.of(5, 10), "0" * 60, 10)]
+        zeros = "0" * 60
+        cases = [(DistanceSet.of(5, 10), zeros, 11), (DistanceSet.of(5, 10), zeros, 10)]
         for shape in SWEEP_SHAPES:
             d = DistanceSet(shape)
             w = random_avoiding(rng, d, rng.randrange(60, 121))
             cases.append((d, w, d.norm + rng.randrange(3)))
         sizes = []
         for d, w, length in cases:
-            expected, contexts = reference_sweep(w, length, d)
-            shadows = {start_shadow(d, left, right, length) for left, right in contexts}
-            whole = (1 << length) - 1
-            clashing = {s for s in shadows if pairs_clash(_to_bits(whole ^ s, length), d)}
+            expected = reference_sweep(w, length, d)[0]
+            sweeps = swept_strings(w, length, d)
+            contexts = set().union(*(reference_sweep(*sweep)[1] for sweep in sweeps))
+            _, ell, dd = sweeps[0]
+            shadows = {start_shadow(dd, left, right, ell) for left, right in contexts}
+            whole = (1 << ell) - 1
+            clashing = {s for s in shadows if pairs_clash(_to_bits(whole ^ s, ell), dd)}
             starts = []
             with monkeypatch.context() as patch:
                 patch.setattr(local, "_run_line", counting_line(starts))
@@ -765,14 +788,15 @@ class TestSweepMemo:
             assert len(starts) == len(set(starts))
             assert set(starts) == clashing
             sizes.append((len(contexts), len(shadows), len(clashing)))
-        assert sizes[0] == (29, 24, 9)
+        assert sizes[:2] == [(29, 25, 10), (5, 4, 1)]
         assert all(shadows > clashing for _, shadows, clashing in sizes)
 
     def test_a_refill_meets_a_window_its_position_was_not_refilled_to(self, monkeypatch):
         # each position keeps the window it was last refilled to and skips
         # while its window still equals it, so every refill after a
         # position's first meets a changed window; strings that take several
-        # passes still sweep to the reference's fixpoint
+        # passes still sweep to the reference's fixpoint; a position is one
+        # of its class string's on a class path
         rng = random.Random(53)
         real, refills = local._patch_filler, []
 
@@ -781,8 +805,9 @@ class TestSweepMemo:
 
             def recorded(window):
                 replaced = refill(window)
-                position = inspect.currentframe().f_back.f_locals["position"]
-                refills.append((position, window, replaced))
+                sweep = inspect.currentframe().f_back
+                r = sweep.f_back.f_locals.get("r", 0)  # the class, 0 on D
+                refills.append((r, sweep.f_locals["position"], window, replaced))
                 return replaced
 
             return recorded
@@ -797,16 +822,20 @@ class TestSweepMemo:
                 expected = reference_sweep(w, length, d)[0]  # improve_at refills too
                 refills.clear()
                 assert sweep_to_fixpoint(w, length, d) == expected
-                positions = range(d.norm, len(w) - length - d.norm + 1)
-                last = {}
-                for position, window, replaced in refills:
-                    assert last.get(position) != window, (shape, w, length, position)
-                    last[position] = replaced
-                assert sorted(last) == list(positions)
-                # at least the passes the refills wrap around in
-                passes = 1 + sum(b[0] <= a[0] for a, b in zip(refills, refills[1:]))
-                multi += passes > 1
-                skipped += passes * len(positions) - len(refills)
+                most = 1
+                for r, (bits, ell, dd) in enumerate(swept_strings(w, length, d)):
+                    positions = range(dd.norm, len(bits) - ell - dd.norm + 1)
+                    seen = [refill[1:] for refill in refills if refill[0] == r]
+                    last = {}
+                    for position, window, replaced in seen:
+                        assert last.get(position) != window, (shape, w, length, r, position)
+                        last[position] = replaced
+                    assert sorted(last) == list(positions)
+                    # at least the passes the refills wrap around in
+                    passes = 1 + sum(b[0] <= a[0] for a, b in zip(seen, seen[1:]))
+                    most = max(most, passes)
+                    skipped += passes * len(positions) - len(seen)
+                multi += most > 1
         assert multi == 3 * len(SWEEP_SHAPES) and skipped > 1000
 
     def test_winner_check_computes_each_context_once(self, monkeypatch):
@@ -816,6 +845,67 @@ class TestSweepMemo:
         assert winner_windows_consistent(RationalSet("", "10"), d, d.norm)
         # the period-2 winner shows only two context pairs
         assert sorted(calls) == [("01010", "01010"), ("10101", "10101")]
+
+
+def sweep_outcome(sweep, *args):
+    """What `sweep(*args)` returns, or the type and message of its ValueError."""
+    try:
+        return sweep(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestClassSweep:
+    """`sweep_to_fixpoint`, which sweeps the residue classes mod g = gcd(D) on
+    D/g when g divides the patch length, against `local._sweep` fed D's own
+    filler: the same strings and the same errors."""
+
+    SCALED = [
+        DistanceSet(dset)
+        for size in (1, 2, 3)
+        for dset in itertools.combinations(range(1, 16), size)
+        if gcd(*dset) > 1
+    ]
+
+    @staticmethod
+    def _on_d(bits, length, distances):
+        if not is_avoiding(bits, distances):
+            raise ValueError("input string must avoid the distances")
+        refill = local._patch_filler(distances, length)
+        return local._sweep(bytearray(bits, "ascii"), length, distances, refill).decode()
+
+    @pytest.mark.parametrize("distances", SCALED, ids=lambda d: d.to_text())
+    def test_matches_the_sweep_on_d(self, distances):
+        rng = random.Random(distances.to_text())
+        g, norm = distances._classes[0], distances.norm
+        seen = Counter()
+        # norm, norm + g and 2·norm sweep the classes, norm + 1 stays on D,
+        # and norm - 1 is refused
+        for length in (norm, norm + g, 2 * norm, norm + 1, norm - 1):
+            sizes = {0, 5, 2 * norm + length - 1, 2 * norm + length, 97, 240, 241}
+            strings = [random_avoiding(rng, distances, size) for size in sorted(sizes)]
+            clash = ["0"] * (2 * norm + length)
+            clash[0] = clash[distances.distances[0]] = "1"
+            strings += ["".join(clash), "01" * norm + "2"]
+            errors = 0
+            for bits in strings:
+                want = sweep_outcome(self._on_d, bits, length, distances)
+                assert sweep_outcome(sweep_to_fixpoint, bits, length, distances) == want
+                if isinstance(want, tuple):
+                    errors += 1
+                else:
+                    classes = not length % g and len(bits) >= length + 2 * norm
+                    seen[classes, want != bits] += 1
+            assert errors == (len(strings) if length < norm else 2)
+        assert seen[True, True] and seen[False, True]
+
+    def test_a_class_sweep_fits_under_the_cap_where_d_does_not(self):
+        # {40} at patch length 80 sweeps 40 classes of 4 bits under {1},
+        # where D's own patch run passes the cap (as improve_at's still does)
+        d40 = DistanceSet.of(40)
+        assert sweep_to_fixpoint("0" * 160, 80, d40) == "0" * 40 + "1" * 40 + "0" * 80
+        with pytest.raises(ValueError, match="over the cap"):
+            self._on_d("0" * 160, 80, d40)
 
 
 ACCEPTANCE_WINNER_SETS = ((3, 5), (1, 3, 6, 8), (1, 2), (2, 4, 7), (2, 4, 13))

@@ -117,6 +117,11 @@ class TestCircularWord:
         with pytest.raises(ValueError):
             CircularWord((Letter("10"), Letter("01")))
 
+    @pytest.mark.parametrize("letters", [(), (Letter("10"),)])
+    def test_needs_two_stored_letters(self, letters):
+        with pytest.raises(ValueError, match="^circular word needs at least two stored letters$"):
+            CircularWord(letters)
+
     def test_chain_must_hold(self):
         with pytest.raises(ValueError):
             CircularWord((Letter("10"), Letter("11"), Letter("10")))
@@ -240,6 +245,11 @@ class TestDecompose:
         prefix, words = circular_decompose((alpha, beta, beta, alpha))
         assert prefix == ()
         assert len(words) == 1 and words[0].first == alpha
+
+    @pytest.mark.parametrize("stream", ["", "0", "01"])
+    def test_a_stream_where_no_letter_recurs_is_rejected(self, stream):
+        with pytest.raises(ValueError, match="^no letter recurs in the window$"):
+            circular_decompose(Letter(bit) for bit in stream)
 
     def test_rare_anchor_rejected(self):
         alpha, beta = Letter("0"), Letter("1")
