@@ -13,9 +13,9 @@ no single patch rewrite can improve.  Certified winners are such fixpoints
 The line DP steps the shadows of `sets._WindowModel`: `_run_line` is the
 step and its sibling cut, `LineKernel` the open-ended run over compiled
 shadow ids, `_patch_run` the run bounded by two contexts, and `_interleave`
-the reduction of D to D/g, which a sweep makes per class.  Strings are int
-masks inside, bit i being position i; bit strings appear only at the API
-boundary.
+the reduction of D to D/g, which `_sweep`, the one patch sweep, makes per
+class.  Strings are int masks inside, bit i being position i; bit strings
+appear only at the API boundary.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from itertools import chain, repeat
 from math import comb
 
 from .sets import (
-    DistanceSet, RationalSet, _check_bits, _check_natural, _mask_avoids, _to_bits, _to_mask,
+    DistanceSet, RationalSet, _check_bits, _check_natural, _mask_avoids, _to_bits, _to_mask, is_avoiding,
 )
 
 
@@ -248,9 +248,9 @@ def _interleave(distances: DistanceSet, length: int, reduced_entry) -> tuple[int
     D's unique germ-best string puts on class r, the positions r + g·i,
     D/g's best of ceil((length - r) / g) positions (q + 1 for r < rem, else
     q), spread to stride g, which adds r·ones + g·position-sum.  The kernel,
-    the one-length run (`_best_entry`) and a sweep whose patch length g
-    divides (`sweep_to_fixpoint`) step D/g; a lone patch run stays on D,
-    where each context pair would split into g runs.
+    the one-length run (`_best_entry`) and every patch sweep whose patch
+    length g divides (`_sweep`) step D/g; `best_patch` stays on D, where
+    each context pair would split into g runs.
     """
     g = distances._classes[0]
     if g == 1:
@@ -307,38 +307,6 @@ def best_patch(context: PatchContext, distances: DistanceSet) -> str:
     return _to_bits(run(_to_mask(context.left), _to_mask(context.right))[0], length)
 
 
-def _patch_filler(distances: DistanceSet, patch_length: int):
-    """`refill(window)`: a window of norm + patch + norm bits (bit j is
-    position j of the window) with the patch rewritten to the best filling
-    for its contexts, the norm bits either side, each distinct pair computed
-    once.
-
-    The memo is keyed on one int, the window with its patch cleared, and
-    holds the replaced window.  Checks the patch length up front.  The memo
-    lives only as long as the returned function, which serves one call of
-    the functions below.  Nothing of patch-length size is built before the
-    first miss, so a string too short for a patch of any length costs nothing.
-    """
-    if _check_natural(patch_length, "patch length") < distances.norm:
-        raise ValueError("patch length must be at least the largest distance")
-    norm, high = distances.norm, distances.norm + patch_length
-    width = (1 << norm) - 1
-    fillings: dict[int, int] = {}
-    run, keep = None, 0  # keep: the context bits, from the first miss on (0 misses an empty memo)
-
-    def refill(window: int) -> int:
-        nonlocal run, keep
-        replaced = fillings.get(window & keep)
-        if replaced is None:
-            if run is None:
-                run, keep = _patch_run(distances, patch_length), width | -1 << high
-            key = window & keep
-            replaced = fillings[key] = key | run(window & width, window >> high)[0] << norm
-        return replaced
-
-    return refill
-
-
 def _patch_run(distances: DistanceSet, length: int):
     """`run(left, right)`: the germ-best (mask, ones, position-sum) entry of
     the avoiding fillings of `length` positions between two context windows
@@ -391,17 +359,13 @@ def improve_at(bits: str, position: int, patch_length: int, distances: DistanceS
     patch changes, and the result is still avoiding.  Positions too close to
     the ends to carry full contexts are rejected.
     """
-    mask = _to_mask(_check_bits(bits, "indicator string"))
-    if not _mask_avoids(mask, distances):
-        raise ValueError("input string must avoid the distances")
-    refill = _patch_filler(distances, patch_length)  # checks the patch length, builds nothing
+    line = _checked_line(bits, patch_length, distances)
     _check_natural(position, "position", 0)
     norm = distances.norm
     if position < norm or position + patch_length + norm > len(bits):
         raise ValueError(f"position {position} out of range for patch rewriting")
-    start = position - norm
-    window = mask >> start & ((1 << (patch_length + 2 * norm)) - 1)
-    return _to_bits(mask ^ (window ^ refill(window)) << start, len(bits))
+    _sweep(line, position, position, patch_length, distances)
+    return line.decode()
 
 
 def sweep_to_fixpoint(bits: str, patch_length: int, distances: DistanceSet) -> str:
@@ -409,54 +373,75 @@ def sweep_to_fixpoint(bits: str, patch_length: int, distances: DistanceSet) -> s
 
     Round-robin over every position with full contexts.  The result is
     patch-maximal: no single rewrite at any such position can improve it,
-    and its germ dominates the input's.  Each context pair's best filling is
-    computed once.  When g = gcd(D) > 1 divides the patch length L, each
-    residue class mod g is swept under D/g with patch length L/g, through
-    one filler: D's patch at p is class r's at ceil((p - r) / g) between
-    norm/g class bits (`_interleave`), and D's passes visit each class's
-    starts in order, where a repeat or a settled class changes nothing, so
-    the result is D's, also where D's own runs would pass the cap.  A
-    string with no D position stays on D, since a class string may hold one.
+    and its germ dominates the input's.
     """
-    if not _mask_avoids(_to_mask(_check_bits(bits, "indicator string")), distances):
-        raise ValueError("input string must avoid the distances")
-    refill = _patch_filler(distances, patch_length)  # checks the patch length, builds nothing
-    (g, reduced), line = distances._classes, bytearray(bits, "ascii")
-    if g == 1 or patch_length % g or len(bits) < patch_length + 2 * distances.norm:
-        return _sweep(line, patch_length, distances, refill).decode()
-    refill = _patch_filler(reduced, patch_length // g)
-    for r in range(g):
-        line[r::g] = _sweep(line[r::g], patch_length // g, reduced, refill)
+    line, norm = _checked_line(bits, patch_length, distances), distances.norm
+    _sweep(line, norm, len(bits) - patch_length - norm, patch_length, distances)
     return line.decode()
 
 
-def _sweep(line: bytearray, patch_length: int, distances: DistanceSet, refill) -> bytearray:
-    """Sweep `line`, ASCII 0s and 1s, in place to a fixpoint of `refill`.
+def _checked_line(bits: str, patch_length: int, distances: DistanceSet) -> bytearray:
+    """`bits` as ASCII bytes, once it is a bit string that avoids D and the
+    patch length is an int of at least the norm."""
+    if not _mask_avoids(_to_mask(_check_bits(bits, "indicator string")), distances):
+        raise ValueError("input string must avoid the distances")
+    _check_patch_length(patch_length, distances)
+    return bytearray(bits, "ascii")
 
-    A pass slides the window of the patch and its contexts along the line,
+
+def _check_patch_length(patch_length, distances: DistanceSet):
+    if _check_natural(patch_length, "patch length") < distances.norm:
+        raise ValueError("patch length must be at least the largest distance")
+
+
+def _sweep(line: bytearray, first: int, last: int, patch_length: int, distances: DistanceSet) -> bool:
+    """Sweep the patches at positions first..last of `line`, ASCII 0s and 1s
+    with full contexts there, in place to a fixpoint; True when any changed.
+
+    When g = gcd(D) > 1 divides the patch length L, each residue class mod
+    g is swept alone under D/g with patch length L/g: D's patch at p is
+    class r's at ceil((p - r) / g) between norm/g class bits, and its best
+    filling is theirs interleaved (`_interleave`).  D's passes visit each
+    class's patches in order, where a repeat or a settled class changes
+    nothing, so the result is D's, also where D's own runs would pass the
+    cap; the cap's error still names D.  Otherwise the one line is `line`
+    under D.
+
+    A pass slides the window of the patch and its contexts along a line,
     reading one new bit per position and writing back only a changed
-    window, so it is linear in the length.  It skips a position whose
-    window is still the one it was last refilled to (the memo's int, held
-    by reference): a refill keeps the contexts, so would change nothing.
+    window, so it is linear in the length.  The memo, keyed on the window
+    with its patch cleared and shared by the classes, fills each distinct
+    context pair once.
     """
-    norm, top = distances.norm, patch_length + 2 * distances.norm - 1
-    positions = range(norm, len(line) - patch_length - norm + 1)
-    last = [None] * len(positions)
-    changed = bool(positions)
-    while changed:
-        changed = False
-        window = _to_mask(line[:top].decode()) << 1  # the first window but its top bit
-        for i, position in enumerate(positions):
-            window = window >> 1 | (line[position - norm + top] == 49) << top  # 49 is "1"
-            if window == last[i]:
-                continue
-            replaced = last[i] = refill(window)
-            if replaced != window:
-                _check_rewrite(window, replaced, position, distances)
-                line[position - norm: position - norm + top + 1] = _to_bits(replaced, top + 1).encode()
-                window = replaced
-                changed = True
-    return line
+    if first > last:
+        return False
+    g, reduced = distances._classes
+    if patch_length % g:
+        g, reduced = 1, distances
+    length, norm = patch_length // g, reduced.norm
+    top, high, width = length + 2 * norm - 1, norm + length, (1 << norm) - 1
+    run, keep, fillings = _patch_run(reduced, length), width | -1 << high, {}
+    changed = False
+    for r in range(g):
+        sub, moved = line[r::g], True
+        positions = range(-((r - first) // g), -((r - last) // g) + 1)  # ceil((p - r) / g)
+        while moved:
+            moved = False
+            start = positions[0] - norm
+            window = _to_mask(sub[start:start + top].decode()) << 1  # the first window but its top bit
+            for position in positions:
+                window = window >> 1 | (sub[position - norm + top] == 49) << top  # 49 is "1"
+                key = window & keep
+                replaced = fillings.get(key)
+                if replaced is None:
+                    replaced = fillings[key] = key | run(window & width, window >> high)[0] << norm
+                if replaced != window:
+                    _check_rewrite(window, replaced, position, reduced)
+                    sub[position - norm: position - norm + top + 1] = _to_bits(replaced, top + 1).encode()
+                    window = replaced
+                    moved = changed = True
+        line[r::g] = sub
+    return changed
 
 
 def _check_rewrite(old, new, position, distances):
@@ -479,15 +464,15 @@ def _check_rewrite(old, new, position, distances):
 def winner_windows_consistent(
     winner: RationalSet, distances: DistanceSet, patch_length: int
 ) -> bool:
-    """Every interior window of the winner already holds its best filling.
+    """The winner avoids D and every interior window of it already holds its
+    best filling.
 
     Checked for every patch position across the preperiod and one full
     period, which by periodicity covers all positions.
     """
-    norm = distances.norm
-    pre, rep = len(winner.preperiod), len(winner.repetend)
-    span = pre + 2 * rep + patch_length + 2 * norm
-    line, whole = _to_mask(winner.bits(span)), (1 << (patch_length + 2 * norm)) - 1
-    refill = _patch_filler(distances, patch_length)
-    windows = (line >> (position - norm) & whole for position in range(norm, pre + rep + norm + 1))
-    return all(refill(window) == window for window in windows)
+    _check_patch_length(patch_length, distances)
+    if not is_avoiding(winner, distances):
+        return False
+    norm, pre, rep = distances.norm, len(winner.preperiod), len(winner.repetend)
+    line = bytearray(winner.bits(pre + 2 * rep + patch_length + 2 * norm), "ascii")
+    return not _sweep(line, norm, pre + rep + norm, patch_length, distances)

@@ -273,7 +273,7 @@ class RationalSet:
     def bits(self, count: int) -> str:
         """The first `count` indicator bits."""
         pre, rep = self.preperiod, self.repetend
-        if count <= len(pre):
+        if _check_natural(count, "count", 0) <= len(pre):
             return pre[:count]
         tail = count - len(pre)
         reps = tail // len(rep) + 1
@@ -284,10 +284,8 @@ class RationalSet:
         return self.repetend == "0" and "1" not in self.preperiod
 
     def elements(self, limit: int):
-        """Yield the members below `limit`."""
-        for n, bit in enumerate(self.bits(limit)):
-            if bit == "1":
-                yield n
+        """An iterator over the members below `limit`, which is checked at once."""
+        return (n for n, bit in enumerate(self.bits(limit)) if bit == "1")
 
 
 def generating_function(s: RationalSet) -> RationalGF:

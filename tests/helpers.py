@@ -11,10 +11,11 @@ from germpack import (
     CircularWord,
     DistanceSet,
     IntPolynomial,
+    PatchContext,
     RationalGF,
     RationalSet,
+    best_patch,
     enumerate_avoiding,
-    improve_at,
     is_avoiding,
     poly_germ_compare,
 )
@@ -261,22 +262,26 @@ def brute_sweep(bits, patch_length, distances):
 
 
 def reference_sweep(bits, patch_length, distances):
-    """Round-robin improve_at at every position until a pass changes nothing.
+    """Round-robin `best_patch` at every position until a pass changes
+    nothing, each distinct context pair filled once: a sweep that steps D's
+    own shadows even where `local.sweep_to_fixpoint` steps D/g's.
 
     Returns the fixpoint and the (left, right) contexts of every visit.
     """
     norm = distances.norm
-    contexts = set()
+    fillings = {}
     changed = True
     while changed:
         changed = False
         for t in range(norm, len(bits) - patch_length - norm + 1):
             end = t + patch_length
-            contexts.add((bits[t - norm: t], bits[end: end + norm]))
-            out = improve_at(bits, t, patch_length, distances)
+            contexts = bits[t - norm: t], bits[end: end + norm]
+            if contexts not in fillings:
+                fillings[contexts] = best_patch(PatchContext(*contexts, patch_length), distances)
+            out = bits[:t] + fillings[contexts] + bits[end:]
             changed |= out != bits
             bits = out
-    return bits, contexts
+    return bits, set(fillings)
 
 
 def brute_windows_consistent(winner, distances, patch_length):

@@ -227,6 +227,14 @@ class TestImproveCommand:
         assert (code, captured.out, captured.err) == (
             1, "", "error: input string must avoid the distances\n")
 
+    def test_a_refusal_on_the_class_lines_names_the_distances_asked_for(self, capsys):
+        # {38,40} at patch length 80 is swept as {19,20} at patch length 40
+        code = main(["improve", "--d", "38,40", "--w", "0" * 160, "--ell", "80"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", (
+            "error: distances {38,40} need up to 63144 line-DP shadows of 20 bits "
+            "at length 19, over the cap of 1048576 shadow bits\n"))
+
     @pytest.mark.parametrize("ell", ["0", "-2", "2"])
     def test_bad_patch_length_is_an_error_on_a_short_string(self, capsys, ell):
         # no position fits a patch in four bits, yet the length is still checked

@@ -1,6 +1,5 @@
 """Local patch rewriting: best fillings, monotone sweeps, fixpoints."""
 
-import inspect
 import itertools
 import random
 import re
@@ -534,13 +533,26 @@ class TestImproveAt:
         assert out == "0" * 40 + "1" * 40 + "0" * 40
 
     def test_a_patch_whose_bits_stay_live_meets_the_cap(self):
-        # over 80 positions, every bit of {40} stays live for 40 steps
-        message = (
-            "distances {40} need up to 32768 line-DP shadows of 40 bits at length 15, "
-            "over the cap of 1048576 shadow bits"
-        )
-        with pytest.raises(ValueError, match=re.escape(message)):
-            improve_at("0" * 160, 40, 80, DistanceSet.of(40))
+        # over 80 positions, every bit of {40} stays live for 40 steps, but
+        # gcd 40 divides 80, so the patch is 40 class patches of 2 bits under
+        # {1}; {39,40} has gcd 1 and keeps its 40-bit shadows, and {38,40}
+        # runs as {19,20}, whose shadows also pass the cap, under D's name
+        d40 = DistanceSet.of(40)
+        assert improve_at("0" * 160, 40, 80, d40) == "0" * 40 + "1" * 40 + "0" * 80
+        assert winner_windows_consistent(RationalSet("", "1" * 40 + "0" * 40), d40, 80)
+        for d, shadows in (((39, 40), "35982 line-DP shadows of 40 bits at length 18"),
+                           ((38, 40), "63144 line-DP shadows of 20 bits at length 19")):
+            message = (
+                f"distances {{{d[0]},{d[1]}}} need up to {shadows}, "
+                "over the cap of 1048576 shadow bits"
+            )
+            distances = DistanceSet(d)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                improve_at("0" * 160, 40, 80, distances)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                sweep_to_fixpoint("0" * 160, 80, distances)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                winner_windows_consistent(RationalSet.empty(), distances, 80)
 
 
 def best_filling(fillings, distances, length, left, right):
@@ -713,8 +725,6 @@ class TestSweep:
         # True used to die in a format specifier, 5.0 with a TypeError
         with pytest.raises(ValueError, match="patch length must be a positive integer, got"):
             sweep_to_fixpoint("0" * 20, length, DistanceSet.of(1))
-        with pytest.raises(ValueError, match="patch length must be a positive integer, got"):
-            local._patch_filler(D35, length)
 
 
 # perfbench's LOCAL_SWEEP_SETS with norm <= 8
@@ -740,7 +750,7 @@ class TestSweepMemo:
         assert changed > 2 * len(SWEEP_SHAPES)
 
     def test_each_context_reaches_the_kernel_once(self, monkeypatch):
-        # on a class path, once across all the classes, which share a filler
+        # on a class path, once across all the classes, which share a memo
         rng = random.Random(46)
         classes = 0
         for shape in SWEEP_SHAPES:
@@ -791,53 +801,6 @@ class TestSweepMemo:
         assert sizes[:2] == [(29, 25, 10), (5, 4, 1)]
         assert all(shadows > clashing for _, shadows, clashing in sizes)
 
-    def test_a_refill_meets_a_window_its_position_was_not_refilled_to(self, monkeypatch):
-        # each position keeps the window it was last refilled to and skips
-        # while its window still equals it, so every refill after a
-        # position's first meets a changed window; strings that take several
-        # passes still sweep to the reference's fixpoint; a position is one
-        # of its class string's on a class path
-        rng = random.Random(53)
-        real, refills = local._patch_filler, []
-
-        def filler(distances, patch_length):
-            refill = real(distances, patch_length)
-
-            def recorded(window):
-                replaced = refill(window)
-                sweep = inspect.currentframe().f_back
-                r = sweep.f_back.f_locals.get("r", 0)  # the class, 0 on D
-                refills.append((r, sweep.f_locals["position"], window, replaced))
-                return replaced
-
-            return recorded
-
-        monkeypatch.setattr(local, "_patch_filler", filler)
-        skipped = multi = 0
-        for shape in SWEEP_SHAPES:
-            d = DistanceSet(shape)
-            for _ in range(3):
-                w = random_avoiding(rng, d, rng.randrange(60, 121))
-                length = d.norm + rng.randrange(3)
-                expected = reference_sweep(w, length, d)[0]  # improve_at refills too
-                refills.clear()
-                assert sweep_to_fixpoint(w, length, d) == expected
-                most = 1
-                for r, (bits, ell, dd) in enumerate(swept_strings(w, length, d)):
-                    positions = range(dd.norm, len(bits) - ell - dd.norm + 1)
-                    seen = [refill[1:] for refill in refills if refill[0] == r]
-                    last = {}
-                    for position, window, replaced in seen:
-                        assert last.get(position) != window, (shape, w, length, r, position)
-                        last[position] = replaced
-                    assert sorted(last) == list(positions)
-                    # at least the passes the refills wrap around in
-                    passes = 1 + sum(b[0] <= a[0] for a, b in zip(seen, seen[1:]))
-                    most = max(most, passes)
-                    skipped += passes * len(positions) - len(seen)
-                multi += most > 1
-        assert multi == 3 * len(SWEEP_SHAPES) and skipped > 1000
-
     def test_winner_check_computes_each_context_once(self, monkeypatch):
         calls = []
         monkeypatch.setattr(local, "_patch_run", counting_run(calls))
@@ -857,8 +820,9 @@ def sweep_outcome(sweep, *args):
 
 class TestClassSweep:
     """`sweep_to_fixpoint`, which sweeps the residue classes mod g = gcd(D) on
-    D/g when g divides the patch length, against `local._sweep` fed D's own
-    filler: the same strings and the same errors."""
+    D/g when g divides the patch length, against `helpers.reference_sweep`,
+    which fills every patch with `best_patch` on D's own shadows, after the
+    same checks: the same strings and the same errors."""
 
     SCALED = [
         DistanceSet(dset)
@@ -871,8 +835,9 @@ class TestClassSweep:
     def _on_d(bits, length, distances):
         if not is_avoiding(bits, distances):
             raise ValueError("input string must avoid the distances")
-        refill = local._patch_filler(distances, length)
-        return local._sweep(bytearray(bits, "ascii"), length, distances, refill).decode()
+        if length < distances.norm:
+            raise ValueError("patch length must be at least the largest distance")
+        return reference_sweep(bits, length, distances)[0]
 
     @pytest.mark.parametrize("distances", SCALED, ids=lambda d: d.to_text())
     def test_matches_the_sweep_on_d(self, distances):
@@ -900,10 +865,14 @@ class TestClassSweep:
         assert seen[True, True] and seen[False, True]
 
     def test_a_class_sweep_fits_under_the_cap_where_d_does_not(self):
-        # {40} at patch length 80 sweeps 40 classes of 4 bits under {1},
-        # where D's own patch run passes the cap (as improve_at's still does)
+        # {40} at patch length 80 runs 40 classes of 2-bit patches under
+        # {1}, for all three patch functions, where D's own patch run
+        # passes the cap
         d40 = DistanceSet.of(40)
-        assert sweep_to_fixpoint("0" * 160, 80, d40) == "0" * 40 + "1" * 40 + "0" * 80
+        fixed = "0" * 40 + "1" * 40 + "0" * 80
+        assert sweep_to_fixpoint("0" * 160, 80, d40) == fixed
+        assert improve_at("0" * 160, 40, 80, d40) == fixed
+        assert winner_windows_consistent(RationalSet("", "1" * 40 + "0" * 40), d40, 80)
         with pytest.raises(ValueError, match="over the cap"):
             self._on_d("0" * 160, 80, d40)
 
@@ -953,3 +922,8 @@ class TestWinnerConsistency:
     def test_improvable_set_fails_the_check(self):
         # the empty set leaves every window improvable
         assert not winner_windows_consistent(RationalSet.empty(), D35, 6)
+
+    def test_a_set_that_does_not_avoid_fails_the_check(self):
+        # 0 and 1 lie 1 apart, before the first patch at 2, which every
+        # window check used to pass
+        assert not winner_windows_consistent(RationalSet("1", "100"), DistanceSet.of(1, 2), 2)

@@ -228,6 +228,19 @@ class TestNormalize:
         with pytest.raises(ValueError, match="must be a string of 0s and 1s"):
             RationalSet(preperiod, repetend)
 
+    @pytest.mark.parametrize("count, bad", [(-1, "-1"), (True, "True"), (2.0, "2.0"), ("2", "'2'")])
+    def test_bits_and_elements_refuse_non_naturals(self, count, bad):
+        # bits(-1) used to return "10", a slice from the end, and
+        # elements(-1) to yield 0; the check is made at the call
+        s = RationalSet("101", "0")
+        message = f"count must be a non-negative integer, got {bad}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            s.bits(count)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            s.elements(count)
+        assert s.bits(0) == "" and list(s.elements(0)) == []
+        assert s.bits(5) == "10100" and list(s.elements(5)) == [0, 2]
+
 
 class TestGeneratingFunction:
     def test_evens(self):
