@@ -394,9 +394,10 @@ def _check_patch_length(patch_length, distances: DistanceSet):
         raise ValueError("patch length must be at least the largest distance")
 
 
-def _sweep(line: bytearray, first: int, last: int, patch_length: int, distances: DistanceSet) -> bool:
+def _sweep(line: bytearray, first, last, patch_length, distances: DistanceSet, stop=False) -> bool:
     """Sweep the patches at positions first..last of `line`, ASCII 0s and 1s
     with full contexts there, in place to a fixpoint; True when any changed.
+    With `stop`, True at the first change, which is checked but not made.
 
     When g = gcd(D) > 1 divides the patch length L, each residue class mod
     g is swept alone under D/g with patch length L/g: D's patch at p is
@@ -411,7 +412,10 @@ def _sweep(line: bytearray, first: int, last: int, patch_length: int, distances:
     reading one new bit per position and writing back only a changed
     window, so it is linear in the length.  The memo, keyed on the window
     with its patch cleared and shared by the classes, fills each distinct
-    context pair once.
+    context pair once.  A fill that differs from its window is checked once
+    to avoid D in the window, where any clash it makes lies; one equal to
+    it avoids as the line does, so a fixpoint's sweep checks nothing.
+    `_check_rewrite` checks each rewrite's germ rise.
     """
     if first > last:
         return False
@@ -435,8 +439,12 @@ def _sweep(line: bytearray, first: int, last: int, patch_length: int, distances:
                 replaced = fillings.get(key)
                 if replaced is None:
                     replaced = fillings[key] = key | run(window & width, window >> high)[0] << norm
+                    if replaced != window and not _mask_avoids(replaced, reduced):
+                        raise AssertionError(f"patch rewrite at {position} broke avoidance")
                 if replaced != window:
-                    _check_rewrite(window, replaced, position, reduced)
+                    _check_rewrite(window, replaced, position)
+                    if stop:
+                        return True
                     sub[position - norm: position - norm + top + 1] = _to_bits(replaced, top + 1).encode()
                     window = replaced
                     moved = changed = True
@@ -444,21 +452,20 @@ def _sweep(line: bytearray, first: int, last: int, patch_length: int, distances:
     return changed
 
 
-def _check_rewrite(old, new, position, distances):
-    """Raise unless the rewrite of the window at `position` (norm + patch +
-    norm bits) raised the germ and kept the window avoiding.
-
-    The strict rise is what ends the sweep.  The germ order survives a
-    common shift and common bits, so only the differing bits are compared,
-    counts first.  Only pairs within norm of the patch can clash, so the
-    patch and its contexts suffice.
-    """
+def _check_rewrite(old: int, new: int, position: int):
+    """Raise unless the rewrite of the window at `position` raised the germ,
+    the strict rise that ends the sweep, at each rewrite (`_sweep` checks
+    avoidance per fill).  Common bits cancel, so the differing bits' counts
+    decide, then their position sums, and a tie on both `germ_greater`."""
     plus, minus = new & ~old, old & ~new
-    gain = plus.bit_count() - minus.bit_count()
-    if gain < 0 or not gain and not germ_greater(_entry(plus), _entry(minus)):
+    rise = plus.bit_count() - minus.bit_count()
+    if not rise:  # minus's position sum less plus's
+        while plus:
+            low, least = plus & -plus, minus & -minus
+            rise += least.bit_length() - low.bit_length()
+            plus, minus = plus ^ low, minus ^ least
+    if rise < 0 or not rise and not germ_greater(_entry(new), _entry(old)):
         raise AssertionError(f"patch rewrite at {position} did not raise the germ")
-    if not _mask_avoids(new, distances):
-        raise AssertionError(f"patch rewrite at {position} broke avoidance")
 
 
 def winner_windows_consistent(
@@ -475,4 +482,4 @@ def winner_windows_consistent(
         return False
     norm, pre, rep = distances.norm, len(winner.preperiod), len(winner.repetend)
     line = bytearray(winner.bits(pre + 2 * rep + patch_length + 2 * norm), "ascii")
-    return not _sweep(line, norm, pre + rep + norm, patch_length, distances)
+    return not _sweep(line, norm, pre + rep + norm, patch_length, distances, stop=True)

@@ -55,7 +55,10 @@ def _to_bits(mask: int, length: int) -> str:
 
 def _mask_avoids(mask: int, distances: DistanceSet) -> bool:
     """No two 1s of the mask lie a forbidden distance apart."""
-    return not any(mask & (mask >> d) for d in distances)
+    for d in distances.distances:
+        if mask & mask >> d:
+            return False
+    return True
 
 
 def _avoids_forever(pre: int, start: int, rep: int, period: int, distances: DistanceSet) -> bool:

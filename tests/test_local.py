@@ -698,6 +698,30 @@ class TestSweep:
         with pytest.raises(AssertionError, match="broke avoidance"):
             sweep_to_fixpoint("0" * 10 + "1" + "0" * 9, 5, D35)
 
+    def test_the_rise_check_decides_as_germ_greater(self):
+        # every pair of distinct masks of up to 10 bits with one count, the
+        # ones whose counts tie; where their position sums tie too, the
+        # check falls back on germ_greater
+        by_count, entries = {}, {}
+        for mask in range(1 << 10):
+            by_count.setdefault(mask.bit_count(), []).append(mask)
+            entries[mask] = _entry(mask)
+
+        def rises(old, new):
+            try:
+                local._check_rewrite(old, new, 0)
+            except AssertionError:
+                return False
+            return True
+
+        ties = 0
+        for masks in by_count.values():
+            for x, y in itertools.combinations(masks, 2):
+                want = germ_greater(entries[y], entries[x])
+                assert rises(x, y) == want != rises(y, x), (x, y)
+                ties += entries[x][2] == entries[y][2]
+        assert ties > 1000
+
     def test_input_must_avoid(self):
         # 1 and 4 lie 3 apart
         with pytest.raises(ValueError, match="^input string must avoid the distances$"):
@@ -922,6 +946,14 @@ class TestWinnerConsistency:
     def test_improvable_set_fails_the_check(self):
         # the empty set leaves every window improvable
         assert not winner_windows_consistent(RationalSet.empty(), D35, 6)
+
+    def test_an_inconsistent_set_stops_at_its_first_rewrite(self, monkeypatch):
+        # the first change decides, so it is checked and the sweep stops;
+        # a sweep of this set to a fixpoint makes 23 checked rewrites
+        calls, real = [], local._check_rewrite
+        monkeypatch.setattr(local, "_check_rewrite", lambda *args: calls.append(args) or real(*args))
+        assert not winner_windows_consistent(RationalSet("", "0" * 60 + "1"), DistanceSet.of(3, 6, 10), 10)
+        assert len(calls) == 1
 
     def test_a_set_that_does_not_avoid_fails_the_check(self):
         # 0 and 1 lie 1 apart, before the first patch at 2, which every
