@@ -16,9 +16,11 @@ its ties in closed form, `local.germ_greater`).  The only product is
 `_times_one_minus_power`, by 1 - q^d: `IntPolynomial` is a tuple of int
 coefficients with no ring arithmetic of its own.
 
-Everything here is integer/rational arithmetic; no floating point is used
-anywhere (the binomial coefficients that appear in the t-expansion overflow
-fixed-width types almost immediately).
+No floating point is used anywhere (the t-expansion's binomial coefficients
+overflow fixed-width types almost at once).  Ints inside, Fraction at the API:
+a rational is an int pair, polynomials are built and summed in C-level passes,
+and a `Fraction` is built only where a public function returns one
+(`germ_gap`, `laurent_prefix`, `sets.valuation`); an order reads a sign.
 
 Orderings are reported as LESS (-1), EQUAL (0), GREATER (+1), so that
 swapping arguments negates the result.
@@ -28,13 +30,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, zip_longest
+from itertools import accumulate, islice, starmap, zip_longest
+from operator import mul, sub
 
 LESS = -1
 EQUAL = 0
 GREATER = 1
 
 ORDER_NAMES = {LESS: "Less", EQUAL: "Equal", GREATER: "Greater"}
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")  # "0"/"1" to 0/1, by bytes.translate
+
+
+def _sums(c):
+    """(N(1), N'(1)) for the polynomial N with coefficients c."""
+    return sum(c), sum(map(mul, range(len(c)), c))
 
 
 def _t_series(coeffs):
@@ -65,7 +74,7 @@ def _lowest_t_term(coeffs):
 
 
 def _term_sign(term) -> int:
-    """Order given by a leading (order, coefficient) term; EQUAL for None."""
+    """Order given by a leading (order, coefficient, ...) term; EQUAL for None."""
     return EQUAL if term is None else (GREATER if term[1] > 0 else LESS)
 
 
@@ -81,8 +90,8 @@ class IntPolynomial:
     _BITS = {(str, "0"): 0, (str, "1"): 1, (int, 0): 0, (int, 1): 1}
 
     def __post_init__(self):
-        c = list(self.coeffs)
-        if any(type(x) is not int for x in c):
+        c = list(self.coeffs)  # a bytes object holds only ints, so it goes unchecked
+        if type(self.coeffs) is not bytes and not {int}.issuperset(map(type, c)):
             raise ValueError(f"coefficients must be ints, got {self.coeffs!r}")
         while c and c[-1] == 0:
             c.pop()
@@ -91,6 +100,8 @@ class IntPolynomial:
     @classmethod
     def from_bits(cls, bits) -> IntPolynomial:
         """Indicator polynomial of 0/1 bits, "0"/"1" or ints (not bools): q**i for each 1."""
+        if type(bits) is str and not bits.strip("01"):  # checked once, decoded whole
+            return cls(bits.rstrip("0").encode().translate(_BIT_VALUES))
         try:
             return cls(tuple(cls._BITS[type(b), b] for b in bits))
         except (KeyError, TypeError):
@@ -99,10 +110,8 @@ class IntPolynomial:
 
 def _times_one_minus_power(coeffs, d: int) -> list[int]:
     """The coefficients of sum(coeffs[i] * q**i) * (1 - q**d), as a list."""
-    out = list(coeffs) + [0] * d
-    for i, c in enumerate(coeffs):
-        out[i + d] -= c
-    return out
+    pad = (0,) * d
+    return list(map(sub, (*coeffs, *pad), (*pad, *coeffs)))
 
 
 def one_minus_power(d: int) -> IntPolynomial:
@@ -121,8 +130,13 @@ def poly_sign_near_one(p: IntPolynomial) -> int:
 
 
 def poly_germ_compare(p: IntPolynomial, r: IntPolynomial) -> int:
-    """Total order on polynomials by germ at 1-: the sign of p - r there."""
-    return _term_sign(_lowest_t_term([a - b for a, b in zip_longest(p.coeffs, r.coeffs, fillvalue=0)]))
+    """Total order on polynomials by germ at 1-: the sign of p - r there.  Its t-terms
+    of orders 0 and 1 are the gaps in N(1) and -N'(1); only a tie of both expands it."""
+    a, b = p.coeffs, r.coeffs
+    gap = sum(a) - sum(b) or _sums(b)[1] - _sums(a)[1]
+    if gap:
+        return GREATER if gap > 0 else LESS
+    return _term_sign(_lowest_t_term(list(starmap(sub, zip_longest(a, b, fillvalue=0)))))
 
 
 @dataclass(frozen=True)
@@ -145,13 +159,12 @@ def _cross_numerator(f: RationalGF, g: RationalGF) -> list[int]:
     """num(f)*(1-q^{dg}) - num(g)*(1-q^{df}): f - g over (1-q^{df})(1-q^{dg})."""
     a = _times_one_minus_power(f.numerator.coeffs, g.period)
     b = _times_one_minus_power(g.numerator.coeffs, f.period)
-    return [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+    return list(starmap(sub, zip_longest(a, b, fillvalue=0)))
 
 
 def _moments(f: RationalGF):
     """(N(1), N'(1), d) for f = N(q)/(1 - q**d)."""
-    c = f.numerator.coeffs
-    return sum(c), sum(i * x for i, x in enumerate(c)), f.period
+    return (*_sums(f.numerator.coeffs), f.period)
 
 
 def _a0_numerator(n1: int, dn1: int, d: int) -> int:
@@ -160,7 +173,7 @@ def _a0_numerator(n1: int, dn1: int, d: int) -> int:
 
 
 def _leading_gap(mf, mg, gfs):
-    """Leading Laurent term (order, value) of f - g at t = 1 - q; None if f == g.
+    """Leading Laurent term (order, numerator, denominator > 0) of f - g at t = 1 - q; None if f == g.
 
     Orders -1 and 0 by cross-multiplying the `_moments` triples mf, mg; only
     on a tie of both is the pair (f, g) = gfs() built.  Its cross numerator
@@ -170,12 +183,12 @@ def _leading_gap(mf, mg, gfs):
     (nf, dnf, pf), (ng, dng, pg) = mf, mg
     c = nf * pg - ng * pf
     if c:
-        return -1, Fraction(c, pf * pg)
+        return -1, c, pf * pg
     c = _a0_numerator(nf, dnf, pf) * pg - _a0_numerator(ng, dng, pg) * pf
     if c:
-        return 0, Fraction(c, 2 * pf * pg)
+        return 0, c, 2 * pf * pg
     term = _lowest_t_term(_cross_numerator(*gfs()))
-    return None if term is None else (term[0] - 2, Fraction(term[1], pf * pg))
+    return None if term is None else (term[0] - 2, term[1], pf * pg)
 
 
 def germ_compare(f: RationalGF, g: RationalGF) -> int:
@@ -233,4 +246,5 @@ def germ_gap(f: RationalGF, g: RationalGF):
     or None when the germs are identical.  Equal densities show up as a gap
     at order 0, the constant-term level.  The sign of value is germ_compare.
     """
-    return _leading_gap(_moments(f), _moments(g), lambda: (f, g))
+    gap = _leading_gap(_moments(f), _moments(g), lambda: (f, g))
+    return gap and (gap[0], Fraction(gap[1], gap[2]))

@@ -18,19 +18,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import sub
 
 from .germs import (
     IntPolynomial,
     RationalGF,
+    _BIT_VALUES,
     _a0_numerator,
     _leading_gap,
+    _sums,
     _term_sign,
-    _times_one_minus_power,
 )
 
 
 def _check_bits(bits: str, what: str) -> str:
-    if not isinstance(bits, str) or any(ch not in "01" for ch in bits):
+    if not isinstance(bits, str) or bits.strip("01"):
         raise ValueError(f"{what} must be a string of 0s and 1s, got {bits!r}")
     return bits
 
@@ -294,14 +296,12 @@ class RationalSet:
 def generating_function(s: RationalSet) -> RationalGF:
     """Exact rational generating function sum_{n in S} q**n.
 
-    Written over the denominator 1 - q**len(repetend): the preperiod
-    contributes its indicator polynomial times the denominator, and the
-    repetend its indicator polynomial delayed past the preperiod.
+    Written over the denominator 1 - q**d, d = len(repetend), the numerator
+    pre(q)(1 - q**d) + q**len(pre) rep(q) has coefficient i bit i of pre + rep
+    less bit i - d of pre: one pass over ASCII codes, which differ as bits do.
     """
-    d = len(s.repetend)
-    numerator = _times_one_minus_power([int(b) for b in s.preperiod], d)
-    for i, b in enumerate(s.repetend, len(s.preperiod)):
-        numerator[i] += int(b)
+    pre, d = s.preperiod, len(s.repetend)
+    numerator = map(sub, (pre + s.repetend).encode(), ("0" * d + pre).encode())
     return RationalGF(IntPolynomial(tuple(numerator)), d)
 
 
@@ -380,17 +380,14 @@ class Valuation:
     a0: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "density", Fraction(self.density))
-        object.__setattr__(self, "a0", Fraction(self.a0))
-        d, a = self.density, self.a0
-        if d == 0:
-            ok = a.denominator == 1 and a >= 0
-        elif d == 1:
-            ok = a.denominator == 1 and a <= 0
-        else:
-            ok = 0 < d < 1
-        if not ok:
-            raise ValueError(f"impossible valuation pair ({d}, {a})")
+        for name, value in (("density", self.density), ("a0", self.a0)):
+            if type(value) is int:  # bools, floats and strs refused: exact or nothing
+                object.__setattr__(self, name, Fraction(value))
+            elif type(value) is not Fraction:
+                raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
+        (dn, dd), (an, ad) = self.density.as_integer_ratio(), self.a0.as_integer_ratio()
+        if not (0 < dn < dd or ad == 1 and (an >= 0 if dn == 0 else dn == dd and an <= 0)):
+            raise ValueError(f"impossible valuation pair ({self.density}, {self.a0})")
 
     def classify(self) -> str:
         if self.density == 0:
@@ -404,8 +401,7 @@ def _moments(s: RationalSet):
     """(N(1), N'(1), d) of generating_function(s) = N(q)/(1 - q**d), off the strings."""
     # N = pre(q)(1 - q^d) + q^m rep(q), m = |pre|: N'(1) = m ones(rep) + possum(rep) - d ones(pre)
     pre, rep = s.preperiod, s.repetend
-    ones = rep.count("1")
-    possum = sum(i for i, b in enumerate(rep) if b == "1")
+    ones, possum = _sums(rep.encode().translate(_BIT_VALUES))
     return ones, len(pre) * ones + possum - len(rep) * pre.count("1"), len(rep)
 
 

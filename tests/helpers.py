@@ -101,6 +101,26 @@ def random_set_pair(rng):
     return RationalSet(pre, rep), RationalSet(pre[::-1], rep)
 
 
+def germ_arith_pair(rng, la, lb, tie=None):
+    """Two sets shaped like perfbench's germ_arith pairs: repetends of la and
+    lb bits behind preperiods of (la + lb) % 17 and (la * lb) % 17 bits.
+
+    tie -1 forces equal densities: b repeats a shuffle of a's repetend over
+    about lb bits.  tie 0 forces equal densities and constant terms: b keeps
+    a's repetend behind a shuffle of a's preperiod, since N'(1) reads only
+    the preperiod's length and count (see `sets._moments`).
+    """
+    pre_a, rep_a = random_bits(rng, (la + lb) % 17), random_bits(rng, la)
+    if tie is None:
+        pre_b, rep_b = random_bits(rng, (la * lb) % 17), random_bits(rng, lb)
+    elif tie == -1:
+        pre_b = random_bits(rng, (la * lb) % 17)
+        rep_b = "".join(rng.sample(rep_a * max(1, lb // la), la * max(1, lb // la)))
+    else:
+        pre_b, rep_b = "".join(rng.sample(pre_a, len(pre_a))), rep_a
+    return RationalSet(pre_a, rep_a), RationalSet(pre_b, rep_b)
+
+
 def random_circular_word(rng, anchor_bits, extra_max=6):
     """Circular word over the anchor's block length starting with the anchor."""
     m = len(anchor_bits)

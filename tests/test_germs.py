@@ -1,6 +1,7 @@
 """Exact germ arithmetic: signs near 1-, comparisons, Laurent expansions."""
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from helpers import (
     gap_by_cross_numerator,
     laurent_by_binomials,
     random_gf,
+    random_bits,
     random_gf_pair,
     sign_by_evaluation,
 )
@@ -70,6 +72,37 @@ class TestPolyGermCompare:
         assert poly_germ_compare(
             IntPolynomial.from_bits("1000001"), IntPolynomial.from_bits("0110000")
         ) == LESS
+
+    def test_matches_the_lowest_t_term(self):
+        # orders 0 and 1 come from closed forms; a tie of both expands
+        rng = random.Random(20261021)
+        ties = 0
+        for trial in range(900):
+            length = 240 if trial % 3 == 0 else rng.randrange(20)
+            if trial % 2:
+                p = tuple(rng.randint(-3, 3) for _ in range(length))
+            else:
+                p = tuple(map(int, random_bits(rng, length)))
+            kind = trial % 5
+            if kind < 2:
+                # c*q^a*(1-q)^k, k >= 2, moves neither N(1) nor N'(1)
+                nudge = (0,) * rng.randrange(length + 1) + (rng.choice((-1, 1)),)
+                for _ in range(rng.randrange(2, 5)):
+                    nudge = convolve(nudge, (1, -1))
+                r = add(p, nudge)
+            elif kind == 2 and length >= 4:
+                # 1001 and 0110 at the same place: the same count and position sum
+                i = rng.randrange(length - 3)
+                r = p[:i] + (p[i] - 1, p[i + 1] + 1, p[i + 2] + 1, p[i + 3] - 1) + p[i + 4:]
+            else:
+                r = tuple(rng.randint(-3, 3) for _ in range(rng.randrange(length + 2)))
+            term = germs._lowest_t_term(add(p, [-c for c in r]))
+            sign = 0 if term is None else (1 if term[1] > 0 else -1)
+            pp, rr = IntPolynomial(p), IntPolynomial(r)
+            assert poly_germ_compare(pp, rr) == sign and poly_germ_compare(rr, pp) == -sign
+            moment = [sum(i * c for i, c in enumerate(x)) for x in (p, r)]
+            ties += pp != rr and sum(p) == sum(r) and moment[0] == moment[1]
+        assert ties > 300
 
 
 class TestGermCompare:
@@ -212,6 +245,21 @@ class TestIntPolynomial:
     def test_from_bits(self):
         assert IntPolynomial.from_bits("0110").coeffs == (0, 1, 1)
         assert IntPolynomial.from_bits([1, 0, 1]).coeffs == (1, 0, 1)
+        assert IntPolynomial.from_bits(["0", "1", "1", "0"]).coeffs == (0, 1, 1)
+        assert IntPolynomial.from_bits(iter((0, 1, "1"))).coeffs == (0, 1, 1)
+        assert IntPolynomial.from_bits("").coeffs == IntPolynomial.from_bits("000").coeffs == ()
+
+    def test_a_bytes_object_is_taken_as_its_ints(self):
+        assert IntPolynomial(bytes((0, 1, 2, 0))).coeffs == (0, 1, 2)
+
+    def test_a_hundred_thousand_bits_in_linear_time(self):
+        rng = random.Random(100_000)
+        bits = random_bits(rng, 100_000) + "1"
+        listed = list(map(int, bits))
+        began = time.perf_counter()
+        from_str, from_list = IntPolynomial.from_bits(bits), IntPolynomial.from_bits(listed)
+        assert time.perf_counter() - began < 1.0
+        assert from_str.coeffs == from_list.coeffs == tuple(listed)
 
     def test_many_trailing_zeros_strip_in_linear_time(self):
         # stripped by popping from a list; a tuple sliced once per zero
@@ -227,9 +275,13 @@ class TestIntPolynomial:
         with pytest.raises(ValueError, match="coefficients must be ints"):
             IntPolynomial(coeffs)
 
-    @pytest.mark.parametrize("bits", ["12", "1x1", "1 0", [1, 2], [1.0, 0], [True, False], [[1]]])
+    @pytest.mark.parametrize("bits", [
+        "12", "1x1", "1 0", [1, 2], [1.0, 0], [True, False], [[1]],
+        "012", "0110\n", [True], ["0", 2], b"01", 5,
+    ])
     def test_bits_must_be_zeros_and_ones(self, bits):
-        with pytest.raises(ValueError, match="bits must be"):
+        message = f"bits must be 0/1 or '0'/'1', got {bits!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             IntPolynomial.from_bits(bits)
 
 

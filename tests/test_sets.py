@@ -23,6 +23,7 @@ from germpack import (
     greedy_avoiding,
     is_avoiding,
     laurent_prefix,
+    poly_germ_compare,
     set_compare,
     shift,
     valuation,
@@ -30,10 +31,12 @@ from germpack import (
 from germpack import block_encode, brute_best_periodic, enumerate_avoiding, germs, sets
 from germpack.local import LineKernel
 from helpers import (
+    add,
     all_distance_sets,
     canonical_bit_by_bit,
     cross_numerator,
     gap_by_cross_numerator,
+    germ_arith_pair,
     numerator_by_convolution,
     pairs_clash,
     random_bits,
@@ -228,6 +231,11 @@ class TestNormalize:
         with pytest.raises(ValueError, match="must be a string of 0s and 1s"):
             RationalSet(preperiod, repetend)
 
+    @pytest.mark.parametrize("preperiod, repetend", [("012", "0"), ("1", "10\n"), ("", "2"), ("1x1", "0")])
+    def test_bits_must_be_zeros_and_ones(self, preperiod, repetend):
+        with pytest.raises(ValueError, match="must be a string of 0s and 1s"):
+            RationalSet(preperiod, repetend)
+
     @pytest.mark.parametrize("count, bad", [(-1, "-1"), (True, "True"), (2.0, "2.0"), ("2", "'2'")])
     def test_bits_and_elements_refuse_non_naturals(self, count, bad):
         # bits(-1) used to return "10", a slice from the end, and
@@ -301,7 +309,7 @@ class TestIsAvoiding:
         assert is_avoiding(RationalSet.naturals(), DistanceSet())
 
     def test_rejects_non_bit_strings(self):
-        for bits in ("10x", "1_0", " 10"):
+        for bits in ("10x", "1_0", " 10", "012", "10\n"):
             with pytest.raises(ValueError):
                 is_avoiding(bits, D35)
 
@@ -519,6 +527,23 @@ class TestValuation:
         assert valuation(RationalSet("", "10")) > valuation(RationalSet("", "01"))
         assert valuation(RationalSet("", "100")) < valuation(RationalSet("", "10"))
 
+    @pytest.mark.parametrize("density, a0", [
+        (0.5, 0.25), (True, 0), (0, False), ("1/2", "3"), (Fraction(1, 2), 0.25), (None, 0),
+    ])
+    def test_refuses_all_but_ints_and_fractions(self, density, a0):
+        # Fraction() used to take floats, bools and strs (a float is
+        # inexact, a bool is no number here, a str was parsed); None was a TypeError
+        with pytest.raises(ValueError, match="must be an int or a Fraction"):
+            Valuation(density, a0)
+
+    def test_ints_are_kept_as_fractions(self):
+        v = Valuation(0, 3)
+        assert v == Valuation(Fraction(0), Fraction(3)) and v.classify() == "finite"
+        assert type(v.density) is type(v.a0) is Fraction
+        assert Valuation(1, -2).classify() == "cofinite"
+        with pytest.raises(ValueError, match="impossible valuation pair"):
+            Valuation(1, 2)
+
 
 class TestSetCompare:
     def test_evens_beat_odds(self):
@@ -558,6 +583,59 @@ class TestClosedForms:
                 prefix = laurent_prefix(f, 2)
                 assert valuation(s) == Valuation(prefix.density, prefix.a0)
         assert ties > 1000  # pairs tied at both closed-form orders reach the fallback
+
+    def test_germ_arith_shaped_pairs_match_the_cross_numerator_route(self):
+        rng = random.Random(20261021)
+        orders = Counter()
+        for la in range(1, 17):
+            for lb in range(1, 17):
+                for tie in (None, -1, 0):
+                    a, b = germ_arith_pair(rng, la, lb, tie)
+                    fa, fb = generating_function(a), generating_function(b)
+                    gap = gap_by_cross_numerator(fa, fb)
+                    assert germ_gap(fa, fb) == gap
+                    sign = 0 if gap is None else (1 if gap[1] > 0 else -1)
+                    assert set_compare(a, b) == germ_compare(fa, fb) == sign
+                    assert set_compare(b, a) == germ_compare(fb, fa) == -sign
+                    if tie is not None:
+                        assert gap is None or gap[0] > tie
+                    orders[tie, None if gap is None else min(gap[0], 1)] += 1
+        # every route is taken: each closed-form order, and the t-series past them
+        assert orders[None, -1] > 200 and orders[-1, 0] > 200 and orders[0, 1] > 150
+
+    def test_orders_build_no_fraction(self, monkeypatch):
+        rng = random.Random(31)
+        pairs = [germ_arith_pair(rng, la, lb, tie)
+                 for la, lb in ((1, 1), (3, 5), (7, 2), (16, 16)) for tie in (None, -1, 0)]
+        pairs.append((RationalSet.from_text("1001|0"), RationalSet.from_text("0110|0")))
+        gaps = [gap_by_cross_numerator(generating_function(a), generating_function(b))
+                for a, b in pairs]
+        values = [Valuation(*laurent_prefix(generating_function(s), 2).coefficients)
+                  for pair in pairs for s in pair]
+
+        class FractionBuilt(Exception):
+            pass
+
+        def refuse(*args):
+            raise FractionBuilt(args)
+
+        monkeypatch.setattr(germs, "Fraction", refuse)
+        monkeypatch.setattr(sets, "Fraction", refuse)
+        for (a, b), gap in zip(pairs, gaps):
+            fa, fb = generating_function(a), generating_function(b)
+            sign = 0 if gap is None else (1 if gap[1] > 0 else -1)
+            assert set_compare(a, b) == germ_compare(fa, fb) == sign
+            pa, pb = IntPolynomial.from_bits(a.preperiod), IntPolynomial.from_bits(b.preperiod)
+            difference = add(pa.coeffs, [-c for c in pb.coeffs])
+            assert poly_germ_compare(pa, pb) == sign_by_evaluation(difference)
+        with pytest.raises(FractionBuilt):  # the patch reaches what does build one
+            germ_gap(*map(generating_function, pairs[-1]))
+        monkeypatch.undo()
+        for (a, b), gap in zip(pairs, gaps):
+            found = germ_gap(generating_function(a), generating_function(b))
+            assert found == gap and (found is None or type(found[1]) is Fraction)
+        found = [valuation(s) for pair in pairs for s in pair]
+        assert found == values and all(type(v.density) is type(v.a0) is Fraction for v in found)
 
     def test_generating_functions_only_on_a_tie(self, monkeypatch):
         calls = Counter()
