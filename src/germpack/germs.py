@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, islice, starmap, zip_longest
 from operator import mul, sub
 
@@ -154,17 +155,18 @@ class RationalGF:
         if type(self.period) is not int or self.period < 1:
             raise ValueError(f"period must be a positive integer, got {self.period!r}")
 
+    @cached_property
+    def _moments(self) -> tuple[int, int, int]:
+        """(N(1), N'(1), d) for N the numerator and d the period, summed once
+        per instance; `sets.generating_function` hands over its set's."""
+        return (*_sums(self.numerator.coeffs), self.period)
+
 
 def _cross_numerator(f: RationalGF, g: RationalGF) -> list[int]:
     """num(f)*(1-q^{dg}) - num(g)*(1-q^{df}): f - g over (1-q^{df})(1-q^{dg})."""
     a = _times_one_minus_power(f.numerator.coeffs, g.period)
     b = _times_one_minus_power(g.numerator.coeffs, f.period)
     return list(starmap(sub, zip_longest(a, b, fillvalue=0)))
-
-
-def _moments(f: RationalGF):
-    """(N(1), N'(1), d) for f = N(q)/(1 - q**d)."""
-    return (*_sums(f.numerator.coeffs), f.period)
 
 
 def _a0_numerator(n1: int, dn1: int, d: int) -> int:
@@ -193,7 +195,7 @@ def _leading_gap(mf, mg, gfs):
 
 def germ_compare(f: RationalGF, g: RationalGF) -> int:
     """Total order on rational generating functions by germ at 1-: germ_gap's sign."""
-    return _term_sign(_leading_gap(_moments(f), _moments(g), lambda: (f, g)))
+    return _term_sign(_leading_gap(f._moments, g._moments, lambda: (f, g)))
 
 
 @dataclass(frozen=True)
@@ -246,5 +248,5 @@ def germ_gap(f: RationalGF, g: RationalGF):
     or None when the germs are identical.  Equal densities show up as a gap
     at order 0, the constant-term level.  The sign of value is germ_compare.
     """
-    gap = _leading_gap(_moments(f), _moments(g), lambda: (f, g))
+    gap = _leading_gap(f._moments, g._moments, lambda: (f, g))
     return gap and (gap[0], Fraction(gap[1], gap[2]))

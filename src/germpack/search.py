@@ -58,7 +58,7 @@ MAX_EVIDENCE_BITS = 1 << 12
 
 # The most nodes a two-block challenger walk may pop, which only the block
 # length bounds otherwise.  The largest walk a search is known to make pops
-# 12,436,671 ({2,10,12}, 92-bit blocks, `max_block = 96`).
+# 12,436,599 ({2,10,12}, 92-bit blocks, `max_block = 96`).
 MAX_CHALLENGER_NODES = 1 << 24
 
 # The longest string `best_string` returns: each step of a run carries masks
@@ -319,21 +319,33 @@ def _two_block_challenger(kernel: LineKernel, b: int, size: int):
     Branch and bound over R, depth first, 1 before 0, carrying the shadow of
     `sets._WindowModel` on an explicit stack, so any length within the cap
     walks.  R > B needs at least as many 1s as B (the count is the leading
-    t-coefficient), and the germ-best string of each length has the most
-    1s, so a prefix of R is cut once even the germ-best tail of the
-    remaining length cannot bring it up to that count.  No R beats a
-    germ-best B, so then no R is walked at all.  For a fixed R, QR - Q'R =
-    Q - Q' as polynomials, so only the germ-best Q that fits before R can
-    beat BB.  Q meets R only through R[:norm] (all of R when the blocks are
-    shorter than norm), so Q is the best filling of a patch of |B|
-    positions between an all-zero left context and that head
-    (`local._patch_run`).  Raises ValueError past MAX_CHALLENGER_NODES pops.
+    t-coefficient), and with just as many, a position sum at most B's (the
+    next one; on a tie of both, later orders decide).  The r = |B| - pos
+    bits after a prefix of pos bits are an avoiding string of their own, so
+    they hold at most most[r] 1s, the count of the germ-best r-bit string,
+    and when they hold that many, their position sum is at least that
+    string's, least[r], the least among such strings, plus pos for each 1.
+    So a prefix with `ones` 1s and position sum `possum` is cut when
+    ones < count(B) - most[r] (`floor[pos]`), or when ones equals that and
+    possum > possum(B) - pos·most[r] - least[r] (`ceiling[pos]`); with both
+    tables built before the walk, a pop costs a lookup and a compare.  No R
+    beats a germ-best B, so then no R is walked at all.
+
+    For a fixed R, QR - Q'R = Q - Q' as polynomials, so only the germ-best
+    Q that fits before R can beat BB.  Q meets R only through R[:norm] (all
+    of R when the blocks are shorter than norm), so Q is the best filling
+    of a patch of |B| positions between an all-zero left context and that
+    head (`local._patch_run`).  Raises ValueError past MAX_CHALLENGER_NODES
+    pops.
     """
     if b == kernel.entry(size)[0]:
         return None
     b_entry, bb_entry = _entry(b), _entry(b | b << size)
-    need = b_entry[1]
-    most = [kernel.entry(n)[1] for n in range(size + 1)]
+    floor, ceiling = [], []
+    for pos in range(size + 1):
+        _, most, least = kernel.entry(size - pos)
+        floor.append(b_entry[1] - most)
+        ceiling.append(b_entry[2] - pos * most - least)
     grow, head, fill = kernel.model.grow, (1 << kernel.distances.norm) - 1, None
     stack = [(0, 0, 0, 0, 0)]  # position, shadow, mask, ones, position-sum
     pop, push = stack.pop, stack.append
@@ -341,7 +353,7 @@ def _two_block_challenger(kernel: LineKernel, b: int, size: int):
         if not stack:
             return None
         pos, shadow, mask, ones, possum = pop()
-        if ones + most[size - pos] < need:
+        if ones < floor[pos] or ones == floor[pos] and possum > ceiling[pos]:
             continue
         if pos < size:
             push((pos + 1, shadow >> 1, mask, ones, possum))  # popped after the 1's walk

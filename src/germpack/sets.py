@@ -292,6 +292,15 @@ class RationalSet:
         """An iterator over the members below `limit`, which is checked at once."""
         return (n for n, bit in enumerate(self.bits(limit)) if bit == "1")
 
+    @cached_property
+    def _moments(self) -> tuple[int, int, int]:
+        """(N(1), N'(1), d) of generating_function(self) = N(q)/(1 - q**d), off
+        the strings, built once per instance."""
+        # N = pre(q)(1 - q^d) + q^m rep(q), m = |pre|: N'(1) = m ones(rep) + possum(rep) - d ones(pre)
+        pre, rep = self.preperiod, self.repetend
+        ones, possum = _sums(rep.encode().translate(_BIT_VALUES))
+        return ones, len(pre) * ones + possum - len(rep) * pre.count("1"), len(rep)
+
 
 def generating_function(s: RationalSet) -> RationalGF:
     """Exact rational generating function sum_{n in S} q**n.
@@ -302,7 +311,9 @@ def generating_function(s: RationalSet) -> RationalGF:
     """
     pre, d = s.preperiod, len(s.repetend)
     numerator = map(sub, (pre + s.repetend).encode(), ("0" * d + pre).encode())
-    return RationalGF(IntPolynomial(tuple(numerator)), d)
+    gf = RationalGF(IntPolynomial(tuple(numerator)), d)
+    object.__setattr__(gf, "_moments", s._moments)  # the germ comparisons read it
+    return gf
 
 
 def is_avoiding(subject, distances: DistanceSet) -> bool:
@@ -397,21 +408,13 @@ class Valuation:
         return "fractional"
 
 
-def _moments(s: RationalSet):
-    """(N(1), N'(1), d) of generating_function(s) = N(q)/(1 - q**d), off the strings."""
-    # N = pre(q)(1 - q^d) + q^m rep(q), m = |pre|: N'(1) = m ones(rep) + possum(rep) - d ones(pre)
-    pre, rep = s.preperiod, s.repetend
-    ones, possum = _sums(rep.encode().translate(_BIT_VALUES))
-    return ones, len(pre) * ones + possum - len(rep) * pre.count("1"), len(rep)
-
-
 def valuation(s: RationalSet) -> Valuation:
     """Density and constant term of the set's germ, exactly, by `germs`' closed forms."""
-    n1, dn1, d = _moments(s)
+    n1, dn1, d = s._moments
     return Valuation(Fraction(n1, d), Fraction(_a0_numerator(n1, dn1, d), 2 * d))
 
 
 def set_compare(a: RationalSet, b: RationalSet) -> int:
     """Germ order on sets; EQUAL exactly when the canonical forms coincide."""
     return _term_sign(_leading_gap(
-        _moments(a), _moments(b), lambda: (generating_function(a), generating_function(b))))
+        a._moments, b._moments, lambda: (generating_function(a), generating_function(b))))

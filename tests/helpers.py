@@ -108,7 +108,7 @@ def germ_arith_pair(rng, la, lb, tie=None):
     tie -1 forces equal densities: b repeats a shuffle of a's repetend over
     about lb bits.  tie 0 forces equal densities and constant terms: b keeps
     a's repetend behind a shuffle of a's preperiod, since N'(1) reads only
-    the preperiod's length and count (see `sets._moments`).
+    the preperiod's length and count (see `sets.RationalSet._moments`).
     """
     pre_a, rep_a = random_bits(rng, (la + lb) % 17), random_bits(rng, la)
     if tie is None:

@@ -462,19 +462,23 @@ class TestTwoBlockBranchAndBound:
                 assert entries[length][1] == want
 
     def test_rich_strings_match_enumeration(self):
-        # seeded B of 1-11 bits that are not germ-best, so the walk over R
-        # runs: it finds a challenger iff the oracle's pairing does, and any
-        # pair it returns is one (`_challenger_free`)
+        # B of 1-11 bits that are not germ-best, so the walk over R runs: it
+        # finds a challenger iff the oracle's pairing does, and any pair it
+        # returns is one (`_challenger_free`).  Three seeded B per D, and the
+        # reverse of each germ-best string, which has its count but not its
+        # position sum, so the walk's count-tied cut decides there
         rng = random.Random(17)
-        walks = found = 0
+        walks, found = Counter(), Counter()
         for distances in all_distance_sets(5):
-            for _ in range(3):
-                size = rng.randrange(1, 12)
-                block_b = random_avoiding(rng, distances, size)
-                if block_b != best_string(distances, size):
-                    walks += 1
-                    found += not _challenger_free(distances, block_b)
-        assert 0 < found < walks
+            blocks = [("seeded", random_avoiding(rng, distances, rng.randrange(1, 12)))
+                      for _ in range(3)]
+            blocks += [("reversed", best_string(distances, n)[::-1]) for n in range(1, 12)]
+            for kind, block_b in blocks:
+                if block_b != best_string(distances, len(block_b)):
+                    walks[kind] += 1
+                    found[kind] += not _challenger_free(distances, block_b)
+        assert 0 < found["seeded"] < walks["seeded"]
+        assert (walks["reversed"], found["reversed"]) == (220, 119)
 
     def test_agrees_with_oracle_on_small_distance_sets(self):
         # every D inside {1..6}, every block from norm to min(2 norm, 12)
@@ -520,6 +524,31 @@ class TestTwoBlockBranchAndBound:
                     cases += 1
                     certified += _agree_with_oracle(distances, block_a, doubled[size:])
         assert (cases, certified) == (617, 43)
+
+    def test_pool_walk_work_is_pinned(self):
+        # the challenger walk's pops over the benchmark's two-block pool, each
+        # case searched and then verified after a JSON round trip, counted on
+        # the walk's own stack pops.  The outputs are pinned elsewhere; this
+        # pins the work, which a weakened cut raises without changing any
+        # verdict (7,350 with the count cut alone, 7,172 with a ceiling that
+        # leaves out pos·most[r])
+        code, pops, before = search._two_block_challenger.__code__, 0, sys.getprofile()
+
+        def count(frame, event, arg):
+            nonlocal pops
+            if event == "c_call" and frame.f_code is code and arg.__name__ == "pop":
+                pops += 1
+
+        sys.setprofile(count)
+        try:
+            for dset, max_block in TWO_BLOCK_POOL:
+                budget = SearchBudget(max_block=max_block)
+                cert = find_winner(DistanceSet.of(*dset), budget).certificate
+                again = Certificate.from_json_dict(json.loads(json.dumps(cert.to_json_dict())))
+                assert again.verify(), dset
+        finally:
+            sys.setprofile(before)
+        assert pops == 2_194
 
     def test_finds_a_challenger_for_a_weak_second_block(self):
         # any R holding a 1 beats an all-zero B, and so does QR beat BB

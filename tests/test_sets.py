@@ -660,3 +660,46 @@ class TestClosedForms:
         assert set_compare(text("1001|0"), text("0110|0")) == GREATER
         assert set_compare(text("110|100"), text("110100|100100")) == EQUAL
         assert calls == {"cross": 2, "gf": 4}
+
+    def test_moment_triples_match_the_numerator(self):
+        # a set's (N(1), N'(1), d) read off its strings, and the triple its
+        # generating function carries, against the numerator summed afresh
+        rng = random.Random(32)
+        cases = [random_rational_set(rng, 12, 9) for _ in range(600)]
+        cases += [s for la in range(1, 17) for lb in range(1, 17) for tie in (None, -1, 0)
+                  for s in germ_arith_pair(rng, la, lb, tie)]
+        for s in cases:
+            f = generating_function(s)
+            want = (*germs._sums(f.numerator.coeffs), len(s.repetend))
+            assert s._moments == f._moments == want, s
+            assert RationalGF(f.numerator, f.period)._moments == want  # summed by the GF itself
+
+    def test_moments_are_summed_once_per_set(self, monkeypatch):
+        # a germ_arith operation: both orders, both valuations and the gap of
+        # the generating functions read the triples the first compare summed
+        calls = Counter()
+        real = germs._sums
+
+        def counted(c):
+            calls["sums"] += 1
+            return real(c)
+
+        monkeypatch.setattr(germs, "_sums", counted)
+        monkeypatch.setattr(sets, "_sums", counted)
+        a, b = germ_arith_pair(random.Random(33), 5, 7)
+        order = set_compare(a, b)
+        assert calls["sums"] == 2
+        assert set_compare(b, a) == -order
+        valuation(a), valuation(b)
+        gap = germ_gap(generating_function(a), generating_function(b))
+        assert gap is not None and calls["sums"] == 2
+
+    def test_equality_hash_and_repr_ignore_the_moments(self):
+        for text in ("|10", "0110|0", "1|011", "01|1"):
+            warm, cold = RationalSet.from_text(text), RationalSet.from_text(text)
+            f = generating_function(warm)  # fills warm's triple and hands it to f
+            g = RationalGF(f.numerator, f.period)
+            assert "_moments" in vars(warm) and "_moments" not in vars(cold)
+            assert "_moments" in vars(f) and "_moments" not in vars(g)
+            for x, y in ((warm, cold), (f, g)):
+                assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
