@@ -109,6 +109,14 @@ class IntPolynomial:
             raise ValueError(f"bits must be 0/1 or '0'/'1', got {bits!r}") from None
 
 
+def _check_natural(value, what: str, least: int = 1):
+    """Raise unless `value` is an int (bools refused) of at least `least`, 0 or 1."""
+    if type(value) is not int or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{what} must be a {kind} integer, got {value!r}")
+    return value
+
+
 def _times_one_minus_power(coeffs, d: int) -> list[int]:
     """The coefficients of sum(coeffs[i] * q**i) * (1 - q**d), as a list."""
     pad = (0,) * d
@@ -117,8 +125,7 @@ def _times_one_minus_power(coeffs, d: int) -> list[int]:
 
 def one_minus_power(d: int) -> IntPolynomial:
     """The polynomial 1 - q**d."""
-    if type(d) is not int or d < 1:
-        raise ValueError(f"power must be a positive integer, got {d!r}")
+    _check_natural(d, "power")
     return IntPolynomial((1,) + (0,) * (d - 1) + (-1,))
 
 
@@ -152,8 +159,7 @@ class RationalGF:
     period: int
 
     def __post_init__(self):
-        if type(self.period) is not int or self.period < 1:
-            raise ValueError(f"period must be a positive integer, got {self.period!r}")
+        _check_natural(self.period, "period")
 
     @cached_property
     def _moments(self) -> tuple[int, int, int]:
@@ -227,8 +233,7 @@ def laurent_prefix(f: RationalGF, count: int = 4) -> LaurentPrefix:
     coefficients of orders -1, 0, 1, ...  Only the first `count`
     t-coefficients of N and of u are expanded.
     """
-    if type(count) is not int or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
+    _check_natural(count, "count")
     num_t = list(islice(_t_series(f.numerator.coeffs), count))
     # u[i] = coeff of t**i in (1 - (1-t)**d) / t, so u(0) = d
     u = list(islice(_t_series(one_minus_power(f.period).coeffs), 1, count + 1))

@@ -14,8 +14,9 @@ The line DP steps the shadows of `sets._WindowModel`: `_run_line` is the
 step and its sibling cut, `LineKernel` the open-ended run over compiled
 shadow ids, `_patch_run` the run bounded by two contexts, and `_interleave`
 the reduction of D to D/g, which `_sweep`, the one patch sweep, makes per
-class.  Strings are int masks inside, bit i being position i; bit strings
-appear only at the API boundary.
+class; `_two_block_challenger`, TwoBlockInduction's walk, steps them too.
+Strings are int masks inside, bit i being position i; bit strings appear
+only at the API boundary.
 """
 
 from __future__ import annotations
@@ -350,6 +351,69 @@ def _patch_run(distances: DistanceSet, length: int):
         return entry
 
     return run
+
+
+# The most nodes a two-block challenger walk may pop, which only the block
+# length bounds otherwise.  The largest walk a search is known to make pops
+# 12,436,599 ({2,10,12}, 92-bit blocks, `max_block = 96`).
+MAX_CHALLENGER_NODES = 1 << 24
+
+
+def _two_block_challenger(kernel: LineKernel, b: int, size: int):
+    """An avoiding QR with R germ-greater than B and QR than BB, as the
+    masks (Q, R), or None; B is the mask b of `size` bits.
+
+    Branch and bound over R, depth first, 1 before 0, carrying the shadow of
+    `sets._WindowModel` on an explicit stack, so any length within the cap
+    walks.  R > B needs at least as many 1s as B (the count is the leading
+    t-coefficient), and with just as many, a position sum at most B's (the
+    next one; on a tie of both, later orders decide).  The r = |B| - pos
+    bits after a prefix of pos bits are an avoiding string of their own, so
+    they hold at most most[r] 1s, the count of the germ-best r-bit string,
+    and when they hold that many, their position sum is at least that
+    string's, least[r], the least among such strings, plus pos for each 1.
+    So a prefix with `ones` 1s and position sum `possum` is cut when
+    ones < count(B) - most[r] (`floor[pos]`), or when ones equals that and
+    possum > possum(B) - pos·most[r] - least[r] (`ceiling[pos]`); with both
+    tables built before the walk, a pop costs a lookup and a compare.  No R
+    beats a germ-best B, so then no R is walked at all.
+
+    For a fixed R, QR - Q'R = Q - Q' as polynomials, so only the germ-best
+    Q that fits before R can beat BB.  Q meets R only through R[:norm] (all
+    of R when the blocks are shorter than norm), so Q is the best filling
+    of a patch of |B| positions between an all-zero left context and that
+    head (`_patch_run`).  Raises ValueError past MAX_CHALLENGER_NODES pops.
+    """
+    if b == kernel.entry(size)[0]:
+        return None
+    b_entry, bb_entry = _entry(b), _entry(b | b << size)
+    floor, ceiling = [], []
+    for pos in range(size + 1):
+        _, most, least = kernel.entry(size - pos)
+        floor.append(b_entry[1] - most)
+        ceiling.append(b_entry[2] - pos * most - least)
+    grow, head, fill = kernel.model.grow, (1 << kernel.distances.norm) - 1, None
+    stack = [(0, 0, 0, 0, 0)]  # position, shadow, mask, ones, position-sum
+    pop, push = stack.pop, stack.append
+    for _ in range(MAX_CHALLENGER_NODES):
+        if not stack:
+            return None
+        pos, shadow, mask, ones, possum = pop()
+        if ones < floor[pos] or ones == floor[pos] and possum > ceiling[pos]:
+            continue
+        if pos < size:
+            push((pos + 1, shadow >> 1, mask, ones, possum))  # popped after the 1's walk
+            if not shadow & 1:
+                push((pos + 1, shadow >> 1 | grow, mask | 1 << pos, ones + 1, possum + pos))
+        elif germ_greater((mask, ones, possum), b_entry):
+            fill = fill or _patch_run(kernel.distances, size)
+            first = fill(0, mask & head)[0]
+            if germ_greater(_entry(first | mask << size), bb_entry):
+                return first, mask
+    if stack:
+        cap = MAX_CHALLENGER_NODES
+        raise ValueError(f"the two-block challenger walk is over the cap of {cap} nodes")
+    return None
 
 
 def improve_at(bits: str, position: int, patch_length: int, distances: DistanceSet) -> str:

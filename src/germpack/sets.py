@@ -25,6 +25,7 @@ from .germs import (
     RationalGF,
     _BIT_VALUES,
     _a0_numerator,
+    _check_natural,
     _leading_gap,
     _sums,
     _term_sign,
@@ -35,14 +36,6 @@ def _check_bits(bits: str, what: str) -> str:
     if not isinstance(bits, str) or bits.strip("01"):
         raise ValueError(f"{what} must be a string of 0s and 1s, got {bits!r}")
     return bits
-
-
-def _check_natural(value, what: str, least: int = 1):
-    """Raise unless `value` is an int (bools refused) of at least `least`, 0 or 1."""
-    if type(value) is not int or value < least:
-        kind = "positive" if least else "non-negative"
-        raise ValueError(f"{what} must be a {kind} integer, got {value!r}")
-    return value
 
 
 def _to_mask(bits: str) -> int:

@@ -2,7 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from itertools import product, zip_longest
 from math import comb, gcd
 
@@ -407,6 +407,88 @@ def brute_two_block(distances, block_b):
                 continue
             joined = IntPolynomial.from_bits(first + second)
             if poly_germ_compare(joined, bb_poly) == GREATER:
+                return first, second
+    return None
+
+
+_poly = lru_cache(maxsize=1 << 16)(IntPolynomial.from_bits)
+
+
+def _bits_compare(a, b):
+    """The germ order on two bit strings of one length, as -1, 0 or 1."""
+    return poly_germ_compare(_poly(a), _poly(b))
+
+
+@lru_cache(maxsize=2)
+def _head_dp_tables(distances):
+    """`head_dp_challenger`'s tables for D, each length filled once, on
+    windows of the last norm bits (bit j is the bit j + 1 back).
+
+    `firsts(n)`: for each window, the germ-best avoiding n bits that end in
+    it (a forward DP), as (window, bits) pairs ranked best first.
+    `seconds(n)`: for each head h of an n-bit R, R*_h (h, then `tail`, the
+    germ-best bits after a window, a backward DP) and the window bits of a
+    Q that would clash with h.
+    """
+    norm = distances.norm
+    full, taken = (1 << norm) - 1, sum(1 << (d - 1) for d in distances)
+
+    def steps(window):  # the bits that may follow the window, and the windows they leave
+        yield "0", window << 1 & full
+        if not window & taken:
+            yield "1", (window << 1 | 1) & full
+
+    @lru_cache(maxsize=None)
+    def tail(window, r):
+        if not r:
+            return ""
+        return max((bit + tail(nxt, r - 1) for bit, nxt in steps(window)),
+                   key=cmp_to_key(_bits_compare))
+
+    layers = [{0: ""}]
+
+    @lru_cache(maxsize=None)
+    def firsts(n):
+        while len(layers) <= n:
+            new = {}
+            for window, bits in layers[-1].items():
+                for bit, nxt in steps(window):
+                    if nxt not in new or _bits_compare(bits + bit, new[nxt]) == GREATER:
+                        new[nxt] = bits + bit
+            layers.append(new)
+        return sorted(layers[n].items(), key=cmp_to_key(lambda x, y: _bits_compare(y[1], x[1])))
+
+    @lru_cache(maxsize=None)
+    def seconds(n):
+        out = []
+        for head in enumerate_avoiding(distances, min(norm, n)):
+            clash = sum({1 << (d - i - 1) for i, bit in enumerate(head) if bit == "1"
+                         for d in distances if d > i})  # Q's bit j lies i + j + 1 before h's i
+            out.append((head + tail(int(head, 2), n - len(head)), clash))
+        return out
+
+    return firsts, seconds
+
+
+def head_dp_challenger(distances, block_b):
+    """A challenger to the two-block bound by a DP over heads, or None: the
+    reference for `local._two_block_challenger`, which walks every R.
+
+    R's head h is its first k = min(norm, |B|) bits.  The germ-best R with
+    head h, R*_h, is h followed by the germ-best tail from the window h
+    leaves, and the germ-best Q that fits before h, Q_h, is the best Q whose
+    last window meets no 1 of h; only h links Q to R.  Every (Q, R) with
+    head h has R <= R*_h and QR <= Q_h R*_h, since the germ order survives a
+    common prefix, so a challenger exists iff some h has R*_h > B and
+    Q_h R*_h > BB (Bellman's principle of optimality).  Returns (Q_h, R*_h)
+    for the first such h, as bit strings.
+    """
+    size = len(block_b)
+    firsts, seconds = _head_dp_tables(distances)
+    for second, clash in seconds(size):
+        if _bits_compare(second, block_b) == GREATER:
+            first = next(bits for window, bits in firsts(size) if not window & clash)
+            if _bits_compare(first + second, block_b + block_b) == GREATER:
                 return first, second
     return None
 

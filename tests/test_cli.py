@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from germpack import DistanceSet, SearchBudget, best_string, find_winner, search
+from germpack import DistanceSet, SearchBudget, best_string, find_winner, local
 from germpack.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -520,7 +520,7 @@ class TestErrors:
         }
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(document))
-        monkeypatch.setattr(search, "MAX_CHALLENGER_NODES", 10_000)
+        monkeypatch.setattr(local, "MAX_CHALLENGER_NODES", 10_000)
         assert main(["certify", "--file", str(path)]) == 1
         out, err = capsys.readouterr()
         assert not out
@@ -556,7 +556,7 @@ class TestErrors:
         def walk(*args):
             raise AssertionError("the challenger walk started")
 
-        monkeypatch.setattr(search, "_entry", walk)  # read only past the shortcut
+        monkeypatch.setattr(local, "_entry", walk)  # read only past the shortcut
         block = ("1" * 12 + "0" * 12) * blocks
         document = {
             "kind": "TwoBlockInduction",

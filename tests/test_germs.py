@@ -20,7 +20,7 @@ from germpack import (
     poly_germ_compare,
     poly_sign_near_one,
 )
-from germpack import germs
+from germpack import germs, sets
 from helpers import (
     add,
     convolve,
@@ -195,6 +195,23 @@ class TestOneMinusPower:
         # True used to give 1 - q, 2.5 and "3" a TypeError
         with pytest.raises(ValueError, match="power must be a positive integer"):
             one_minus_power(d)
+
+
+class TestPositiveIntegerRule:
+    # one rule, `germs._check_natural`, checks every positive-int argument
+    # here, in the words each hand-written check used
+    @pytest.mark.parametrize("call,message", [
+        (lambda: one_minus_power(0), "power must be a positive integer, got 0"),
+        (lambda: RationalGF(IntPolynomial((1,)), True), "period must be a positive integer, got True"),
+        (lambda: laurent_prefix(gf((1,), 1), 2.5), "count must be a positive integer, got 2.5"),
+    ], ids=["power", "period", "count"])
+    def test_messages_are_unchanged(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_sets_reads_the_same_rule(self):
+        assert sets._check_natural is germs._check_natural
 
 
 class TestGermGap:

@@ -38,14 +38,14 @@ from germpack import (
     valuation,
 )
 from germpack import local, search, sets
-from germpack.local import LineKernel
-from germpack.search import _two_block_challenger
+from germpack.local import LineKernel, _two_block_challenger
 from germpack.sets import _to_bits, _to_mask
 from helpers import (
     all_distance_sets,
     brute_two_block,
     cantor_gordon_density,
     counted_line_work,
+    head_dp_challenger,
     karp_density,
     kernel_states,
     random_avoiding,
@@ -525,6 +525,32 @@ class TestTwoBlockBranchAndBound:
                     certified += _agree_with_oracle(distances, block_a, doubled[size:])
         assert (cases, certified) == (617, 43)
 
+    def test_agrees_with_the_head_dp_past_the_oracle(self):
+        # every D inside {1..9} with at most three distances, blocks of 1 to
+        # 2·norm + 3 bits, which the oracle's exhaustive pairing cannot reach:
+        # the search's B (the second half of the germ-best 2|B| bits) and
+        # three seeded avoiding B.  The walk finds a challenger iff the head
+        # DP (`helpers.head_dp_challenger`) does, and each pair is one
+        rng = random.Random(5)
+        cases = found = 0
+        for distances in all_distance_sets(9):
+            if len(distances) > 3:
+                continue
+            kernel = LineKernel(distances)
+            for size in range(1, 2 * distances.norm + 4):
+                blocks = {best_string(distances, 2 * size)[size:]}
+                blocks |= {random_avoiding(rng, distances, size) for _ in range(3)}
+                for block_b in sorted(blocks):
+                    cases += 1
+                    walk = _two_block_challenger(kernel, _to_mask(block_b), size)
+                    pair = head_dp_challenger(distances, block_b)
+                    assert (walk is None) == (pair is None), (distances, block_b)
+                    if walk is not None:
+                        found += 1
+                        assert _is_challenger(distances, block_b, [_to_bits(m, size) for m in walk])
+                        assert _is_challenger(distances, block_b, pair)
+        assert (cases, found) == (7_961, 5_973)
+
     def test_pool_walk_work_is_pinned(self):
         # the challenger walk's pops over the benchmark's two-block pool, each
         # case searched and then verified after a JSON round trip, counted on
@@ -532,7 +558,7 @@ class TestTwoBlockBranchAndBound:
         # pins the work, which a weakened cut raises without changing any
         # verdict (7,350 with the count cut alone, 7,172 with a ceiling that
         # leaves out pos·most[r])
-        code, pops, before = search._two_block_challenger.__code__, 0, sys.getprofile()
+        code, pops, before = local._two_block_challenger.__code__, 0, sys.getprofile()
 
         def count(frame, event, arg):
             nonlocal pops
