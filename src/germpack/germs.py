@@ -19,8 +19,9 @@ coefficients with no ring arithmetic of its own.
 No floating point is used anywhere (the t-expansion's binomial coefficients
 overflow fixed-width types almost at once).  Ints inside, Fraction at the API:
 a rational is an int pair, polynomials are built and summed in C-level passes,
-and a `Fraction` is built only where a public function returns one
-(`germ_gap`, `laurent_prefix`, `sets.valuation`); an order reads a sign.
+a `Fraction` is built only where a public function returns one
+(`germ_gap`, `laurent_prefix`, `sets.valuation`), and a set's numerator only
+when read (`RationalGF._deferred`); an order reads a sign.
 
 Orderings are reported as LESS (-1), EQUAL (0), GREATER (+1), so that
 swapping arguments negates the result.
@@ -153,6 +154,8 @@ class RationalGF:
 
     Not reduced to lowest terms; germ equality is semantic and decided by
     cross-multiplication (see germ_compare), which avoids any gcd machinery.
+    A set's GF (`_deferred`) builds its numerator on first read and stores
+    it, so ==, hash, repr, pickle and copy see an eager GF's fields.
     """
 
     numerator: IntPolynomial
@@ -160,6 +163,26 @@ class RationalGF:
 
     def __post_init__(self):
         _check_natural(self.period, "period")
+
+    @classmethod
+    def _deferred(cls, pre: str, rep: str, moments) -> RationalGF:
+        """The GF of the set pre, then rep forever, and its `_moments`, which most orders read."""
+        gf = cls.__new__(cls)
+        gf.__dict__.update(period=len(rep), _moments=moments, _bits=(pre, rep))
+        gf.__post_init__()
+        return gf
+
+    def __getattr__(self, name):
+        """A deferred numerator pre(q)(1 - q**d) + q**len(pre) rep(q): coefficient
+        i is bit i of pre + rep less bit i - d of pre, one pass over ASCII
+        codes, which differ as bits do.  Every other missing name raises."""
+        bits = self.__dict__.get("_bits") if name == "numerator" else None
+        if bits is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        pre, rep = bits
+        coeffs = map(sub, (pre + rep).encode(), ("0" * len(rep) + pre).encode())
+        object.__setattr__(self, "numerator", IntPolynomial(tuple(coeffs)))
+        return self.numerator
 
     @cached_property
     def _moments(self) -> tuple[int, int, int]:

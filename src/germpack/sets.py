@@ -18,10 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import sub
 
 from .germs import (
-    IntPolynomial,
     RationalGF,
     _BIT_VALUES,
     _a0_numerator,
@@ -296,17 +294,11 @@ class RationalSet:
 
 
 def generating_function(s: RationalSet) -> RationalGF:
-    """Exact rational generating function sum_{n in S} q**n.
-
-    Written over the denominator 1 - q**d, d = len(repetend), the numerator
-    pre(q)(1 - q**d) + q**len(pre) rep(q) has coefficient i bit i of pre + rep
-    less bit i - d of pre: one pass over ASCII codes, which differ as bits do.
+    """Exact rational generating function sum_{n in S} q**n over 1 - q**d,
+    d = len(repetend).  It carries the set's `_moments`, which settle most
+    germ orders, and builds its numerator only when read (`RationalGF._deferred`).
     """
-    pre, d = s.preperiod, len(s.repetend)
-    numerator = map(sub, (pre + s.repetend).encode(), ("0" * d + pre).encode())
-    gf = RationalGF(IntPolynomial(tuple(numerator)), d)
-    object.__setattr__(gf, "_moments", s._moments)  # the germ comparisons read it
-    return gf
+    return RationalGF._deferred(s.preperiod, s.repetend, s._moments)
 
 
 def is_avoiding(subject, distances: DistanceSet) -> bool:

@@ -321,6 +321,38 @@ class TestRationalGF:
         assert germ_gap(f, g) is None
 
 
+class TestDeferredNumerator:
+    """A set's GF holds its bits and moments, and builds its numerator when read."""
+
+    def test_the_period_is_still_checked(self):
+        with pytest.raises(ValueError, match="period must be a positive integer, got 0"):
+            RationalGF._deferred("1", "", (1, 0, 0))
+
+    def test_the_numerator_is_built_once_and_stored(self):
+        f = RationalGF._deferred("0110", "011", (2, 5, 3))
+        assert "numerator" not in vars(f) and f.period == 3
+        assert f.numerator == IntPolynomial((0, 1, 1, 0, -1, 0, 1))
+        assert vars(f)["numerator"] is f.numerator
+        assert f == gf((0, 1, 1, 0, -1, 0, 1), 3)
+
+    def test_a_misspelt_name_still_raises(self):
+        f = sets.generating_function(sets.RationalSet.from_text("1|01"))
+        message = "'RationalGF' object has no attribute 'numertor'"
+        with pytest.raises(AttributeError, match=f"^{re.escape(message)}$"):
+            f.numertor
+        assert "numerator" not in vars(f)
+
+    def test_protocol_probes_build_nothing(self):
+        # copy and pickle ask for these on the instance; only numerator builds
+        f = sets.generating_function(sets.RationalSet.from_text("1|01"))
+        for name in ("__setstate__", "__deepcopy__", "__copy__", "_bits_", "coeffs"):
+            assert getattr(f, name, None) is None
+        assert not hasattr(f, "numerator_") and "numerator" not in vars(f)
+        shell = RationalGF.__new__(RationalGF)  # unpickling's blank instance holds no bits
+        with pytest.raises(AttributeError, match="no attribute 'numerator'"):
+            shell.numerator
+
+
 class TestClosedFormShortcut:
     """Orders -1 and 0 come from closed forms; the cross numerator only on a tie of both."""
 

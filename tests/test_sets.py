@@ -1,5 +1,8 @@
 """Rational sets: canonical forms, avoidance, greedy, valuation, ordering."""
 
+import copy
+import dataclasses
+import pickle
 import random
 import re
 import time
@@ -293,6 +296,68 @@ class TestGeneratingFunction:
                 assert germ_compare(f, g) == sign_by_evaluation(cross_numerator(f, g)), (s, previous)
             previous = s
         assert len(shapes) == 3 and min(shapes.values()) >= 100, shapes
+
+
+def _deferred_cases(seed):
+    """600 random sets and the germ_arith-shaped pairs' sets, each beside the
+    eager GF of its numerator by plain convolution."""
+    rng = random.Random(seed)
+    cases = [random_rational_set(rng, 12, 9) for _ in range(600)]
+    cases += [s for la in range(1, 17) for lb in range(1, 17) for tie in (None, -1, 0)
+              for s in germ_arith_pair(rng, la, lb, tie)]
+    return [(s, RationalGF(IntPolynomial(numerator_by_convolution(s)), len(s.repetend)))
+            for s in cases]
+
+
+class TestDeferredNumerator:
+    """generating_function builds its numerator on first read, and is then an eager GF."""
+
+    def test_agrees_with_an_eager_gf(self):
+        for s, eager in _deferred_cases(34):
+            f = generating_function(s)
+            assert "numerator" not in vars(f)
+            assert hash(f) == hash(eager) and f == eager and repr(f) == repr(eager), s
+            assert vars(f)["numerator"] is f.numerator and f.numerator == eager.numerator
+
+    def test_agrees_through_copies_and_germ_arithmetic(self):
+        cases = _deferred_cases(35)
+        for (s, eager), (t, other) in zip(cases, cases[1:] + cases[:1]):
+            f = generating_function(s)
+            copies = [pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)]
+            copies.append(dataclasses.replace(f))  # reads the numerator, so f is built
+            copies += [pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)]
+            for g in copies:
+                assert g == eager and hash(g) == hash(eager) and repr(g) == repr(eager), s
+            assert dataclasses.replace(generating_function(s), period=2 * f.period) == (
+                RationalGF(eager.numerator, 2 * f.period))
+            g = generating_function(t)
+            assert germ_compare(f, g) == germ_compare(eager, other) == set_compare(s, t)
+            assert germ_gap(f, g) == germ_gap(eager, other), (s, t)
+            assert laurent_prefix(generating_function(s), 5) == laurent_prefix(eager, 5)
+
+    def test_numerator_builds_only_on_a_tie(self, monkeypatch):
+        # the benchmark's gap of two sets' generating functions builds no
+        # polynomial when order -1 or 0 decides, and the two numerators on a tie
+        built = Counter()
+        real = IntPolynomial.__post_init__
+
+        def counted(self):
+            built["polynomials"] += 1
+            real(self)
+
+        rng = random.Random(36)
+        pairs = [germ_arith_pair(rng, la, lb, tie)
+                 for la in (1, 2, 5, 9, 16) for lb in (1, 3, 8, 16) for tie in (None, -1, 0)]
+        pairs += [(a, RationalSet(a.preperiod + a.repetend, a.repetend)) for a, _ in pairs[:3]]
+        monkeypatch.setattr(IntPolynomial, "__post_init__", counted)
+        orders = Counter()
+        for a, b in pairs:
+            built.clear()
+            gap = germ_gap(generating_function(a), generating_function(b))
+            tied = gap is None or gap[0] > 0
+            assert built["polynomials"] == (2 if tied else 0), (a, b, gap)
+            orders[None if gap is None else min(gap[0], 1)] += 1
+        assert orders[-1] and orders[0] and orders[1] and orders[None]
 
 
 class TestIsAvoiding:
